@@ -4,7 +4,8 @@ The comass of a degree-p form is its maximum over oriented p-planes.  It
 is estimated by random restarts of Riemannian gradient ascent on the
 orthonormal-frame (Stiefel) manifold: project the Euclidean gradient onto
 the tangent space, take a backtracking line-search step, re-orthonormalize
-by QR.  Runs are deterministic for a fixed seed.
+by QR.  All restarts advance together as one stack of frames.  Runs are
+deterministic for a fixed seed.
 
 Also hosts the standard Calabi-Yau data on C^4 = R^8 in interleaved
 coordinates (x1, y1, ..., x4, y4): the Kaehler 2-form, the holomorphic
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -209,9 +210,14 @@ class CayleySweep:
     """Vectorized tau-norm and calibration value over batches of 4-planes.
 
     Uses the 28x28 matrix of ``a -> star(a ^ phi)`` so that the 2-fold
-    cross product is a single matrix product; agrees with the sparse path
-    to machine precision.
+    cross product is a single matrix product, and the 64x64 reshape of the
+    dense 4-form so that the triple cross product and the calibration value
+    are matrix products over outer products of frame vectors; agrees with
+    the sparse path to machine precision.
     """
+
+    #: Planes per block; bounds the (block, 64) temporaries.
+    BLOCK = 1024
 
     def __init__(self, model: Spin7Model):
         if model.exact:
@@ -220,6 +226,7 @@ class CayleySweep:
             op = np.asarray(model.lambda2_op, dtype=float)
         self.p7 = 0.25 * (np.eye(28) - op)
         self.T4 = model.phi.as_float().to_dense()
+        self.T64 = self.T4.reshape(64, 64)
         basis2 = blades(8, 2)
         self.idx_i = np.array([b[0] - 1 for b in basis2])
         self.idx_j = np.array([b[1] - 1 for b in basis2])
@@ -228,23 +235,31 @@ class CayleySweep:
         return (x[:, self.idx_i] * y[:, self.idx_j]
                 - x[:, self.idx_j] * y[:, self.idx_i])
 
-    def _cross3(self, u, v, w) -> np.ndarray:
-        # (u . (v . (w . phi)))^sharp = phi(w, v, u, .)
-        return np.einsum('ijkz,Ni,Nj,Nk->Nz', self.T4, w, v, u, optimize=True)
+    @staticmethod
+    def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (x[:, :, None] * y[:, None, :]).reshape(len(x), 64)
 
-    def __call__(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """frames: (N, 4, 8) orthonormal rows; returns (tau_norms, values)."""
+    def _block(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         a, b, c, d = (frames[:, k, :] for k in range(4))
-        p = self._cross3(b, c, d)
+        # (b . (c . (d . phi)))^sharp = phi(d, c, b, .)
+        p = (b[:, None, :] @ (self._outer(d, c) @ self.T64).reshape(-1, 8, 8))[:, 0]
         gab = np.einsum('Ni,Ni->N', a, b)[:, None]
         gac = np.einsum('Ni,Ni->N', a, c)[:, None]
         gad = np.einsum('Ni,Ni->N', a, d)[:, None]
         combo = (-self._wedge(a, p) + gab * self._wedge(c, d)
                  + gac * self._wedge(d, b) + gad * self._wedge(b, c))
-        tau_coords = 2.0 * combo @ self.p7.T
-        tau_norms = np.linalg.norm(tau_coords, axis=1)
-        values = np.einsum('ijkl,Ni,Nj,Nk,Nl->N', self.T4, a, b, c, d,
-                           optimize=True)
+        tau_norms = np.linalg.norm(2.0 * combo @ self.p7.T, axis=1)
+        values = np.einsum('Ni,Ni->N', self._outer(a, b) @ self.T64,
+                           self._outer(c, d))
+        return tau_norms, values
+
+    def __call__(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """frames: (N, 4, 8) orthonormal rows; returns (tau_norms, values)."""
+        tau_norms = np.empty(len(frames))
+        values = np.empty(len(frames))
+        for lo in range(0, len(frames), self.BLOCK):
+            hi = lo + self.BLOCK
+            tau_norms[lo:hi], values[lo:hi] = self._block(frames[lo:hi])
         return tau_norms, values
 
 
@@ -284,60 +299,109 @@ class ComassResult:
         }
 
 
-def _dense_value_grad(T: np.ndarray, X: np.ndarray) -> Tuple[float, np.ndarray]:
-    p = X.shape[0]
+def _dense_value_grad(T: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Values and Euclidean gradients of a dense p-tensor on a stack of frames.
+
+    X: (R, p, n).  ``grad[:, m]`` contracts T with every row but row m,
+    trailing rows first, then leading rows; each contraction is one stacked
+    matmul of the tensor reshaped to a matrix against one row per frame.
+    Stacked matmul makes one BLAS call per frame, so a restart's values do
+    not depend on which other restarts share the stack, and the lowest-index
+    tie-break of ``comass_estimate`` sees the same values in any batch.
+    """
+    _, p, n = X.shape
+    cols = X[:, :, :, None]
+    rows = X[:, :, None, :]
     grad = np.empty_like(X)
     for m in range(p):
-        out = T
+        out = T.reshape(-1)
         for r in range(p - 1, m, -1):
-            out = np.tensordot(out, X[r], axes=(out.ndim - 1, 0))
+            out = (out.reshape(*out.shape[:-1], -1, n) @ cols[:, r])[..., 0]
         for r in range(m):
-            out = np.tensordot(X[r], out, axes=(0, 0))
-        grad[m] = out
-    value = float(X[0] @ grad[0])
+            out = (rows[:, r] @ out.reshape(*out.shape[:-1], n, -1))[..., 0, :]
+        grad[:, m] = out
+    value = (rows[:, 0] @ grad[:, 0, :, None])[:, 0, 0]
     return value, grad
 
 
 def _retract(X: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize rows (QR with positive diagonal)."""
-    q, r = np.linalg.qr(X.T)
-    signs = np.sign(np.diag(r))
+    """Re-orthonormalize the rows of each frame (QR with positive diagonal)."""
+    q, r = np.linalg.qr(np.swapaxes(X, -1, -2))
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
-    return (q * signs).T
+    return np.swapaxes(q * signs[..., None, :], -1, -2)
 
 
 def _ascend(T: np.ndarray, X: np.ndarray, tol: float,
             max_iter: int = 500, max_halvings: int = 40):
-    """Projected gradient ascent with backtracking; returns (X, value, iters, converged).
+    """Projected gradient ascent with backtracking over a stack of frames.
 
+    X: (R, p, n), one start per restart.  Returns (X, values, iterations,
+    converged), one entry per restart.  Each restart keeps its own step
+    size and leaves the active set once its gradient norm drops below
+    ``tol`` (converged) or its line search exhausts ``max_halvings``
+    (not converged); only restarts still searching take another halving.
     The sufficient-increase constant 1/2 rejects overshooting full steps,
     so halving lands near the quadratic-model optimum and the ascent
     converges linearly instead of crawling.
     """
+    X = X.copy(order="K")  # keeps the frame layout of _start_frames
     value, grad = _dense_value_grad(T, X)
-    if value < 0:
-        X = X.copy()
-        X[0] = -X[0]
-        value, grad = _dense_value_grad(T, X)
-    step = 1.0
+    neg = value < 0
+    if neg.any():
+        X[neg, 0] = -X[neg, 0]
+        # a flipped start is evaluated from a row-major copy, as the
+        # per-restart reference ascent in tests/test_calib_batched.py does
+        value[neg], grad[neg] = _dense_value_grad(T, np.ascontiguousarray(X[neg]))
+    R = len(X)
+    step = np.ones(R)
+    iters = np.full(R, max_iter)
+    converged = np.zeros(R, dtype=bool)
+    active = np.arange(R)
     for it in range(max_iter):
-        sym = X @ grad.T
-        riem = grad - 0.5 * (sym + sym.T) @ X
-        gnorm = float(np.linalg.norm(riem))
-        if gnorm < tol:
-            return X, value, it, True
-        t = step
+        Xa, ga = X[active], grad[active]
+        sym = Xa @ np.swapaxes(ga, -1, -2)
+        riem = ga - 0.5 * (sym + np.swapaxes(sym, -1, -2)) @ Xa
+        # Frobenius norms as one dot product per frame, like np.linalg.norm
+        flat = riem.reshape(len(active), 1, -1)
+        gnorm = np.sqrt((flat @ np.swapaxes(flat, -1, -2))[:, 0, 0])
+        done = gnorm < tol
+        converged[active[done]] = True
+        iters[active[done]] = it
+        active, riem, gnorm = active[~done], riem[~done], gnorm[~done]
+        t = step[active]
+        search = np.arange(len(active))
         for _ in range(max_halvings):
-            Xn = _retract(X + t * riem)
-            vn, gn = _dense_value_grad(T, Xn)
-            if vn > value + 0.5 * t * gnorm * gnorm:
-                X, value, grad = Xn, vn, gn
-                step = min(2.0 * t, 1.0)
+            if not len(search):
                 break
-            t *= 0.5
-        else:
-            return X, value, it + 1, False
-    return X, value, max_iter, False
+            idx = active[search]
+            ts, gs = t[search], gnorm[search]
+            Xn = _retract(X[idx] + ts[:, None, None] * riem[search])
+            vn, gn = _dense_value_grad(T, Xn)
+            ok = vn > value[idx] + 0.5 * ts * gs * gs
+            won = idx[ok]
+            X[won], value[won], grad[won] = Xn[ok], vn[ok], gn[ok]
+            step[won] = np.minimum(2.0 * ts[ok], 1.0)
+            search = search[~ok]
+            t[search] *= 0.5
+        iters[active[search]] = it + 1
+        active = np.delete(active, search)
+        if not len(active):
+            break
+    return X, value, iters, converged
+
+
+def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
+    """(restarts, p, n) random starts, restart i drawn from substream [seed, i].
+
+    Each frame is stored column-major, the layout ``random_orthonormal_frames``
+    and ``_retract`` give a single frame.  BLAS may sum a contraction in an
+    order that depends on the stride of a frame row, so with this layout a
+    restart reaches bit for bit the values it reaches when ascended alone.
+    """
+    return np.swapaxes(np.stack([
+        random_orthonormal_frames(np.random.default_rng([seed, i]), 1, p, n)[0].T
+        for i in range(restarts)]), 1, 2)
 
 
 def comass_estimate(c: CalibrationForm, restarts: int = 50,
@@ -346,9 +410,11 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     """Estimate max over oriented p-planes of the calibration value.
 
     Random orthonormal starts (one independent substream per restart),
-    projected gradient ascent, deterministic max-merge with ties broken
-    by the lowest restart index.  Degrees above n/2 are optimized through
-    the Hodge dual, which has the same comass.
+    projected gradient ascent run for all restarts at once over a stack of
+    frames, deterministic max-merge with ties broken by the lowest restart
+    index.  Degrees above n/2 are optimized through the Hodge dual, which
+    has the same comass.  ``jobs`` is accepted for compatibility only and
+    has no effect: the restarts are batched, not run concurrently.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -358,38 +424,31 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     T = work.as_float().to_dense()
     p, n = work.degree, work.dim
 
-    def run(i: int):
-        rng = np.random.default_rng([seed, i])
-        X0 = random_orthonormal_frames(rng, 1, p, n)[0]
-        return _ascend(T, X0, tol)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run, range(restarts)))
-    else:
-        outcomes = [run(i) for i in range(restarts)]
+    frames, values, iterations, converged = _ascend(
+        T, _start_frames(seed, restarts, p, n), tol)
 
     best_i = 0
     for i in range(1, restarts):
-        if outcomes[i][1] > outcomes[best_i][1] + 1e-15:
+        if values[i] > values[best_i] + 1e-15:
             best_i = i
-    X, value, iters, converged = outcomes[best_i]
+    X, value = frames[best_i], values[best_i]
 
     if dualized:
-        X = _complement_frame(X, form)
+        X = _complement_frame(X)
         check = restrict(form, OrientedPlane([Vector(r) for r in X]))
         if check < 0:
             X = X.copy()
             X[0] = -X[0]
         value = float(abs(check))
     plane = OrientedPlane([Vector(float(x) for x in row) for row in X])
-    warning = None if converged else "iteration cap reached before gradient tolerance"
+    ok = bool(converged[best_i])
+    warning = None if ok else "iteration cap reached before gradient tolerance"
     return ComassResult(value=float(value), plane=plane, restarts=restarts,
-                        best_restart=best_i, iterations=iters,
-                        converged=converged, warning=warning)
+                        best_restart=best_i, iterations=int(iterations[best_i]),
+                        converged=ok, warning=warning)
 
 
-def _complement_frame(X: np.ndarray, form: KForm) -> np.ndarray:
+def _complement_frame(X: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the rows of X."""
     n = X.shape[1]
     _, _, vh = np.linalg.svd(X)
@@ -400,15 +459,26 @@ def _complement_frame(X: np.ndarray, form: KForm) -> np.ndarray:
 
 
 def _parse_scalar(x):
+    """A JSON coefficient: a finite number, or a string read as a Fraction."""
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"coefficient {x!r} divides by zero") from exc
     if isinstance(x, bool):
         raise ValueError("boolean is not a coefficient")
+    if not isinstance(x, (int, float)):
+        raise ValueError(f"coefficient {x!r} is not a number")
+    if not math.isfinite(x):
+        raise ValueError(f"coefficient {x!r} is not finite")
     return x
 
 
 def load_plane(obj: dict) -> OrientedPlane:
-    """Plane input: {"dim": n, "degree": p, "vectors": [[...], ...]}."""
+    """Plane input: {"dim": n, "degree": p, "vectors": [[...], ...]}.
+
+    Raises ValueError on a non-finite or non-numeric component.
+    """
     try:
         dim, degree = int(obj["dim"]), int(obj["degree"])
         vectors = obj["vectors"]
@@ -425,7 +495,11 @@ def load_plane(obj: dict) -> OrientedPlane:
 
 
 def load_form(obj: dict) -> CalibrationForm:
-    """Form input: {"dim": n, "degree": k, "terms": [{"blade": [...], "coeff": ...}]}."""
+    """Form input: {"dim": n, "degree": k, "terms": [{"blade": [...], "coeff": ...}]}.
+
+    Raises ValueError on a non-finite coefficient or a blade that repeats
+    an index (such a blade is zero, so it would silently vanish).
+    """
     try:
         dim, degree = int(obj["dim"]), int(obj["degree"])
         terms = obj["terms"]
@@ -433,8 +507,14 @@ def load_form(obj: dict) -> CalibrationForm:
         raise ValueError(f"malformed form object: {exc}") from exc
     coeffs: dict = {}
     for term in terms:
-        blade = tuple(int(i) for i in term["blade"])
-        coeffs[blade] = coeffs.get(blade, 0) + _parse_scalar(term["coeff"])
+        try:
+            blade = tuple(int(i) for i in term["blade"])
+            coeff = _parse_scalar(term["coeff"])
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed form term {term!r}: {exc}") from exc
+        if len(set(blade)) != len(blade):
+            raise ValueError(f"blade {list(blade)} repeats an index")
+        coeffs[blade] = coeffs.get(blade, 0) + coeff
     form = KForm.from_terms(dim, degree, coeffs)
     return CalibrationForm(form, str(obj.get("name", "custom")))
 

@@ -263,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=calib.COMASS_TOL)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="concurrent restarts (deterministic merge)")
+                   help="ignored, kept for compatibility: restarts run as "
+                        "one batched ascent")
     p.set_defaults(fn=cmd_comass)
 
     p = sub.add_parser("plane", help="test a plane against a calibration")

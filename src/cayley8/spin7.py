@@ -46,6 +46,9 @@ LAMBDA2_SPECTRUM = {Fraction(-3): 7, Fraction(1): 21}
 #: Expected dimensions of the 4-form summands.
 LAMBDA4_DIMS = (1, 7, 27, 35)
 
+#: Random draws ``random_spin7_frame`` makes before giving up.
+FRAME_ATTEMPTS = 100
+
 
 class Spin7StructureError(ValueError):
     """A form failed the structure certificate; carries the report."""
@@ -470,8 +473,14 @@ def complete_frame(m: Spin7Model, e1: Vector, e2: Vector, e3: Vector,
 
 
 def random_spin7_frame(m: Spin7Model, rng: np.random.Generator) -> Frame8:
-    """A random adapted frame via completion of a random admissible quadruple."""
-    while True:
+    """A random adapted frame via completion of a random admissible quadruple.
+
+    A Gaussian quadruple is admissible with probability one, so a draw is
+    retried only after a rare near-degenerate completion; a model that
+    defeats ``FRAME_ATTEMPTS`` draws in a row is reported, not retried
+    forever.
+    """
+    for _ in range(FRAME_ATTEMPTS):
         raw = [Vector(float(x) for x in rng.standard_normal(8)) for _ in range(4)]
         try:
             basis = []
@@ -486,8 +495,10 @@ def random_spin7_frame(m: Spin7Model, rng: np.random.Generator) -> Frame8:
                 w = w - (u.dot(w) / u.norm_sq()) * u
             e5 = w.normalized()
             return complete_frame(m, e1, e2, e3, e5)
-        except (FramePreconditionError, ValueError):
-            continue
+        except ValueError as exc:  # FramePreconditionError included
+            last = exc
+    raise FramePreconditionError(
+        f"no adapted frame after {FRAME_ATTEMPTS} random draws; last: {last}")
 
 
 def infinitesimal_action(phi: KForm, generator: KForm) -> KForm:

@@ -256,3 +256,19 @@ def test_plane_and_form_json_roundtrip():
         calib.load_plane({"dim": 8, "degree": 2, "vectors": [[1] * 8]})
     with pytest.raises(ValueError):
         calib.load_form({"dim": 8, "terms": []})
+    with pytest.raises(ValueError, match="repeats an index"):
+        calib.load_form({"dim": 8, "degree": 4,
+                         "terms": [{"blade": [1, 1, 3, 4], "coeff": 1}]})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="not finite"):
+            calib.load_form({"dim": 8, "degree": 4,
+                             "terms": [{"blade": [1, 2, 3, 4], "coeff": bad}]})
+        vectors = [row[:] for row in plane_obj["vectors"]]
+        vectors[2][5] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            calib.load_plane({"dim": 8, "degree": 4, "vectors": vectors})
+    with pytest.raises(ValueError, match="divides by zero"):
+        calib.load_form({"dim": 8, "degree": 4,
+                         "terms": [{"blade": [1, 2, 3, 4], "coeff": "1/0"}]})
+    with pytest.raises(ValueError, match="not a number"):
+        calib.load_plane({"dim": 8, "degree": 1, "vectors": [[None] * 8]})

@@ -74,6 +74,28 @@ def test_comass_file_form(tmp_path, capsys):
     assert all(abs(x) < 1e-5 for row in argmax for x in row[4:])
 
 
+def test_comass_rejects_non_finite_coefficient(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "dim": 8, "degree": 4,
+        "terms": [{"blade": [1, 2, 3, 4], "coeff": float("nan")}]}))
+    code = cli.main(["comass", "--form", str(path), "--restarts", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_comass_rejects_repeated_index_blade(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps({
+        "dim": 8, "degree": 4,
+        "terms": [{"blade": [1, 1, 3, 4], "coeff": 1}]}))
+    code = cli.main(["comass", "--form", str(path), "--restarts", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "repeats an index" in captured.err
+
+
 def test_plane_report(tmp_path, capsys):
     path = tmp_path / "plane.json"
     path.write_text(json.dumps({

@@ -214,6 +214,19 @@ def test_complete_frame_random_admissible():
         assert ok, report
 
 
+def test_random_spin7_frame_gives_up_after_bounded_attempts(monkeypatch):
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise spin7.FramePreconditionError("e5 is not orthogonal to e1 x e2 x e3")
+
+    monkeypatch.setattr(spin7, "complete_frame", refuse)
+    with pytest.raises(spin7.FramePreconditionError, match="no adapted frame after"):
+        spin7.random_spin7_frame(MF, np.random.default_rng(0))
+    assert len(calls) == spin7.FRAME_ATTEMPTS
+
+
 def test_complete_frame_rejects_bad_e5():
     with pytest.raises(spin7.FramePreconditionError, match="e1 x e2 x e3"):
         spin7.complete_frame(M, E[0], E[1], E[2], E[3])
