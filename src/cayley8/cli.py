@@ -5,10 +5,11 @@ optimization), ``plane`` (pointwise plane tests), ``index`` (index
 formulas from a JSON input), ``surgery`` (invariant bookkeeping from a
 JSON expression tree), ``reproduce`` (the two worked index derivations).
 
-Exit codes: 0 success, 1 verification/assertion/parity failure, 2 input
-error.  Reports render from one payload dict, as text or canonical JSON
-(`--output json`); JSON output is byte-identical for identical inputs
-and seeds.  Wall time goes to stderr so it never perturbs the payload.
+Exit codes: 0 success, 1 verification/assertion/parity failure or a
+comass estimate that did not converge, 2 input error.  Reports render
+from one payload dict, as text or canonical JSON (`--output json`); JSON
+output is byte-identical for identical inputs and seeds.  Wall time goes
+to stderr so it never perturbs the payload.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import sys
 import time
 from typing import Optional
 
-from . import calib, index as index_mod, reproduce, spin7, surgery, verify
+from . import (calib, g2 as g2mod, index as index_mod, reproduce, spin7,
+               surgery, verify)
 from .index import ParityError
 from .multivec import DegeneratePlaneError
 
@@ -141,7 +143,7 @@ def cmd_comass(args) -> int:
                       1 if result.converged else 0,
                       0 if result.converged else 1)
     _render(payload, args.output)
-    return EXIT_OK
+    return EXIT_OK if result.converged else EXIT_FAIL
 
 
 def cmd_plane(args) -> int:
@@ -169,7 +171,6 @@ def cmd_plane(args) -> int:
         results["special_lagrangian"] = calib.sl_test(plane)
         results["complex"] = calib.complex_test(plane)
     if plane.dim == 7 and plane.degree in (3, 4):
-        from . import g2 as g2mod
         g2m = g2mod.build_g2(exact=args.exact)
         if plane.degree == 3:
             results["associative"] = g2mod.is_associative(g2m, plane)

@@ -35,7 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import calib, g2 as g2mod
+from . import _linalg, calib, g2 as g2mod, multivec
 from ._linalg import orthogonalize
 from .multivec import (KForm, OrientedPlane, Vector, blades, exact_sqrt,
                        is_zero, sharp)
@@ -141,8 +141,7 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
         isinstance(c, (int, Fraction)) for v in onb for c in v.components)
 
     if exact:
-        from ._linalg import nullspace
-        kernel = nullspace(rows)
+        kernel = _linalg.nullspace(rows)
     else:
         mat = np.array([[float(x) for x in row] for row in rows])
         _, svals, vh = np.linalg.svd(mat)
@@ -321,8 +320,7 @@ def bev_clifford(v: Vector, f, alpha: KForm) -> Tuple[object, KForm]:
         raise ValueError("bev_clifford lives on an oriented 3-space")
     star_alpha = alpha.hodge()
     scalar = star_alpha.evaluate(v)
-    from .multivec import flat
-    vf = flat(v)
+    vf = multivec.flat(v)
     two = -f * vf.hodge() - vf.wedge(star_alpha)
     return scalar, two
 
@@ -349,8 +347,7 @@ def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane,
     if plane.degree != 3 or plane.dim != 7:
         raise ValueError("expected a 3-plane in R^7")
     onb = plane.orthonormal_basis
-    from .multivec import restrict as restrict_form
-    lam = restrict_form(g2m.phi3, plane)
+    lam = multivec.restrict(g2m.phi3, plane)
     if not is_zero(lam - 1, tol):
         raise ValueError(
             f"plane is not positively associative (phi restricts to {float(lam)})")

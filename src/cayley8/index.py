@@ -1,9 +1,11 @@
 """Index formulas of the Cayley deformation operator from topological inputs.
 
 Every formula is affine in its integer inputs with half-integer
-coefficients; halvings are validated and a violation is a hard error,
-never a rounding.  Spectral data (eta invariants, spectral flow, kernel
-dimensions) are raw inputs: this module never computes them.
+coefficients, so each one is a row of ``FORMULAS`` and one evaluator
+computes them all; a non-integer total is a hard error, never a
+rounding.  Spectral data (eta invariants, spectral flow, kernel
+dimensions) are raw inputs: this module never computes them.  Only the
+two eta invariants may be real numbers.
 
 The orientation flag "complex" negates the sigma input before a formula
 is applied (complex surfaces are calibrated with the opposite
@@ -14,9 +16,11 @@ orientation "standard".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Dict, Optional, Tuple
 
 
 class ParityError(ValueError):
@@ -36,238 +40,126 @@ class IndexResult:
                 "warning": self.warning}
 
 
-def _half(x) -> Fraction:
-    return Fraction(x) / 2
+_CHI = ("chi/2", 2, (("chi", 1),))
+_MINUS_SIGMA = ("-sigma/2", 2, (("sigma", -1),))
+_MINUS_REL_EULER = ("-rel_euler", 1, (("rel_euler", -1),))
+_MINUS_EULER = ("-euler_normal", 1, (("euler_normal", -1),))
+_MINUS_DIM_KER = ("-dim_ker/2", 2, (("dim_ker_Dtilde", -1),))
+_MINUS_B_Y = ("-(b0+b1)/2", 2, (("b0_Y", -1), ("b1_Y", -1)))
+_MINUS_DIMH0 = ("-dimH0/2", 2, (("dimH0", -1),))
 
-
-def _finish(name: str, terms: List[Tuple[str, object]],
-            allow_non_integer: bool = False) -> IndexResult:
-    total = sum(Fraction(v) if not isinstance(v, float) else v
-                for _, v in terms)
-    rows = tuple({"term": label, "value": _json_number(value)}
-                 for label, value in terms)
-    if isinstance(total, float):
-        near = round(total)
-        warning = None
-        if abs(total - near) > 1e-9:
-            warning = "non-integer value (eta terms are external reals)"
-            return IndexResult(name, total, rows, warning)
-        return IndexResult(name, int(near), rows, None)
-    if total.denominator != 1:
-        if allow_non_integer:
-            return IndexResult(name, float(total), rows,
-                               "non-integer value (eta terms are external reals)")
-        raise ParityError(f"{name}: non-integer index {total}")
-    return IndexResult(name, int(total), rows, None)
-
-
-def _json_number(x):
-    if isinstance(x, Fraction):
-        return float(x) if x.denominator != 1 else int(x)
-    return x
-
-
-def index_closed(chi: int, sigma: int, self_intersection: int) -> IndexResult:
-    """chi/2 - sigma/2 - [X].[X] for a closed calibrated 4-manifold."""
-    if (chi - sigma) % 2:
-        raise ParityError("non-integer index: chi and sigma differ in parity")
-    return _finish("closed", [
-        ("chi/2", _half(chi)),
-        ("-sigma/2", -_half(sigma)),
-        ("-[X].[X]", -self_intersection),
-    ])
-
-
-def index_eta(chi: int, sigma: int, euler_normal: int, dim_ker: int,
-              eta_D: float, eta_B: float) -> IndexResult:
-    """The general cylindrical-end formula with eta invariants as inputs.
-
-    chi/2 - sigma/2 - euler_normal - dim_ker/2 + (eta_D - eta_B)/2.
-    Non-integrality is reported as a warning, not an error, since the eta
-    terms are external reals.
-    """
-    return _finish("eta", [
-        ("chi/2", _half(chi)),
-        ("-sigma/2", -_half(sigma)),
-        ("-euler_normal", -euler_normal),
-        ("-dim_ker/2", -_half(dim_ker)),
-        ("(eta_D - eta_B)/2", (eta_D - eta_B) / 2 if isinstance(eta_D - eta_B, float)
-         else _half(eta_D - eta_B)),
-    ], allow_non_integer=True)
-
-
-def index_spectral_flow(chi: int, sigma: int, rel_euler: int, SF: int,
-                        dim_ker: int) -> IndexResult:
-    """chi/2 - sigma/2 - e(nu, s) + SF - dim_ker/2."""
-    if (chi - sigma - dim_ker) % 2:
-        raise ParityError("non-integer index: chi - sigma - dim_ker is odd")
-    return _finish("spectral_flow", [
-        ("chi/2", _half(chi)),
-        ("-sigma/2", -_half(sigma)),
-        ("-rel_euler", -rel_euler),
-        ("+SF", SF),
-        ("-dim_ker/2", -_half(dim_ker)),
-    ])
-
-
-def index_parallel_section(chi: int, sigma: int, rel_euler: int, b0: int,
-                           b1: int) -> IndexResult:
-    """chi/2 - sigma/2 - e(nu, s) - (b0 + b1)/2 for a parallel normal section."""
-    if (chi - sigma - b0 - b1) % 2:
-        raise ParityError("non-integer index: chi - sigma - (b0 + b1) is odd")
-    return _finish("parallel_section", [
-        ("chi/2", _half(chi)),
-        ("-sigma/2", -_half(sigma)),
-        ("-rel_euler", -rel_euler),
-        ("-(b0+b1)/2", -_half(b0 + b1)),
-    ])
-
-
-def index_parallel_section_lift(chi: int, sigma_X: int, sigma_Xt: int,
-                                rel_euler_lift: int, b0Y: int, b1Y: int,
-                                b0Yt: int, b1Yt: int) -> IndexResult:
-    """The double-cover variant with the section odd under the involution.
-
-    chi/2 + sigma_X/2 - sigma_Xt/2 - rel_euler_lift/2
-    + (b0Y + b1Y)/2 - (b0Yt + b1Yt)/2.
-    """
-    if (chi + sigma_X - sigma_Xt - rel_euler_lift + b0Y + b1Y - b0Yt - b1Yt) % 2:
-        raise ParityError("non-integer index: halved terms have odd sum")
-    return _finish("parallel_section_lift", [
-        ("chi/2", _half(chi)),
-        ("+sigma_X/2", _half(sigma_X)),
-        ("-sigma_Xtilde/2", -_half(sigma_Xt)),
-        ("-rel_euler_lift/2", -_half(rel_euler_lift)),
-        ("+(b0Y+b1Y)/2", _half(b0Y + b1Y)),
-        ("-(b0Yt+b1Yt)/2", -_half(b0Yt + b1Yt)),
-    ])
-
-
-def index_complex(chi: int, sigma: int, rel_euler: int, dimH0: int) -> IndexResult:
-    """chi/2 - sigma/2 - e(nu, s) - dimH0/2 for a circle-invariant section."""
-    if (chi - sigma - dimH0) % 2:
-        raise ParityError("non-integer index: chi - sigma - dimH0 is odd")
-    return _finish("complex_cross_section", [
-        ("chi/2", _half(chi)),
-        ("-sigma/2", -_half(sigma)),
-        ("-rel_euler", -rel_euler),
-        ("-dimH0/2", -_half(dimH0)),
-    ])
-
-
-def index_combined_example(chi: int, sigma: int, euler_normal: int,
-                           sigma_X4: int, sigma_X4t: int, b0Y: int, b1Y: int,
-                           b0Yt: int, b1Yt: int, dimH0: int) -> IndexResult:
-    """The combined formula of the worked examples.
-
-    chi/2 + sigma/2 - euler_normal + (2 sigma_X4 - sigma_X4tilde)/2
-    + (b0Y + b1Y - b0Ytilde - b1Ytilde) - dimH0/2.  The +sigma/2 sign
-    encodes the complex orientation convention of those examples.
-    """
-    if (chi + sigma - sigma_X4t - dimH0) % 2:
-        raise ParityError("non-integer index: halved terms have odd sum")
-    return _finish("combined_example", [
-        ("chi/2", _half(chi)),
-        ("+sigma/2", _half(sigma)),
-        ("-euler_normal", -euler_normal),
-        ("+(2 sigma_X4 - sigma_X4t)/2", _half(2 * sigma_X4 - sigma_X4t)),
-        ("+(b0Y+b1Y-b0Yt-b1Yt)", b0Y + b1Y - b0Yt - b1Yt),
-        ("-dimH0/2", -_half(dimH0)),
-    ])
-
-
-def index_special(variant: str, **fields) -> IndexResult:
-    """Reduced-holonomy specializations.
-
-    sl: -chi/2 - sigma/2 - (b0+b1)/2.
-    coassoc: chi/2 - sigma/2 - (b0+b1)/2.
-    complex_surface: chi_bar/2 + sigma_bar/2 - self_intersection_bar
-                     - chi_C/2 - dimH0/2 (complex orientation on sigma_bar).
-    associative: -dimH0/2 (dimH0 must be even: it is twice a complex count).
-    """
-    if variant == "sl":
-        chi, sigma, b0, b1 = (fields[k] for k in ("chi", "sigma", "b0", "b1"))
-        if (chi + sigma + b0 + b1) % 2:
-            raise ParityError("non-integer index: halved terms have odd sum")
-        return _finish("special_sl", [
-            ("-chi/2", -_half(chi)),
-            ("-sigma/2", -_half(sigma)),
-            ("-(b0+b1)/2", -_half(b0 + b1)),
-        ])
-    if variant == "coassoc":
-        chi, sigma, b0, b1 = (fields[k] for k in ("chi", "sigma", "b0", "b1"))
-        if (chi - sigma - b0 - b1) % 2:
-            raise ParityError("non-integer index: halved terms have odd sum")
-        return _finish("special_coassoc", [
-            ("chi/2", _half(chi)),
-            ("-sigma/2", -_half(sigma)),
-            ("-(b0+b1)/2", -_half(b0 + b1)),
-        ])
-    if variant == "complex_surface":
-        chi_bar, sigma_bar, self_int, chi_C, dimH0 = (
-            fields[k] for k in ("chi_bar", "sigma_bar", "self_intersection_bar",
-                                "chi_C", "dimH0"))
-        if (chi_bar + sigma_bar - chi_C - dimH0) % 2:
-            raise ParityError("non-integer index: halved terms have odd sum")
-        return _finish("special_complex_surface", [
-            ("chi_bar/2", _half(chi_bar)),
-            ("+sigma_bar/2", _half(sigma_bar)),
-            ("-[Xbar].[Xbar]", -self_int),
-            ("-chi_C/2", -_half(chi_C)),
-            ("-dimH0/2", -_half(dimH0)),
-        ])
-    if variant == "associative":
-        dimH0 = fields["dimH0"]
-        if dimH0 % 2:
-            raise ParityError(
-                "non-integer index: dimH0 must be even (it is twice a complex dimension)")
-        return _finish("special_associative", [("-dimH0/2", -_half(dimH0))])
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-#: formula name -> (callable, ordered field names)
-FORMULAS: Dict[str, Tuple[Callable[..., IndexResult], Tuple[str, ...]]] = {
-    "closed": (index_closed, ("chi", "sigma", "self_intersection")),
-    "eta": (index_eta, ("chi", "sigma", "euler_normal", "dim_ker_Dtilde",
-                        "eta_Dtilde", "eta_Bev")),
-    "spectral_flow": (index_spectral_flow,
-                      ("chi", "sigma", "rel_euler", "SF", "dim_ker_Dtilde")),
-    "parallel_section": (index_parallel_section,
-                         ("chi", "sigma", "rel_euler", "b0_Y", "b1_Y")),
-    "parallel_section_lift": (index_parallel_section_lift,
-                              ("chi", "sigma_X", "sigma_Xtilde",
-                               "rel_euler_lift", "b0_Y", "b1_Y",
-                               "b0_Ytilde", "b1_Ytilde")),
-    "complex_cross_section": (index_complex,
-                              ("chi", "sigma", "rel_euler", "dimH0")),
-    "combined_example": (index_combined_example,
-                         ("chi", "sigma", "euler_normal", "sigma_X4",
-                          "sigma_X4tilde", "b0_Y", "b1_Y", "b0_Ytilde",
-                          "b1_Ytilde", "dimH0")),
-    "special_lagrangian": (lambda chi, sigma, b0_Y, b1_Y: index_special(
-        "sl", chi=chi, sigma=sigma, b0=b0_Y, b1=b1_Y),
-        ("chi", "sigma", "b0_Y", "b1_Y")),
-    "coassociative": (lambda chi, sigma, b0_Y, b1_Y: index_special(
-        "coassoc", chi=chi, sigma=sigma, b0=b0_Y, b1=b1_Y),
-        ("chi", "sigma", "b0_Y", "b1_Y")),
-    "complex_surface": (lambda chi_bar, sigma_bar, self_intersection_bar, chi_C,
-                        dimH0: index_special(
-        "complex_surface", chi_bar=chi_bar, sigma_bar=sigma_bar,
-        self_intersection_bar=self_intersection_bar, chi_C=chi_C, dimH0=dimH0),
-        ("chi_bar", "sigma_bar", "self_intersection_bar", "chi_C", "dimH0")),
-    "associative": (lambda dimH0: index_special("associative", dimH0=dimH0),
-                    ("dimH0",)),
+#: CLI formula name -> (reported name, ordered terms).  A term is a
+#: derivation row (label, divisor, ((field, integer coefficient), ...)) whose
+#: value is the integer combination of the fields over the divisor.  The
+#: order of first appearance of the fields is the positional argument order.
+FORMULAS: Dict[str, Tuple[str, tuple]] = {
+    # closed calibrated 4-manifold
+    "closed": ("closed", (_CHI, _MINUS_SIGMA,
+                          ("-[X].[X]", 1, (("self_intersection", -1),)))),
+    # cylindrical ends with the eta invariants as external real inputs
+    "eta": ("eta", (
+        _CHI, _MINUS_SIGMA, _MINUS_EULER, _MINUS_DIM_KER,
+        ("(eta_D - eta_B)/2", 2, (("eta_Dtilde", 1), ("eta_Bev", -1))))),
+    "spectral_flow": ("spectral_flow", (
+        _CHI, _MINUS_SIGMA, _MINUS_REL_EULER,
+        ("+SF", 1, (("SF", 1),)), _MINUS_DIM_KER)),
+    "parallel_section": ("parallel_section", (
+        _CHI, _MINUS_SIGMA, _MINUS_REL_EULER, _MINUS_B_Y)),
+    # double cover, with the section odd under the involution
+    "parallel_section_lift": ("parallel_section_lift", (
+        _CHI,
+        ("+sigma_X/2", 2, (("sigma_X", 1),)),
+        ("-sigma_Xtilde/2", 2, (("sigma_Xtilde", -1),)),
+        ("-rel_euler_lift/2", 2, (("rel_euler_lift", -1),)),
+        ("+(b0Y+b1Y)/2", 2, (("b0_Y", 1), ("b1_Y", 1))),
+        ("-(b0Yt+b1Yt)/2", 2, (("b0_Ytilde", -1), ("b1_Ytilde", -1))))),
+    # circle-invariant section
+    "complex_cross_section": ("complex_cross_section", (
+        _CHI, _MINUS_SIGMA, _MINUS_REL_EULER, _MINUS_DIMH0)),
+    # the worked examples; +sigma/2 encodes their complex orientation
+    "combined_example": ("combined_example", (
+        _CHI,
+        ("+sigma/2", 2, (("sigma", 1),)),
+        _MINUS_EULER,
+        ("+(2 sigma_X4 - sigma_X4t)/2", 2,
+         (("sigma_X4", 2), ("sigma_X4tilde", -1))),
+        ("+(b0Y+b1Y-b0Yt-b1Yt)", 1, (("b0_Y", 1), ("b1_Y", 1),
+                                     ("b0_Ytilde", -1), ("b1_Ytilde", -1))),
+        _MINUS_DIMH0)),
+    # reduced-holonomy specializations
+    "special_lagrangian": ("special_sl", (
+        ("-chi/2", 2, (("chi", -1),)), _MINUS_SIGMA, _MINUS_B_Y)),
+    "coassociative": ("special_coassoc", (_CHI, _MINUS_SIGMA, _MINUS_B_Y)),
+    "complex_surface": ("special_complex_surface", (
+        ("chi_bar/2", 2, (("chi_bar", 1),)),
+        ("+sigma_bar/2", 2, (("sigma_bar", 1),)),
+        ("-[Xbar].[Xbar]", 1, (("self_intersection_bar", -1),)),
+        ("-chi_C/2", 2, (("chi_C", -1),)),
+        _MINUS_DIMH0)),
+    # dimH0 is twice a complex dimension
+    "associative": ("special_associative", (_MINUS_DIMH0,)),
 }
+
+#: formula name -> its ordered field names
+FIELDS: Dict[str, Tuple[str, ...]] = {
+    name: tuple(dict.fromkeys(f for _, _, combo in terms for f, _ in combo))
+    for name, (_, terms) in FORMULAS.items()}
+
+#: the only fields that may be real; a formula that reads one may return a
+#: non-integer index (with a warning) instead of raising ParityError
+REAL_FIELDS = frozenset({"eta_Dtilde", "eta_Bev"})
 
 #: fields negated by the "complex" orientation flag
 _SIGMA_FIELDS = ("sigma", "sigma_bar")
 
 
+def _evaluate(name: str, fields: dict) -> IndexResult:
+    """Evaluate formula ``name`` on ``fields`` (every field present)."""
+    reported, terms = FORMULAS[name]
+    values = []
+    for _, divisor, combo in terms:
+        parts = [coeff * fields[field] for field, coeff in combo]
+        # no int 0 start: 0 + -0.0 would lose the sign of a -0.0 eta term
+        value = sum(parts[1:], parts[0])
+        values.append(value / divisor if isinstance(value, float)
+                      else Fraction(value, divisor))
+    total = sum(values)
+    rows = tuple(
+        {"term": label,
+         "value": float(v) if isinstance(v, float) or v.denominator != 1 else int(v)}
+        for (label, _, _), v in zip(terms, values))
+    if isinstance(total, float):
+        near = round(total)
+        if abs(total - near) <= 1e-9:
+            return IndexResult(reported, int(near), rows)
+    elif total.denominator == 1:
+        return IndexResult(reported, int(total), rows)
+    elif not REAL_FIELDS.intersection(FIELDS[name]):
+        raise ParityError(f"{reported}: non-integer index {total} "
+                          "(the halved terms must have an even sum)")
+    return IndexResult(reported, float(total), rows,
+                       "non-integer value (eta terms are external reals)")
+
+
+def _positional(name: str, *args) -> IndexResult:
+    return _evaluate(name, dict(zip(FIELDS[name], args, strict=True)))
+
+
+index_closed = partial(_positional, "closed")
+index_eta = partial(_positional, "eta")
+index_spectral_flow = partial(_positional, "spectral_flow")
+index_parallel_section = partial(_positional, "parallel_section")
+index_parallel_section_lift = partial(_positional, "parallel_section_lift")
+index_complex = partial(_positional, "complex_cross_section")
+index_combined_example = partial(_positional, "combined_example")
+
+
 def evaluate_index(payload: dict) -> IndexResult:
     """Evaluate {"formula": name, "fields": {...}, "orientation": ...}.
 
-    With orientation "complex" the sigma input is negated before the
-    formula is applied (explicitly recorded in the derivation).
+    Every field is an integer except the eta invariants, which may be any
+    finite number.  With orientation "complex" the sigma input is negated
+    before the formula is applied (explicitly recorded in the derivation).
     """
     try:
         name = payload["formula"]
@@ -279,22 +171,28 @@ def evaluate_index(payload: dict) -> IndexResult:
         raise ValueError(f"unknown orientation {orientation!r}")
     if name not in FORMULAS:
         raise ValueError(f"unknown formula {name!r}; known: {sorted(FORMULAS)}")
-    fn, arg_names = FORMULAS[name]
+    arg_names = FIELDS[name]
     missing = [a for a in arg_names if a not in fields]
     if missing:
         raise ValueError(f"missing fields for {name}: {missing}")
     extra = [a for a in fields if a not in arg_names]
     if extra:
         raise ValueError(f"unexpected fields for {name}: {extra}")
-    flipped = []
-    if orientation == "complex":
-        for key in _SIGMA_FIELDS:
-            if key in fields:
-                fields[key] = -fields[key]
-                flipped.append(key)
-    result = fn(*(fields[k] for k in arg_names))
+    for field in arg_names:
+        value, real = fields[field], field in REAL_FIELDS
+        if (isinstance(value, bool)
+                or not isinstance(value, (int, float) if real else int)
+                or isinstance(value, float) and not math.isfinite(value)):
+            kind = "a finite number" if real else "an integer"
+            raise ValueError(f"{name}: field {field!r} must be {kind}, got {value!r}")
+    flipped = [k for k in _SIGMA_FIELDS if k in fields and orientation == "complex"]
+    for key in flipped:
+        fields[key] = -fields[key]
+    try:
+        result = _evaluate(name, fields)
+    except OverflowError as exc:  # finite inputs whose sum leaves float range
+        raise ValueError(f"{name}: index out of float range ({exc})") from exc
     if flipped:
-        rows = ({"term": f"orientation complex: negate {', '.join(flipped)}",
-                 "value": 0},) + result.derivation
-        result = IndexResult(result.formula, result.index, rows, result.warning)
+        row = {"term": f"orientation complex: negate {', '.join(flipped)}", "value": 0}
+        result = replace(result, derivation=(row,) + result.derivation)
     return result

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Tuple
 
-from . import surgery
-from .index import index_combined_example
+from . import index, surgery
 
 EXAMPLES = (1, 2)
 
@@ -183,11 +182,12 @@ def run_example(example: int) -> Derivation:
     b0_y, b1_y = fix["null_cobordism"]["b0"], values["b1_K"]
     b0_yt, b1_yt = fix["null_cobordism"]["b0"], values["b1_Ktilde"]
     dim_h0 = fix["normal_holomorphic_sections"]
-    result = index_combined_example(
-        chi=chi_x, sigma=sigma_x, euler_normal=euler_normal,
-        sigma_X4=fix["half_piece"]["sigma"],
-        sigma_X4t=fix["half_piece"]["sigma_double"],
-        b0Y=b0_y, b1Y=b1_y, b0Yt=b0_yt, b1Yt=b1_yt, dimH0=dim_h0)
+    result = index.evaluate_index({"formula": "combined_example", "fields": {
+        "chi": chi_x, "sigma": sigma_x, "euler_normal": euler_normal,
+        "sigma_X4": fix["half_piece"]["sigma"],
+        "sigma_X4tilde": fix["half_piece"]["sigma_double"],
+        "b0_Y": b0_y, "b1_Y": b1_y, "b0_Ytilde": b0_yt, "b1_Ytilde": b1_yt,
+        "dimH0": dim_h0}})
     for row in result.derivation:
         rows.append({"step": f"index term {row['term']}", "value": row["value"]})
     rows.append({"step": "index", "value": result.index})

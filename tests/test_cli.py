@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cayley8 import cli
 from cayley8.spin7 import PHI0_TERMS
 
@@ -53,6 +55,15 @@ def test_comass_byte_identical_json(capsys):
     _, out1 = run_cli(capsys, *args)
     _, out2 = run_cli(capsys, *args)
     assert out1 == out2
+
+
+def test_comass_not_converged_exit_1(capsys):
+    code, out = run_cli(capsys, "--output", "json", "comass", "--form",
+                        "builtin:spin7", "--restarts", "2", "--tol", "0")
+    payload = json.loads(out)
+    assert payload["results"]["converged"] is False
+    assert payload["failures"] == 1
+    assert code == 1
 
 
 def test_comass_unknown_builtin(capsys):
@@ -162,6 +173,38 @@ def test_index_schema_violation_exit_2(tmp_path, capsys):
     path.write_text(json.dumps({"formula": "closed", "fields": {"chi": 0}}))
     code, _ = run_cli(capsys, "index", "--input", str(path))
     assert code == 2
+
+
+@pytest.mark.parametrize("formula, field, value", [
+    ("closed", "chi", "3"),
+    ("closed", "chi", True),
+    ("closed", "self_intersection", 0.5),
+    ("eta", "eta_Dtilde", float("inf")),
+    ("eta", "eta_Dtilde", float("nan")),
+    ("eta", "eta_Bev", "0.5"),
+], ids=["string", "bool", "real-integer-field", "inf", "nan", "string-eta"])
+def test_index_malformed_field_exit_2(tmp_path, capsys, formula, field, value):
+    fields = {"closed": {"chi": 24, "sigma": -16, "self_intersection": 9},
+              "eta": {"chi": 48, "sigma": -16, "euler_normal": 24,
+                      "dim_ker_Dtilde": 0, "eta_Dtilde": 0.0,
+                      "eta_Bev": 0.0}}[formula]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"formula": formula,
+                                "fields": dict(fields, **{field: value})}))
+    code = cli.main(["index", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert repr(field) in captured.err and "Traceback" not in captured.err
+
+
+def test_index_eta_sum_beyond_float_range_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"formula": "eta", "fields": {
+        "chi": 0, "sigma": 0, "euler_normal": 0, "dim_ker_Dtilde": 0,
+        "eta_Dtilde": 1e308, "eta_Bev": -1e308}}))
+    code = cli.main(["index", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and "float range" in captured.err
 
 
 def test_surgery_command(tmp_path, capsys):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cayley8 import index
 from cayley8.index import ParityError, evaluate_index
@@ -69,13 +70,16 @@ def test_index_combined_example_rows():
 
 
 def test_index_special_variants():
-    assert index.index_special("associative", dimH0=4).index == -2
-    assert index.index_special("sl", chi=2, sigma=0, b0=1, b1=1).index == -2
-    assert index.index_special("coassoc", chi=2, sigma=0, b0=1, b1=1).index == 0
+    def special(formula, **fields):
+        return evaluate_index({"formula": formula, "fields": fields})
+
+    assert special("associative", dimH0=4).index == -2
+    assert special("special_lagrangian", chi=2, sigma=0, b0_Y=1, b1_Y=1).index == -2
+    assert special("coassociative", chi=2, sigma=0, b0_Y=1, b1_Y=1).index == 0
     with pytest.raises(ParityError, match="even"):
-        index.index_special("associative", dimH0=3)
+        special("associative", dimH0=3)
     with pytest.raises(ValueError):
-        index.index_special("nope")
+        special("nope")
 
 
 def test_consistency_eta_vs_parallel_section():
@@ -109,43 +113,65 @@ def test_consistency_complex_vs_complex_surface():
         assert via_complex.index == via_surface.index
 
 
-#: frozen affine coefficient vectors (constant term is 0 for every formula)
+H = Fraction(1, 2)
+
+#: frozen affine coefficient vectors in positional field order (constant
+#: term is 0 for every formula)
 COEFFS = {
-    "closed": (Fraction(1, 2), Fraction(-1, 2), Fraction(-1)),
-    "spectral_flow": (Fraction(1, 2), Fraction(-1, 2), Fraction(-1),
-                      Fraction(1), Fraction(-1, 2)),
-    "parallel_section": (Fraction(1, 2), Fraction(-1, 2), Fraction(-1),
-                         Fraction(-1, 2), Fraction(-1, 2)),
-    "parallel_section_lift": (Fraction(1, 2), Fraction(1, 2), Fraction(-1, 2),
-                              Fraction(-1, 2), Fraction(1, 2), Fraction(1, 2),
-                              Fraction(-1, 2), Fraction(-1, 2)),
-    "complex_cross_section": (Fraction(1, 2), Fraction(-1, 2), Fraction(-1),
-                              Fraction(-1, 2)),
-    "combined_example": (Fraction(1, 2), Fraction(1, 2), Fraction(-1),
-                         Fraction(1), Fraction(-1, 2), Fraction(1),
-                         Fraction(1), Fraction(-1), Fraction(-1),
-                         Fraction(-1, 2)),
+    "closed": {"chi": H, "sigma": -H, "self_intersection": -1},
+    "eta": {"chi": H, "sigma": -H, "euler_normal": -1, "dim_ker_Dtilde": -H,
+            "eta_Dtilde": H, "eta_Bev": -H},
+    "spectral_flow": {"chi": H, "sigma": -H, "rel_euler": -1, "SF": 1,
+                      "dim_ker_Dtilde": -H},
+    "parallel_section": {"chi": H, "sigma": -H, "rel_euler": -1, "b0_Y": -H,
+                         "b1_Y": -H},
+    "parallel_section_lift": {"chi": H, "sigma_X": H, "sigma_Xtilde": -H,
+                              "rel_euler_lift": -H, "b0_Y": H, "b1_Y": H,
+                              "b0_Ytilde": -H, "b1_Ytilde": -H},
+    "complex_cross_section": {"chi": H, "sigma": -H, "rel_euler": -1,
+                              "dimH0": -H},
+    "combined_example": {"chi": H, "sigma": H, "euler_normal": -1,
+                         "sigma_X4": 1, "sigma_X4tilde": -H, "b0_Y": 1,
+                         "b1_Y": 1, "b0_Ytilde": -1, "b1_Ytilde": -1,
+                         "dimH0": -H},
+    "special_lagrangian": {"chi": -H, "sigma": -H, "b0_Y": -H, "b1_Y": -H},
+    "coassociative": {"chi": H, "sigma": -H, "b0_Y": -H, "b1_Y": -H},
+    "complex_surface": {"chi_bar": H, "sigma_bar": H,
+                        "self_intersection_bar": -1, "chi_C": -H,
+                        "dimH0": -H},
+    "associative": {"dimH0": -H},
 }
 
 
 def test_affine_coefficient_vectors():
-    fns = {
-        "closed": index.index_closed,
-        "spectral_flow": index.index_spectral_flow,
-        "parallel_section": index.index_parallel_section,
-        "parallel_section_lift": index.index_parallel_section_lift,
-        "complex_cross_section": index.index_complex,
-        "combined_example": index.index_combined_example,
-    }
-    for name, fn in fns.items():
-        coeffs = COEFFS[name]
-        nargs = len(coeffs)
-        zero = fn(*([0] * nargs)).index
-        assert zero == 0
-        for pos, expected in enumerate(coeffs):
-            args = [0] * nargs
-            args[pos] = 2  # doubling keeps every parity gate satisfied
-            assert Fraction(fn(*args).index, 2) == expected
+    assert sorted(COEFFS) == sorted(index.FORMULAS)
+    for name, coeffs in COEFFS.items():
+        assert index.FIELDS[name] == tuple(coeffs)
+        zero = dict.fromkeys(coeffs, 0)
+        assert evaluate_index({"formula": name, "fields": zero}).index == 0
+        for field, expected in coeffs.items():
+            # doubling keeps every parity gate satisfied
+            fields = dict(zero, **{field: 2})
+            res = evaluate_index({"formula": name, "fields": fields})
+            assert Fraction(res.index, 2) == expected
+
+
+@given(st.sampled_from(sorted(COEFFS)), st.data())
+def test_parity_error_iff_combination_is_not_integer(name, data):
+    coeffs = COEFFS[name]
+    fields = {f: data.draw(st.integers(-10**6, 10**6), label=f) for f in coeffs}
+    expected = sum(c * fields[f] for f, c in coeffs.items())
+    payload = {"formula": name, "fields": fields}
+    if expected.denominator == 1:
+        res = evaluate_index(payload)
+        assert res.index == expected and type(res.index) is int
+        assert res.warning is None
+    elif name == "eta":  # the eta invariants are real: a warning, not an error
+        res = evaluate_index(payload)
+        assert res.index == float(expected) and res.warning is not None
+    else:
+        with pytest.raises(ParityError, match="non-integer"):
+            evaluate_index(payload)
 
 
 def test_evaluate_index_driver_errors():
