@@ -12,10 +12,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 
-def is_exact_matrix(rows: Sequence[Sequence]) -> bool:
-    return all(isinstance(x, (int, Fraction)) for row in rows for x in row)
-
-
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form over Fractions; returns (rref, pivot columns)."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -39,10 +35,6 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
         if r == nrows:
             break
     return mat, pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
 
 
 def nullspace(rows: Sequence[Sequence]) -> List[List[Fraction]]:
@@ -100,12 +92,15 @@ def orthogonalize(rows: Sequence[Sequence]) -> List[List[Fraction]]:
 
 
 def orthonormal_columns(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of the column span (floating, via QR with pivoting)."""
+    """Orthonormal basis of the column span (floating, rank-revealing SVD).
+
+    Keeps the left singular vectors whose singular values exceed ``tol``,
+    so a column that repeats an earlier one never hides a later one.
+    """
     if mat.size == 0:
         return mat
-    q, r = np.linalg.qr(mat)
-    keep = [i for i in range(r.shape[0]) if abs(r[i, i]) > tol]
-    return q[:, keep]
+    u, svals, _ = np.linalg.svd(mat, full_matrices=False)
+    return u[:, svals > tol]
 
 
 def complement_in_span(span_cols: np.ndarray, sub_cols: np.ndarray,

@@ -24,8 +24,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .multivec import (KForm, OrientedPlane, Vector, blades, is_zero,
-                       pullback_to_plane, restrict)
+from .multivec import (KForm, OrientedPlane, Vector, blades, is_exact,
+                       is_zero, pullback_to_plane, restrict, scalar)
 from .spin7 import Spin7Model, phi0, tau
 from . import g2 as g2mod
 
@@ -35,6 +35,9 @@ TAU_TOL = 1e-9
 #: Default comass optimizer tolerance and the criterion-agreement tolerance.
 COMASS_TOL = 1e-6
 AGREEMENT_TOL = 1e-6
+
+#: Iteration cap of one comass restart.
+COMASS_MAX_ITER = 500
 
 BUILTIN_FORMS = ("spin7", "wirtinger2", "re-omega", "g2-assoc", "g2-coassoc")
 
@@ -60,7 +63,7 @@ class CalibrationForm:
 
 def kaehler_form(exact: bool = True) -> KForm:
     """omega = sum_i dx_i ^ dy_i in interleaved coordinates."""
-    one = Fraction(1) if exact else 1.0
+    one = scalar(1, exact=exact)
     return KForm(8, 2, {(2 * i - 1, 2 * i): one for i in range(1, 5)})
 
 
@@ -68,7 +71,7 @@ def _omega_parts(exact: bool = True) -> Tuple[KForm, KForm]:
     """(Re, Im) of (dx1 + i dy1) ^ ... ^ (dx4 + i dy4)."""
     re: dict = {}
     im: dict = {}
-    one = Fraction(1) if exact else 1.0
+    one = scalar(1, exact=exact)
     for ys in itertools.chain.from_iterable(
             itertools.combinations(range(1, 5), k) for k in range(5)):
         blade = tuple(2 * i if i in ys else 2 * i - 1 for i in range(1, 5))
@@ -106,15 +109,13 @@ def complex_structure(v: Vector) -> Vector:
 def sl_model_form(exact: bool = True) -> KForm:
     """The structure form of a Calabi-Yau 4-fold: -omega^2/2 + Re(Omega)."""
     om = kaehler_form(exact)
-    half = Fraction(1, 2) if exact else 0.5
-    return -half * om.wedge(om) + re_omega(exact)
+    return -scalar(1, 2, exact=exact) * om.wedge(om) + re_omega(exact)
 
 
 def coassoc_model_form(exact: bool = True) -> KForm:
     """dtheta ^ phi + psi built from the R^7 slice data (equals the model form)."""
     g2m = g2mod.build_g2(exact=exact)
-    one = Fraction(1) if exact else 1.0
-    dtheta = KForm.monomial(8, 1, coeff=one)
+    dtheta = KForm.monomial(8, 1, coeff=scalar(1, exact=exact))
     return dtheta.wedge(g2mod.raise_index_form(g2m.phi3)) \
         + g2mod.raise_index_form(g2m.psi4)
 
@@ -125,8 +126,7 @@ def builtin_form(name: str, exact: bool = True) -> CalibrationForm:
         return CalibrationForm(phi0(exact), "spin7")
     if name == "wirtinger2":
         om = kaehler_form(exact)
-        half = Fraction(1, 2) if exact else 0.5
-        return CalibrationForm(half * om.wedge(om), "wirtinger2")
+        return CalibrationForm(scalar(1, 2, exact=exact) * om.wedge(om), "wirtinger2")
     if name == "re-omega":
         return CalibrationForm(re_omega(exact), "re-omega")
     if name == "g2-assoc":
@@ -182,8 +182,7 @@ def sl_test(plane: OrientedPlane, tol: float = 1e-9) -> bool:
     """Special Lagrangian: omega and Im(Omega) both restrict to zero."""
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("special Lagrangian test expects a 4-plane in R^8")
-    exact = all(isinstance(c, (int, Fraction))
-                for u in plane.orthonormal_basis for c in u.components)
+    exact = is_exact(c for u in plane.orthonormal_basis for c in u.components)
     if not pullback_to_plane(kaehler_form(exact), plane).is_zero(tol):
         return False
     return is_zero(restrict(im_omega(exact), plane), tol)
@@ -333,7 +332,7 @@ def _retract(X: np.ndarray) -> np.ndarray:
 
 
 def _ascend(T: np.ndarray, X: np.ndarray, tol: float,
-            max_iter: int = 500, max_halvings: int = 40):
+            max_iter: int = COMASS_MAX_ITER, max_halvings: int = 40):
     """Projected gradient ascent with backtracking over a stack of frames.
 
     X: (R, p, n), one start per restart.  Returns (X, values, iterations,
@@ -442,7 +441,12 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
         value = float(abs(check))
     plane = OrientedPlane([Vector(float(x) for x in row) for row in X])
     ok = bool(converged[best_i])
-    warning = None if ok else "iteration cap reached before gradient tolerance"
+    warning = None
+    if not ok:
+        # a restart that stops short of the cap ran out of line-search halvings
+        warning = ("iteration cap reached before gradient tolerance"
+                   if iterations[best_i] >= COMASS_MAX_ITER else
+                   "line search exhausted its step halvings before gradient tolerance")
     return ComassResult(value=float(value), plane=plane, restarts=restarts,
                         best_restart=best_i, iterations=int(iterations[best_i]),
                         converged=ok, warning=warning)

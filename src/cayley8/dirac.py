@@ -30,7 +30,6 @@ exactly, then fixed):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,8 +37,8 @@ import numpy as np
 from . import _linalg, calib, g2 as g2mod, multivec
 from ._linalg import orthogonalize
 from .multivec import (KForm, OrientedPlane, Vector, blades, exact_sqrt,
-                       is_zero, sharp)
-from .spin7 import Spin7Model, cross2, phi0, proj2_7, tau
+                       is_exact, is_zero, scalar, sharp)
+from .spin7 import CheckResult, Spin7Model, cross2, phi0, proj2_7, tau
 
 #: Gate on |tau| for accepting a plane as Cayley (floating mode).
 CAYLEY_GATE = 1e-9
@@ -53,23 +52,9 @@ class NonCayleyPlaneError(ValueError):
         super().__init__(f"plane is not Cayley: |tau| = {float(tau_norm):.3e}")
 
 
-@dataclass(frozen=True)
-class Report:
-    """Outcome of a verification sweep: worst residual against a tolerance."""
-
-    name: str
-    passed: bool
-    max_residual: float
-    detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "max_residual": self.max_residual, "detail": self.detail}
-
-
 def _orthonormal_complement(vectors: Sequence[Vector], dim: int) -> List[Vector]:
     """Deterministic orthonormal complement: sweep the standard basis in order."""
-    exact = all(isinstance(c, (int, Fraction)) for v in vectors for c in v.components)
+    exact = is_exact(c for v in vectors for c in v.components)
     basis = list(vectors)
     out = []
     for i in range(1, dim + 1):
@@ -137,8 +122,7 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
     basis2 = blades(8, 2)
     l27 = m.lambda2_7_forms()
     rows = _plane_restriction_rows(l27, onb)
-    exact = m.exact and all(
-        isinstance(c, (int, Fraction)) for v in onb for c in v.components)
+    exact = m.exact and is_exact(c for v in onb for c in v.components)
 
     if exact:
         kernel = _linalg.nullspace(rows)
@@ -179,7 +163,7 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
 
 def plane_asd_basis(exact: bool = True) -> List[KForm]:
     """Intrinsic anti-self-dual 2-forms of an oriented 4-plane."""
-    one = Fraction(1) if exact else 1.0
+    one = scalar(1, exact=exact)
     return [
         KForm(4, 2, {(1, 2): one, (3, 4): -one}),
         KForm(4, 2, {(1, 3): one, (2, 4): one}),
@@ -189,7 +173,7 @@ def plane_asd_basis(exact: bool = True) -> List[KForm]:
 
 def plane_sd_basis(exact: bool = True) -> List[KForm]:
     """Intrinsic self-dual 2-forms of an oriented 4-plane."""
-    one = Fraction(1) if exact else 1.0
+    one = scalar(1, exact=exact)
     return [
         KForm(4, 2, {(1, 2): one, (3, 4): one}),
         KForm(4, 2, {(1, 3): one, (2, 4): -one}),
@@ -213,7 +197,7 @@ def embed_plane_form(cpm: CayleyPointModel, alpha: KForm) -> KForm:
     return ambient
 
 
-def asd_embedding_report(cpm: CayleyPointModel, tol: float = 1e-9) -> Report:
+def asd_embedding_report(cpm: CayleyPointModel, tol: float = 1e-9) -> CheckResult:
     """Conformality and orthogonality of ``alpha -> 2 pi7(alpha)`` on plane ASD forms.
 
     The image lies in the 7-dimensional summand, orthogonal to E, scales
@@ -241,8 +225,8 @@ def asd_embedding_report(cpm: CayleyPointModel, tol: float = 1e-9) -> Report:
             gram_src = ai.inner(aj)
             worst = max(worst, abs(float(gram_img - 2 * gram_src)))
     passed = worst <= tol
-    return Report("asd-embedding", passed, worst,
-                  "2 pi7 is a sqrt(2)-conformal embedding orthogonal to E")
+    return CheckResult("asd-embedding", passed, worst,
+                       "2 pi7 is a sqrt(2)-conformal embedding orthogonal to E")
 
 
 # -- principal symbol --------------------------------------------------------------
@@ -260,14 +244,13 @@ def symbol_D(cpm: CayleyPointModel, xi: KForm) -> np.ndarray:
     for n in cpm.normal_frame:
         c2 = cross2(cpm.model, xs, n)
         cols.append(cpm.e_coords(c2))
-    if cpm.model.exact and all(
-            isinstance(x, (int, Fraction)) for col in cols for x in col):
+    if cpm.model.exact and is_exact(x for col in cols for x in col):
         return np.array(cols, dtype=object).T
     return np.array([[float(x) for x in col] for col in cols]).T
 
 
 def clifford_check(cpm: CayleyPointModel, trials: int = 16,
-                   seed: int = 0, tol: float = 1e-10) -> Report:
+                   seed: int = 0, tol: float = 1e-10) -> CheckResult:
     """Verify the Clifford relation of the symbol on basis and random covectors.
 
     ``sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2 <xi, xi'> Id``.
@@ -276,7 +259,7 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
     exact = cpm.model.exact
     covs = []
     for i in range(1, 5):
-        covs.append(KForm(4, 1, {(i,): Fraction(1) if exact else 1.0}))
+        covs.append(KForm(4, 1, {(i,): scalar(1, exact=exact)}))
     for _ in range(trials):
         covs.append(KForm(4, 1, {(i,): float(x)
                                  for i, x in zip(range(1, 5), rng.standard_normal(4))}))
@@ -288,12 +271,12 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
             lhs = sa.T @ sb + sb.T @ sa
             rhs = 2.0 * float(a.inner(b)) * np.eye(4)
             worst = max(worst, float(abs(lhs - rhs).max()))
-    return Report("clifford", worst <= tol, worst,
-                  "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
+    return CheckResult("clifford", worst <= tol, worst,
+                       "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
 
 
 def symbol_isometry_report(cpm: CayleyPointModel, trials: int = 16,
-                           seed: int = 0, tol: float = 1e-10) -> Report:
+                           seed: int = 0, tol: float = 1e-10) -> CheckResult:
     """sigma(xi) is an isometry N -> E for unit xi (Gram matrix check)."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -303,8 +286,8 @@ def symbol_isometry_report(cpm: CayleyPointModel, trials: int = 16,
         xi = KForm(4, 1, {(i,): float(x) for i, x in zip(range(1, 5), raw)})
         s = np.array(symbol_D(cpm, xi), dtype=float)
         worst = max(worst, float(abs(s.T @ s - np.eye(4)).max()))
-    return Report("symbol-isometry", worst <= tol, worst,
-                  "Gram(sigma(xi)) = Id for |xi| = 1")
+    return CheckResult("symbol-isometry", worst <= tol, worst,
+                       "Gram(sigma(xi)) = Id for |xi| = 1")
 
 
 # -- even-form Clifford module on a 3-manifold ---------------------------------------
@@ -384,16 +367,15 @@ def sharp_vector3(a: KForm) -> Vector:
 
 
 def h_equivariance_check(apm: AssociativePointModel, trials: int = 8,
-                         seed: int = 0, tol: float = 1e-10) -> Report:
+                         seed: int = 0, tol: float = 1e-10) -> CheckResult:
     """``h(v . (f, alpha)) = v x h(f, alpha)`` over the full basis sweep.
 
     Exact (residual 0) in exact mode; random covectors extend the sweep in
     floating mode.
     """
     g2m = apm.g2model
-    exact = g2m.exact and all(isinstance(c, (int, Fraction))
-                              for v in apm.tangent_frame for c in v.components)
-    one = Fraction(1) if exact else 1.0
+    exact = g2m.exact and is_exact(c for v in apm.tangent_frame for c in v.components)
+    one = scalar(1, exact=exact)
     pairs = [(one, KForm.zero(3, 2))]
     for blade in ((1, 2), (1, 3), (2, 3)):
         pairs.append((0, KForm(3, 2, {blade: one})))
@@ -410,12 +392,12 @@ def h_equivariance_check(apm: AssociativePointModel, trials: int = 8,
     for v in vs:
         v_amb = apm.tangent_ambient(v)
         for f, alpha in pairs:
-            scalar, two = bev_clifford(v, f, alpha)
-            lhs = h_iso(apm, scalar, two)
+            f_v, alpha_v = bev_clifford(v, f, alpha)
+            lhs = h_iso(apm, f_v, alpha_v)
             rhs = g2mod.cross_g2(g2m, v_amb, h_iso(apm, f, alpha))
             worst = max(worst, float(max(abs(x) for x in (lhs - rhs).components)))
-    return Report("h-equivariance", worst <= tol, float(worst),
-                  "h(v.(f,alpha)) = v x h(f,alpha)")
+    return CheckResult("h-equivariance", worst <= tol, float(worst),
+                       "h(v.(f,alpha)) = v x h(f,alpha)")
 
 
 # -- symbol intertwinings ----------------------------------------------------------------
@@ -439,7 +421,7 @@ def _covector_set(count: int, seed: int) -> List[KForm]:
 
 
 def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
-                         tol: float = 1e-10) -> Report:
+                         tol: float = 1e-10) -> CheckResult:
     """Identify the symbol with the special Lagrangian complex symbol.
 
     At the plane of real directions in C^4, under J on the normal side and
@@ -460,7 +442,7 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
     jmat = np.array([[float(n.dot(v)) for v in cpm.normal_frame] for n in jn])
 
     omega = calib.kaehler_form(exact)
-    half = Fraction(1, 2) if exact else 0.5
+    half = scalar(1, 2, exact=exact)
     sd = plane_sd_basis(exact)
     cross_antisym = {}
     for k, beta in enumerate(sd):
@@ -493,17 +475,17 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
         return B @ t
 
     probe = KForm(4, 1, {(1,): 1.0})
-    scalar = _matrix_ratio(lhs_matrix(probe), rhs_matrix(probe))
+    ratio = _matrix_ratio(lhs_matrix(probe), rhs_matrix(probe))
     worst = 0.0
     for xi in _covector_set(trials, seed):
-        worst = max(worst, float(abs(lhs_matrix(xi) - scalar * rhs_matrix(xi)).max()))
-    passed = worst <= tol and abs(abs(scalar) - 1) <= tol
-    return Report("sl-intertwine", passed, worst,
-                  f"global scalar {scalar:+.6f}")
+        worst = max(worst, float(abs(lhs_matrix(xi) - ratio * rhs_matrix(xi)).max()))
+    passed = worst <= tol and abs(abs(ratio) - 1) <= tol
+    return CheckResult("sl-intertwine", passed, worst,
+                       f"global scalar {ratio:+.6f}")
 
 
 def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
-                              tol: float = 1e-10) -> Report:
+                              tol: float = 1e-10) -> CheckResult:
     """Identify the symbol with ``(alpha, beta) -> xi ^ alpha - xi . beta``.
 
     At the product of the circle direction with the standard coassociative
@@ -551,7 +533,7 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
     def b_map() -> np.ndarray:
         cols = []
         for blade in l3:
-            gamma = KForm(4, 3, {blade: Fraction(1) if exact else 1.0})
+            gamma = KForm(4, 3, {blade: scalar(1, exact=exact)})
             v_int = gamma.hodge()
             v = cpm.tangent_vector(v_int)
             img = cross2(m, v, theta)
@@ -576,10 +558,10 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
         return sig @ A
 
     probe = KForm(4, 1, {(1,): 1.0})
-    scalar = _matrix_ratio(lhs_matrix(probe), B @ target_matrix(probe))
+    ratio = _matrix_ratio(lhs_matrix(probe), B @ target_matrix(probe))
     worst = 0.0
     for xi in _covector_set(trials, seed):
-        worst = max(worst, float(abs(lhs_matrix(xi) - scalar * (B @ target_matrix(xi))).max()))
-    passed = worst <= tol and abs(abs(scalar) - 1) <= tol
-    return Report("coassoc-intertwine", passed, worst,
-                  f"global scalar {scalar:+.6f}")
+        worst = max(worst, float(abs(lhs_matrix(xi) - ratio * (B @ target_matrix(xi))).max()))
+    passed = worst <= tol and abs(abs(ratio) - 1) <= tol
+    return CheckResult("coassoc-intertwine", passed, worst,
+                       f"global scalar {ratio:+.6f}")

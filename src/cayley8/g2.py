@@ -13,9 +13,8 @@ factors as ``dtheta ^ phi + psi`` with theta the first coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from .multivec import (KForm, OrientedPlane, Vector, blades, is_zero,
-                       restrict)
+                       restrict, scalar)
 from .spin7 import phi0
 
 
@@ -43,9 +42,8 @@ def raise_index_form(a: KForm, insert: int = 1) -> KForm:
 
 def lift_vector(v: Vector, insert: int = 1, exact: bool = True) -> Vector:
     """Embed an R^7 vector into R^8 with zero in the ``insert`` slot."""
-    zero = 0 if exact else 0.0
     comps = list(v.components)
-    return Vector(comps[:insert - 1] + [zero] + comps[insert - 1:])
+    return Vector(comps[:insert - 1] + [scalar(0, exact=exact)] + comps[insert - 1:])
 
 
 def project_vector(v: Vector, drop: int = 1) -> Vector:
@@ -72,7 +70,7 @@ def build_g2(exact: bool = True) -> G2Model:
     big = phi0(exact=exact)
     e1 = Vector.basis(8, 1, exact=exact)
     phi3 = lower_index_form(big.contract(e1))
-    theta_part = KForm.monomial(8, 1, coeff=Fraction(1) if exact else 1.0)
+    theta_part = KForm.monomial(8, 1, coeff=scalar(1, exact=exact))
     psi4 = lower_index_form(big - theta_part.wedge(big.contract(e1)))
     if not psi4.approx_equal(phi3.hodge()):
         raise G2ConsistencyError("psi != star_7(phi)")

@@ -8,6 +8,10 @@ stay exact through every operation that does not take a square root, and
 square roots themselves stay exact when the radicand is a perfect-square
 rational.
 
+This module is also the package's one exact/float scalar policy:
+:func:`is_exact` decides whether values are exact and :func:`scalar` makes
+a constant of the mode's type (``Fraction`` exact, ``float`` otherwise).
+
 Conventions (fixed for the whole package):
 
 * blades are ordered lexicographically; all signs are explicit
@@ -37,6 +41,20 @@ DEFAULT_TOL = 1e-12
 GRAM_SCHMIDT_TOL = 1e-10
 
 
+#: The exact scalar types; every other coefficient is a float.
+_EXACT_TYPES = (int, Fraction)
+
+
+def is_exact(values: Iterable) -> bool:
+    """True iff every value is exact (an ``int`` or a ``Fraction``)."""
+    return all(isinstance(x, _EXACT_TYPES) for x in values)
+
+
+def scalar(num: int, den: int = 1, *, exact: bool):
+    """The constant ``num / den``: a ``Fraction`` if ``exact``, else a float."""
+    return Fraction(num, den) if exact else num / den
+
+
 class DimensionError(ValueError):
     """Operands live on different spaces or exceed the supported range."""
 
@@ -55,7 +73,7 @@ def exact_sqrt(x):
     Returns a Fraction when ``x`` is a rational whose numerator and
     denominator are perfect squares, otherwise ``math.sqrt(x)``.
     """
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _EXACT_TYPES):
         f = Fraction(x)
         if f < 0:
             raise ValueError("negative radicand")
@@ -67,7 +85,7 @@ def exact_sqrt(x):
 
 def is_zero(x, tol: float = DEFAULT_TOL) -> bool:
     """Zero test: exact for int/Fraction, |x| <= tol for floats."""
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, _EXACT_TYPES):
         return x == 0
     return abs(x) <= tol
 
@@ -176,8 +194,7 @@ class Vector:
 
     @staticmethod
     def basis(dim: int, i: int, exact: bool = True) -> "Vector":
-        one = 1 if exact else 1.0
-        zero = 0 if exact else 0.0
+        one, zero = scalar(1, exact=exact), scalar(0, exact=exact)
         return Vector(one if j == i else zero for j in range(1, dim + 1))
 
     @staticmethod
@@ -239,8 +256,7 @@ class KForm:
 
     @staticmethod
     def volume(dim: int, exact: bool = True) -> "KForm":
-        one = 1 if exact else 1.0
-        return KForm(dim, dim, {tuple(range(1, dim + 1)): one})
+        return KForm(dim, dim, {tuple(range(1, dim + 1)): scalar(1, exact=exact)})
 
     # -- linear structure ----------------------------------------------------
 

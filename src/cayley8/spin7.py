@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _linalg
 from .multivec import (DEFAULT_TOL, KForm, Vector, blades, contract, flat,
-                       is_zero, sharp)
+                       is_exact, is_zero, scalar, sharp)
 
 #: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
 EIGEN_CLUSTER_TOL = 1e-8
@@ -65,9 +65,26 @@ class FramePreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class CheckResult:
+    """Outcome of one named check: pass flag, worst residual and detail.
+
+    The package's only check record: the structure certificate, the
+    operator checks of :mod:`cayley8.dirac` and the ``verify`` suite all
+    report through it.
+    """
+
     name: str
     passed: bool
-    detail: str
+    residual: float
+    detail: str = ""
+
+    def as_dict(self) -> dict:
+        return {"name": self.name, "passed": self.passed,
+                "residual": self.residual, "detail": self.detail}
+
+
+def form_residual(a: KForm) -> float:
+    """Residual of the form identity ``a == 0``: the largest coefficient size."""
+    return max((float(abs(c)) for c in a.coeffs.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -86,13 +103,8 @@ class Spin7Certificate:
         return tuple(c for c in self.checks if not c.passed)
 
     def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed,
+                "checks": [c.as_dict() for c in self.checks]}
 
 
 @dataclass(frozen=True)
@@ -115,8 +127,7 @@ class Frame8:
 
 def phi0(exact: bool = True) -> KForm:
     """The model 4-form on R^8 (14 blades, coefficients +-1)."""
-    cast = (lambda c: Fraction(c)) if exact else float
-    return KForm(8, 4, {b: cast(c) for b, c in PHI0_TERMS.items()})
+    return KForm(8, 4, {b: scalar(c, exact=exact) for b, c in PHI0_TERMS.items()})
 
 
 @dataclass(frozen=True)
@@ -167,7 +178,7 @@ def _lambda2_matrix(phi: KForm, exact: bool):
     basis2 = blades(8, 2)
     columns = []
     for b in basis2:
-        col_form = KForm(8, 2, {b: Fraction(1) if exact else 1.0}).wedge(phi).hodge()
+        col_form = KForm(8, 2, {b: scalar(1, exact=exact)}).wedge(phi).hodge()
         columns.append([col_form.coeffs.get(bb, 0) for bb in basis2])
     if exact:
         return [[columns[j][i] for j in range(28)] for i in range(28)]
@@ -202,7 +213,7 @@ def _check_lambda2_spectrum(op, exact: bool):
 def _lambda4_7_generators(phi: KForm) -> List[KForm]:
     """Spanning set ``w_flat ^ (v . phi) - v_flat ^ (w . phi)`` over basis pairs."""
     gens = []
-    exact = _form_is_exact(phi)
+    exact = is_exact(phi.coeffs.values())
     for i in range(1, 9):
         for j in range(i + 1, 9):
             v = Vector.basis(8, i, exact=exact)
@@ -213,15 +224,11 @@ def _lambda4_7_generators(phi: KForm) -> List[KForm]:
     return gens
 
 
-def _form_is_exact(a: KForm) -> bool:
-    return all(isinstance(c, (int, Fraction)) for c in a.coeffs.values())
-
-
 def _self_dual_split(exact: bool):
     """Bases of self-dual and anti-self-dual 4-forms as coefficient rows."""
     basis4 = blades(8, 4)
     index = {b: i for i, b in enumerate(basis4)}
-    one = Fraction(1) if exact else 1.0
+    one, zero = scalar(1, exact=exact), scalar(0, exact=exact)
     sd, asd = [], []
     seen = set()
     for b in basis4:
@@ -233,7 +240,7 @@ def _self_dual_split(exact: bool):
         seen.add(b)
         seen.add(comp)
         for target, flip in ((sd, 1), (asd, -1)):
-            row = [Fraction(0) if exact else 0.0] * 70
+            row = [zero] * 70
             row[index[b]] = one
             row[index[comp]] = flip * sign * one
             target.append(row)
@@ -288,25 +295,26 @@ def certify(phi: KForm, tol: float = DEFAULT_TOL):
     """Run the structure checks; returns (certificate, model ingredients)."""
     checks: List[CheckResult] = []
     if phi.dim != 8 or phi.degree != 4:
-        checks.append(CheckResult("shape", False, "need a degree-4 form on R^8"))
+        checks.append(CheckResult("shape", False, 1.0, "need a degree-4 form on R^8"))
         return Spin7Certificate(False, tuple(checks)), None
-    exact = _form_is_exact(phi)
+    exact = is_exact(phi.coeffs.values())
 
-    sd_ok = phi.hodge().approx_equal(phi, tol)
-    checks.append(CheckResult("self-dual", sd_ok,
+    sd_diff = phi.hodge() - phi
+    sd_ok = sd_diff.is_zero(tol)
+    checks.append(CheckResult("self-dual", sd_ok, form_residual(sd_diff),
                               "star(phi) == phi" if sd_ok else "star(phi) != phi"))
     nrm = phi.norm_sq()
     nrm_ok = is_zero(nrm - 14, 100 * tol)
-    checks.append(CheckResult("norm", nrm_ok, f"<phi, phi> = {nrm}"))
+    checks.append(CheckResult("norm", nrm_ok, float(abs(nrm - 14)), f"<phi, phi> = {nrm}"))
 
     op = _lambda2_matrix(phi, exact)
     spec_ok, detail, b7, b21 = _check_lambda2_spectrum(op, exact)
-    checks.append(CheckResult("lambda2 spectrum", spec_ok, detail))
+    checks.append(CheckResult("lambda2 spectrum", spec_ok, 0.0 if spec_ok else 1.0, detail))
 
     l4_ok, l4_detail, l4_bases = (False, "skipped (spectrum failed)", None)
     if sd_ok and spec_ok:
         l4_ok, l4_detail, l4_bases = _build_lambda4(phi, exact)
-    checks.append(CheckResult("lambda4 dims", l4_ok, l4_detail))
+    checks.append(CheckResult("lambda4 dims", l4_ok, 0.0 if l4_ok else 1.0, l4_detail))
 
     passed = all(c.passed for c in checks)
     cert = Spin7Certificate(passed, tuple(checks))
@@ -348,7 +356,7 @@ def unchecked_model(phi: KForm) -> Spin7Model:
     Only the operations that read ``phi`` directly (cross products, tau,
     projections) are usable; the basis fields are empty.
     """
-    return Spin7Model(phi=phi, exact=_form_is_exact(phi), lambda2_op=None,
+    return Spin7Model(phi=phi, exact=is_exact(phi.coeffs.values()), lambda2_op=None,
                       lambda2_7_basis=(), lambda2_21_basis=(), lambda4_bases={})
 
 
@@ -357,7 +365,7 @@ def unchecked_model(phi: KForm) -> Spin7Model:
 
 def proj2_7(m: Spin7Model, a: KForm) -> KForm:
     """Projection of a 2-form onto the 7-dimensional summand."""
-    quarter = Fraction(1, 4) if _form_is_exact(a) and m.exact else 0.25
+    quarter = scalar(1, 4, exact=m.exact and is_exact(a.coeffs.values()))
     return quarter * (a - a.wedge(m.phi).hodge())
 
 
@@ -373,7 +381,7 @@ def cross2(m: Spin7Model, v: Vector, w: Vector) -> KForm:
     satisfies ``|v x w| = |v ^ w|``.
     """
     vw = flat(v).wedge(flat(w))
-    half = Fraction(1, 2) if _form_is_exact(vw) and m.exact else 0.5
+    half = scalar(1, 2, exact=m.exact and is_exact(vw.coeffs.values()))
     return half * (vw - vw.wedge(m.phi).hodge())
 
 
@@ -512,7 +520,7 @@ def infinitesimal_action(phi: KForm, generator: KForm) -> KForm:
     if generator.degree != 2 or generator.dim != phi.dim:
         raise ValueError("generator must be a 2-form on the same space")
     n = phi.dim
-    exact = _form_is_exact(phi) and _form_is_exact(generator)
+    exact = is_exact(phi.coeffs.values()) and is_exact(generator.coeffs.values())
     B = [[generator[(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]
     Bcols = [Vector([B[i][j] for i in range(n)]) for j in range(n)]
     coeffs = {}

@@ -1,15 +1,14 @@
 """The runnable identity suite behind ``cayley8 verify``.
 
-Each check returns a named outcome with its worst residual; exact inputs
-give residual 0 on pass.  With an injected structure form, only the
-form-dependent checks run (a corrupted form then fails with the violated
-identity named); otherwise the model-level checks (splittings, slices,
-symbols, intertwinings) run as well.
+Each check records a :class:`cayley8.spin7.CheckResult` with its worst
+residual; exact inputs give residual 0 on pass.  With an injected structure
+form, only the form-dependent checks run (a corrupted form then fails with
+the violated identity named); otherwise the model-level checks (splittings,
+slices, symbols, intertwinings) run as well.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -17,29 +16,14 @@ import numpy as np
 from . import calib, dirac, g2 as g2mod, spin7
 from .multivec import (KForm, OrientedPlane, Vector, contract, flat,
                        random_form, random_vector, restrict, sharp)
+from .spin7 import CheckResult, form_residual
 
 #: Residual bound for floating-mode checks.
 FLOAT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    passed: bool
-    residual: float
-    detail: str = ""
-
-    def as_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed,
-                "residual": self.residual, "detail": self.detail}
-
-
 def _residual(value) -> float:
     return float(abs(value))
-
-
-def _form_residual(a: KForm) -> float:
-    return max((float(abs(c)) for c in a.coeffs.values()), default=0.0)
 
 
 class _Suite:
@@ -48,16 +32,14 @@ class _Suite:
         self.rng = np.random.default_rng(seed)
         self.trials = trials
         self.tol = 0.0 if exact else tol
-        self.outcomes: List[CheckOutcome] = []
+        self.outcomes: List[CheckResult] = []
 
     def record(self, name: str, residual, detail: str = "",
                floating: bool = False):
         """Record an outcome; ``floating`` checks always use the float bound."""
         residual = float(residual)
         bound = FLOAT_TOL if floating else self.tol
-        self.outcomes.append(CheckOutcome(
-            name=name, passed=residual <= bound, residual=residual,
-            detail=detail))
+        self.outcomes.append(CheckResult(name, residual <= bound, residual, detail))
 
     def vectors(self, count: int, dim: int = 8):
         return [random_vector(self.rng, dim, exact=self.exact) for _ in range(count)]
@@ -72,9 +54,9 @@ def _check_structure_form(s: _Suite, phi: KForm):
     raw = spin7.unchecked_model(phi)
     e = [Vector.basis(8, i, exact=s.exact) for i in range(1, 9)]
 
-    s.record("star(phi) == phi", _form_residual(phi.hodge() - phi))
+    s.record("star(phi) == phi", form_residual(phi.hodge() - phi))
     vol = KForm.volume(8, exact=s.exact)
-    s.record("phi ^ phi == 14 vol", _form_residual(phi.wedge(phi) - 14 * vol))
+    s.record("phi ^ phi == 14 vol", form_residual(phi.wedge(phi) - 14 * vol))
     s.record("<phi, phi> == 14", _residual(phi.norm_sq() - 14))
 
     completion = [
@@ -100,7 +82,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
         lead = spin7.cross2(raw, e[i - 1], e[j - 1])
         for sign, (k, l) in rhs:
             other = spin7.cross2(raw, e[k - 1], e[l - 1])
-            worst = max(worst, _form_residual(lead - sign * other))
+            worst = max(worst, form_residual(lead - sign * other))
             # e_i x e_j = +-e_k x e_l iff phi(e_i,e_j,e_k,e_l) = -+1
             val = phi.evaluate(e[i - 1], e[j - 1], e[k - 1], e[l - 1])
             rule_worst = max(rule_worst, _residual(val + sign))
@@ -150,8 +132,8 @@ def _check_exterior_algebra(s: _Suite):
         assoc = (a.wedge(b)).wedge(c) - a.wedge(b.wedge(c))
         anti = a.wedge(b) - b.wedge(a)  # even-odd degrees commute
         grade = b.wedge(c) + c.wedge(b)  # odd-odd anticommute
-        worst = max(worst, _form_residual(assoc), _form_residual(anti),
-                    _form_residual(grade))
+        worst = max(worst, form_residual(assoc), form_residual(anti),
+                    form_residual(grade))
     s.record("wedge associative and graded-anticommutative", worst,
              f"{s.trials} random triples")
 
@@ -160,7 +142,7 @@ def _check_exterior_algebra(s: _Suite):
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 3, exact=s.exact)
         worst = max(worst, _residual(a.hodge().inner(b.hodge()) - a.inner(b)))
-        worst = max(worst, _form_residual(a.hodge().hodge() - (-1) ** (3 * 5) * a))
+        worst = max(worst, form_residual(a.hodge().hodge() - (-1) ** (3 * 5) * a))
     s.record("hodge isometry and involution sign", worst)
 
     worst = 0.0
@@ -206,30 +188,30 @@ def _check_model_level(s: _Suite, trials_light: int):
         a = random_form(s.rng, 8, 2, exact=s.exact)
         p7 = spin7.proj2_7(m, a)
         p21 = spin7.proj2_21(m, a)
-        worst = max(worst, _form_residual(spin7.proj2_7(m, p7) - p7))
-        worst = max(worst, _form_residual(p7 + p21 - a))
+        worst = max(worst, form_residual(spin7.proj2_7(m, p7) - p7))
+        worst = max(worst, form_residual(p7 + p21 - a))
         worst = max(worst, _residual(p7.inner(p21)))
     s.record("projections idempotent, orthogonal, resolve identity", worst)
 
     worst = 0.0
     for _ in range(trials_light):
         v, w = s.vectors(2)
-        worst = max(worst, _form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w))))
+        worst = max(worst, form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w))))
     s.record("cross2 image has zero 21-component", worst)
 
     worst = 0.0
     for gen in m.lambda4_forms(7):
-        worst = max(worst, _form_residual(gen.hodge() - gen))
+        worst = max(worst, form_residual(gen.hodge() - gen))
     s.record("7-summand generators are self-dual", worst)
 
     worst = 0.0
     for beta in m.lambda2_21_forms()[:7]:
-        worst = max(worst, _form_residual(spin7.infinitesimal_action(m.phi, beta)))
+        worst = max(worst, form_residual(spin7.infinitesimal_action(m.phi, beta)))
     s.record("stabilizer algebra annihilates phi", worst,
              "21-summand generators act trivially")
 
     g2m = g2mod.build_g2(exact=s.exact)
-    s.record("slice: psi == star7(phi3)", _form_residual(g2m.psi4 - g2m.phi3.hodge()))
+    s.record("slice: psi == star7(phi3)", form_residual(g2m.psi4 - g2m.phi3.hodge()))
     e7 = [Vector.basis(7, i, exact=s.exact) for i in range(1, 8)]
     s.record("slice: standard associative/coassociative planes",
              0.0 if (g2mod.is_associative(g2m, OrientedPlane(e7[:3]))
@@ -248,26 +230,26 @@ def _check_model_level(s: _Suite, trials_light: int):
     cpm = dirac.build_cayley_model(m, OrientedPlane(e[:4]))
     rep = dirac.clifford_check(cpm, trials=0 if s.exact else 8,
                                seed=int(s.rng.integers(2**31)))
-    s.record("clifford relation of the symbol", rep.max_residual,
+    s.record("clifford relation of the symbol", rep.residual,
              "basis covectors only" if s.exact else "basis and random covectors")
     rep = dirac.asd_embedding_report(cpm)
-    s.record("plane ASD forms embed conformally opposite E", rep.max_residual)
+    s.record("plane ASD forms embed conformally opposite E", rep.residual)
 
     apm = dirac.build_associative_model(g2mod.build_g2(exact=s.exact),
                                         OrientedPlane(e7[:3]))
     rep = dirac.h_equivariance_check(apm)
-    s.record("h intertwines the Clifford actions", rep.max_residual)
+    s.record("h intertwines the Clifford actions", rep.residual)
 
     m_sl = spin7.build_model(calib.sl_model_form(exact=s.exact))
     rep = dirac.sl_symbol_intertwine(m_sl, trials=6, seed=7)
-    s.record("special Lagrangian symbol intertwining", rep.max_residual, rep.detail)
+    s.record("special Lagrangian symbol intertwining", rep.residual, rep.detail)
     rep = dirac.coassoc_symbol_intertwine(m, trials=6, seed=7)
-    s.record("coassociative symbol intertwining", rep.max_residual, rep.detail)
+    s.record("coassociative symbol intertwining", rep.residual, rep.detail)
 
 
 def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,
               form: Optional[KForm] = None,
-              tol: float = FLOAT_TOL) -> Tuple[List[CheckOutcome], dict]:
+              tol: float = FLOAT_TOL) -> Tuple[List[CheckResult], dict]:
     """Run the identity suite; returns (outcomes, summary).
 
     ``form``: run the form-dependent identities against this candidate

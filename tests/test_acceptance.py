@@ -128,22 +128,22 @@ def test_criterion_5_clifford_and_intertwinings():
     m = spin7.standard_model(exact=True)
     cpm = dirac.build_cayley_model(m, OrientedPlane(E[:4]))
     clifford = dirac.clifford_check(cpm, trials=16, seed=5)
-    ok = clifford.passed and clifford.max_residual < 1e-10
+    ok = clifford.passed and clifford.residual < 1e-10
 
     apm = dirac.build_associative_model(
         g2.build_g2(exact=True),
         OrientedPlane([Vector.basis(7, i) for i in (1, 2, 3)]))
     heq = dirac.h_equivariance_check(apm)
-    ok &= heq.passed and heq.max_residual == 0.0  # exact in exact mode
+    ok &= heq.passed and heq.residual == 0.0  # exact in exact mode
 
     sl = dirac.sl_symbol_intertwine(spin7.build_model(calib.sl_model_form()),
                                     trials=16, seed=6)
     co = dirac.coassoc_symbol_intertwine(m, trials=16, seed=6)
-    ok &= sl.passed and sl.max_residual < 1e-10
-    ok &= co.passed and co.max_residual < 1e-10
+    ok &= sl.passed and sl.residual < 1e-10
+    ok &= co.passed and co.residual < 1e-10
     _verdict("5 (clifford/symbol checks)", bool(ok),
-             f"clifford {clifford.max_residual:.1e}, h exact, "
-             f"sl {sl.max_residual:.1e}, coassoc {co.max_residual:.1e}")
+             f"clifford {clifford.residual:.1e}, h exact, "
+             f"sl {sl.residual:.1e}, coassoc {co.residual:.1e}")
     assert ok
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cayley8 import cli
+from cayley8 import calib, cli, verify
 from cayley8.spin7 import PHI0_TERMS
 
 
@@ -26,6 +26,14 @@ def test_verify_float_reports_residuals(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["results"]["summary"]["max_residual"] < 1e-10
+    # one record for every check; the JSON renderer sorts keys, so the
+    # order is read from the records the report is built from
+    outcomes, _ = verify.run_suite(exact=False, seed=1, trials=2)
+    assert all(list(o.as_dict()) == ["name", "passed", "residual", "detail"]
+               for o in outcomes)
+    for check in payload["results"]["checks"]:
+        assert sorted(check) == ["detail", "name", "passed", "residual"]
+        assert type(check["passed"]) is bool and type(check["residual"]) is float
 
 
 def test_verify_corrupted_form_fails_named_identity(tmp_path, capsys):
@@ -64,6 +72,10 @@ def test_comass_not_converged_exit_1(capsys):
     assert payload["results"]["converged"] is False
     assert payload["failures"] == 1
     assert code == 1
+    # the best restart stopped short of the iteration cap: its line search
+    # ran out of halvings, and the warning names that cause
+    assert payload["results"]["iterations"] < calib.COMASS_MAX_ITER
+    assert "line search" in payload["results"]["warning"]
 
 
 def test_comass_unknown_builtin(capsys):

@@ -1,0 +1,46 @@
+"""Replay the benchmark's cold CLI script in process against its goldens.
+
+``perfbench/inputs.py`` writes the script's input files and
+``perfbench/goldens/cli.json`` holds the stdout and exit code of every
+command; both are only read here.
+"""
+
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+from cayley8 import cli
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+with open(os.path.join(PERFBENCH, "goldens", "cli.json")) as _fh:
+    GOLDENS = json.load(_fh)
+
+
+def _load_inputs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(PERFBENCH, "inputs.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+INPUTS = _load_inputs()
+
+
+def test_script_covers_every_golden(tmp_path):
+    keys = [key for key, _ in INPUTS.cli_script(str(tmp_path))]
+    assert sorted(keys) == sorted(GOLDENS) and len(keys) == 18
+
+
+@pytest.mark.parametrize("key", sorted(GOLDENS))
+def test_cli_output_matches_golden(key, tmp_path, capsys):
+    argv = dict(INPUTS.cli_script(str(tmp_path)))[key]
+    code = cli.main(["--output", "json", *argv])
+    out = capsys.readouterr().out
+    assert code == GOLDENS[key]["exit"]
+    assert out == GOLDENS[key]["stdout"]

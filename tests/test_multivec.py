@@ -1,15 +1,18 @@
 """Exterior algebra core: products, duality, contraction, restriction."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cayley8.multivec import (DegeneratePlaneError, DegreeError,
                               DimensionError, KForm, OrientedPlane, Vector,
-                              contract, exact_sqrt, flat, hodge, inner,
-                              merge_blades, random_form, random_vector,
-                              restrict, sharp, sort_blade, wedge)
+                              blades, contract, exact_sqrt, flat, hodge,
+                              inner, is_exact, merge_blades, random_form,
+                              random_vector, restrict, scalar, sharp,
+                              sort_blade, wedge)
 from cayley8.spin7 import PHI0_TERMS, phi0
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
@@ -232,3 +235,73 @@ def test_evaluate_agrees_with_dense_tensor():
         direct = a.evaluate(u, v, w)
         dense = np.einsum('ijk,i,j,k->', T, u.to_array(), v.to_array(), w.to_array())
         assert abs(direct - dense) < 1e-10
+
+
+def test_scalar_policy():
+    assert scalar(1, 2, exact=True) == Fraction(1, 2)
+    assert type(scalar(1, exact=True)) is Fraction
+    assert type(scalar(0, exact=False)) is float
+    assert scalar(-1, 4, exact=False) == -0.25
+    assert is_exact([1, Fraction(1, 3)]) and not is_exact([1, 0.5])
+    assert is_exact(Vector.basis(8, 3).components)
+    assert is_exact(KForm.volume(8).coeffs.values())
+    assert not is_exact(Vector.basis(8, 3, exact=False).components)
+
+
+_EXACT_COEFF = st.one_of(st.integers(-9, 9),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+def _exact_form(data, dim, degree):
+    basis = blades(dim, degree)
+    values = data.draw(st.lists(_EXACT_COEFF, min_size=len(basis), max_size=len(basis)))
+    return KForm(dim, degree, dict(zip(basis, values)))
+
+
+def _exact_vector(data, dim):
+    return Vector(data.draw(st.lists(_EXACT_COEFF, min_size=dim, max_size=dim)))
+
+
+def _as_float(x):
+    return x.as_float() if isinstance(x, KForm) else Vector(float(c) for c in x.components)
+
+
+def _l1(x):
+    values = x.coeffs.values() if isinstance(x, KForm) else x.components
+    return sum(abs(float(c)) for c in values)
+
+
+def _coeffs(result):
+    return result.coeffs if isinstance(result, KForm) else {(): result}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_exact_kernel_ops_stay_exact_and_match_float(data):
+    """Every kernel op keeps exact inputs exact and agrees with float inputs.
+
+    The ops are multilinear with +-1 signs, so the product of the inputs'
+    l1 norms bounds every partial sum they form; the float result may
+    differ from the exact one by 1e-12 of that bound.
+    """
+    dim = data.draw(st.integers(1, 8))
+    p = data.draw(st.integers(1, dim))
+    q = data.draw(st.integers(0, dim - p))
+    a, a2 = _exact_form(data, dim, p), _exact_form(data, dim, p)
+    b = _exact_form(data, dim, q)
+    vs = [_exact_vector(data, dim) for _ in range(p)]
+    ops = {
+        "wedge": (KForm.wedge, (a, b)),
+        "hodge": (KForm.hodge, (a,)),
+        "contract": (KForm.contract, (a, vs[0])),
+        "evaluate": (KForm.evaluate, (a, *vs)),
+        "inner": (KForm.inner, (a, a2)),
+    }
+    for name, (op, args) in ops.items():
+        exact = _coeffs(op(*args))
+        assert is_exact(exact.values()), name
+        floating = _coeffs(op(*map(_as_float, args)))
+        bound = 1e-12 * math.prod(_l1(x) for x in args)
+        for blade in set(exact) | set(floating):
+            err = abs(float(exact.get(blade, 0)) - floating.get(blade, 0.0))
+            assert err <= bound, (name, blade, err, bound)

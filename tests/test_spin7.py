@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cayley8 import calib, spin7
+from cayley8 import _linalg, calib, spin7
 from cayley8.multivec import (KForm, Vector, blades, contract, flat,
                               random_vector, wedge)
 
@@ -240,6 +240,35 @@ def test_is_spin7_form_certificates():
     assert spin7.is_spin7_form(calib.coassoc_model_form()).passed
     bad = spin7.is_spin7_form(KForm.monomial(8, 1, 2, 3, 4))
     assert not bad.passed
+
+
+def test_certificate_residuals():
+    # exact passes carry residual exactly 0; each failure carries its size
+    for check in spin7.is_spin7_form(spin7.phi0()).checks:
+        assert check.residual == 0.0 and type(check.residual) is float
+    bad = {c.name: c for c in spin7.is_spin7_form(KForm.monomial(8, 1, 2, 3, 4)).checks}
+    assert bad["self-dual"].residual == 1.0   # star(e^1234) - e^1234 = e^5678 - e^1234
+    assert bad["norm"].residual == 13.0
+    assert bad["lambda2 spectrum"].residual == 1.0
+    assert bad["lambda4 dims"].residual == 1.0
+    perturbed = MF.phi + 0.05 * KForm.monomial(8, 1, 2, 3, 5, coeff=1.0)
+    sd = spin7.is_spin7_form(perturbed, tol=1e-9).checks[0]
+    assert not sd.passed and abs(sd.residual - 0.05) < 1e-15
+    assert spin7.is_spin7_form(spin7.phi0()).as_dict()["checks"][0] == {
+        "name": "self-dual", "passed": True, "residual": 0.0,
+        "detail": "star(phi) == phi"}
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.eye(8)[0], np.eye(8)[1]),                 # unpivoted QR keeps 1 column
+    (np.arange(1.0, 9.0), np.eye(8)[3]),          # ... or 2 that miss b
+])
+def test_orthonormal_columns_is_rank_revealing(a, b):
+    q = _linalg.orthonormal_columns(np.column_stack([a, a, b]))
+    assert q.shape == (8, 2)
+    assert np.abs(q.T @ q - np.eye(2)).max() < 1e-12
+    for v in (a, b):
+        assert np.linalg.norm(v - q @ (q.T @ v)) < 1e-12 * np.linalg.norm(v)
 
 
 def test_stabilizer_algebra_annihilates_phi():
