@@ -16,7 +16,6 @@ volume form, and the complex structure J, normalized so that
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ import numpy as np
 
 from .multivec import (KForm, OrientedPlane, Vector, blades, is_exact,
                        is_zero, pullback_to_plane, restrict, scalar)
+from .index import read_field
 from .spin7 import Spin7Model, phi0, tau
 from . import g2 as g2mod
 
@@ -121,7 +121,7 @@ def coassoc_model_form(exact: bool = True) -> KForm:
 
 
 def builtin_form(name: str, exact: bool = True) -> CalibrationForm:
-    """Look up a named calibration; raises KeyError for unknown names."""
+    """Look up a named calibration; raises ValueError for unknown names."""
     if name == "spin7":
         return CalibrationForm(phi0(exact), "spin7")
     if name == "wirtinger2":
@@ -133,7 +133,7 @@ def builtin_form(name: str, exact: bool = True) -> CalibrationForm:
         return CalibrationForm(g2mod.build_g2(exact).phi3, "g2-assoc")
     if name == "g2-coassoc":
         return CalibrationForm(g2mod.build_g2(exact).psi4, "g2-coassoc")
-    raise KeyError(f"unknown builtin form {name!r}; known: {BUILTIN_FORMS}")
+    raise ValueError(f"unknown builtin form {name!r}; known: {BUILTIN_FORMS}")
 
 
 # -- pointwise tests ----------------------------------------------------------------
@@ -192,14 +192,8 @@ def complex_test(plane: OrientedPlane, tol: float = 1e-9) -> bool:
     """True iff the 4-plane is invariant under the complex structure J."""
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("complex test expects a 4-plane in R^8")
-    onb = plane.orthonormal_basis
-    for u in onb:
-        w = complex_structure(u)
-        for v in onb:
-            w = w - v.dot(w) * v
-        if not is_zero(w.norm_sq(), tol * tol):
-            return False
-    return True
+    return all(plane.contains(complex_structure(u), tol * tol)
+               for u in plane.orthonormal_basis)
 
 
 # -- batched Cayley sweep (floating) -------------------------------------------------
@@ -412,12 +406,28 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     projected gradient ascent run for all restarts at once over a stack of
     frames, deterministic max-merge with ties broken by the lowest restart
     index.  Degrees above n/2 are optimized through the Hodge dual, which
-    has the same comass.  ``jobs`` is accepted for compatibility only and
-    has no effect: the restarts are batched, not run concurrently.
+    has the same comass.  A top-degree form ``c vol`` needs no ascent: its
+    comass |c| is attained on the standard frame, first vector negated when
+    c < 0.  ``jobs`` is accepted for compatibility only and has no effect:
+    the restarts are batched, not run concurrently.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
     form = c.form
+    if form.degree == 0:
+        raise ValueError("a degree-0 form has no comass: an OrientedPlane "
+                         "cannot hold a plane with no spanning vectors")
+    if form.degree == form.dim:
+        coeff = float(form[tuple(range(1, form.dim + 1))])
+        frame = np.eye(form.dim)
+        frame[0, 0] = -1.0 if coeff < 0 else 1.0
+        return ComassResult(value=abs(coeff),
+                            plane=OrientedPlane([Vector(float(x) for x in row)
+                                                 for row in frame]),
+                            restarts=restarts, best_restart=0, iterations=0,
+                            converged=True)
     dualized = form.degree > form.dim - form.degree
     work = form.hodge() if dualized else form
     T = work.as_float().to_dense()
@@ -481,19 +491,16 @@ def _parse_scalar(x):
 def load_plane(obj: dict) -> OrientedPlane:
     """Plane input: {"dim": n, "degree": p, "vectors": [[...], ...]}.
 
-    Raises ValueError on a non-finite or non-numeric component.
+    Raises ValueError on a non-integer dim or degree, a missing key, or a
+    non-finite or non-numeric component.
     """
-    try:
-        dim, degree = int(obj["dim"]), int(obj["degree"])
-        vectors = obj["vectors"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed plane object: {exc}") from exc
+    dim, degree, vectors = _read_header(obj, "plane", "vectors")
     if len(vectors) != degree:
         raise ValueError(f"expected {degree} vectors, got {len(vectors)}")
     rows = []
     for row in vectors:
-        if len(row) != dim:
-            raise ValueError(f"vector length {len(row)} != dim {dim}")
+        if not isinstance(row, list) or len(row) != dim:
+            raise ValueError(f"vector {row!r} is not a list of {dim} numbers")
         rows.append(Vector(_parse_scalar(x) for x in row))
     return OrientedPlane(rows)
 
@@ -501,18 +508,15 @@ def load_plane(obj: dict) -> OrientedPlane:
 def load_form(obj: dict) -> CalibrationForm:
     """Form input: {"dim": n, "degree": k, "terms": [{"blade": [...], "coeff": ...}]}.
 
-    Raises ValueError on a non-finite coefficient or a blade that repeats
-    an index (such a blade is zero, so it would silently vanish).
+    Raises ValueError on a non-integer dim, degree or blade index, a
+    non-finite coefficient, or a blade that repeats an index (such a blade
+    is zero, so it would silently vanish).
     """
-    try:
-        dim, degree = int(obj["dim"]), int(obj["degree"])
-        terms = obj["terms"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed form object: {exc}") from exc
+    dim, degree, terms = _read_header(obj, "form", "terms")
     coeffs: dict = {}
     for term in terms:
         try:
-            blade = tuple(int(i) for i in term["blade"])
+            blade = tuple(read_field("form term", "blade", i) for i in term["blade"])
             coeff = _parse_scalar(term["coeff"])
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form term {term!r}: {exc}") from exc
@@ -523,11 +527,11 @@ def load_form(obj: dict) -> CalibrationForm:
     return CalibrationForm(form, str(obj.get("name", "custom")))
 
 
-def load_form_file(path: str) -> CalibrationForm:
-    with open(path) as fh:
-        return load_form(json.load(fh))
-
-
-def load_plane_file(path: str) -> OrientedPlane:
-    with open(path) as fh:
-        return load_plane(json.load(fh))
+def _read_header(obj: dict, what: str, items: str) -> Tuple[int, int, list]:
+    """The integer dim and degree of a plane or form object and its item list."""
+    if not isinstance(obj, dict) or not {"dim", "degree", items} <= obj.keys():
+        raise ValueError(f"malformed {what} object: needs keys dim, degree, {items}")
+    if not isinstance(obj[items], list):
+        raise ValueError(f"{what}: {items} must be a list, got {obj[items]!r}")
+    return (read_field(what, "dim", obj["dim"]),
+            read_field(what, "degree", obj["degree"]), obj[items])

@@ -5,11 +5,17 @@ optimization), ``plane`` (pointwise plane tests), ``index`` (index
 formulas from a JSON input), ``surgery`` (invariant bookkeeping from a
 JSON expression tree), ``reproduce`` (the two worked index derivations).
 
-Exit codes: 0 success, 1 verification/assertion/parity failure or a
-comass estimate that did not converge, 2 input error.  Reports render
-from one payload dict, as text or canonical JSON (`--output json`); JSON
-output is byte-identical for identical inputs and seeds.  Wall time goes
-to stderr so it never perturbs the payload.
+Each ``cmd_*`` returns ``(inputs digest, results, passes, failures)`` and
+:func:`main` is the one boundary: it builds the payload, serialises it
+once as canonical JSON (never NaN or Infinity), renders it as text or as
+that JSON (`--output json`) and picks the exit code.  Exit codes: 1 iff
+the payload counts a failure (a verification, assertion or parity
+failure, or a comass estimate that did not converge), 2 for any rejected
+input, reported as ``input error: ...`` on stderr with nothing on stdout:
+every ``ValueError`` a command raises, including a result that leaves
+float range; 0 otherwise.  JSON output is byte-identical for identical
+inputs and seeds.  Wall time goes to stderr so it never perturbs the
+payload.
 """
 
 from __future__ import annotations
@@ -19,16 +25,18 @@ import hashlib
 import json
 import sys
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import (calib, g2 as g2mod, index as index_mod, reproduce, spin7,
                surgery, verify)
 from .index import ParityError
-from .multivec import DegeneratePlaneError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+#: What every ``cmd_*`` returns: (inputs digest, results, passes, failures).
+Report = Tuple[str, dict, int, int]
 
 
 class InputError(ValueError):
@@ -43,25 +51,21 @@ def _digest(*parts: str) -> str:
     return h.hexdigest()[:16]
 
 
-def _render(payload: dict, output: str) -> None:
-    if output == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return
-    print(f"command: {payload['command']}")
-    print(f"inputs digest: {payload['inputs_digest']}")
+def _render_text(payload: dict) -> str:
+    lines = [f"command: {payload['command']}",
+             f"inputs digest: {payload['inputs_digest']}"]
     for key, value in payload["results"].items():
         if isinstance(value, list) and value and isinstance(value[0], dict):
-            print(f"{key}:")
-            for row in value:
-                cells = "  ".join(f"{k}={_fmt(v)}" for k, v in row.items())
-                print(f"  {cells}")
+            lines.append(f"{key}:")
+            lines.extend("  " + "  ".join(f"{k}={_fmt(v)}" for k, v in row.items())
+                         for row in value)
         elif isinstance(value, dict):
-            print(f"{key}:")
-            for k, v in value.items():
-                print(f"  {k}: {_fmt(v)}")
+            lines.append(f"{key}:")
+            lines.extend(f"  {k}: {_fmt(v)}" for k, v in value.items())
         else:
-            print(f"{key}: {_fmt(value)}")
-    print(f"passes: {payload['passes']}  failures: {payload['failures']}")
+            lines.append(f"{key}: {_fmt(value)}")
+    lines.append(f"passes: {payload['passes']}  failures: {payload['failures']}")
+    return "\n".join(lines)
 
 
 def _fmt(v) -> str:
@@ -72,33 +76,21 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _report(command: str, digest: str, results: dict, passes: int,
-            failures: int) -> dict:
-    return {"command": command, "inputs_digest": digest, "results": results,
-            "passes": passes, "failures": failures}
-
-
-def _load_json_file(path: str) -> dict:
+def _load_json_file(path: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def _resolve_form(spec: str, exact: bool) -> calib.CalibrationForm:
     if spec.startswith("builtin:"):
-        try:
-            return calib.builtin_form(spec.split(":", 1)[1], exact=exact)
-        except KeyError as exc:
-            raise InputError(str(exc)) from exc
-    try:
-        return calib.load_form(_load_json_file(spec))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        return calib.builtin_form(spec.split(":", 1)[1], exact=exact)
+    return calib.load_form(_load_json_file(spec))
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     form = None
     digest_parts = [f"seed={args.seed}", f"trials={args.trials}",
                     f"exact={args.exact}"]
@@ -114,13 +106,10 @@ def cmd_verify(args) -> int:
         "summary": summary,
         "checks": [o.as_dict() for o in outcomes],
     }
-    payload = _report("verify", _digest(*digest_parts), results,
-                      summary["passed"], summary["failed"])
-    _render(payload, args.output)
-    return EXIT_OK if summary["failed"] == 0 else EXIT_FAIL
+    return _digest(*digest_parts), results, summary["passed"], summary["failed"]
 
 
-def cmd_comass(args) -> int:
+def cmd_comass(args) -> Report:
     c = _resolve_form(args.form, exact=False)
     result = calib.comass_estimate(c, restarts=args.restarts, tol=args.tol,
                                    seed=args.seed, jobs=args.jobs)
@@ -139,27 +128,16 @@ def cmd_comass(args) -> int:
     if result.warning:
         rounded["warning"] = result.warning
     digest = _digest(args.form, str(args.restarts), f"{args.tol}", str(args.seed))
-    payload = _report("comass", digest, rounded,
-                      1 if result.converged else 0,
-                      0 if result.converged else 1)
-    _render(payload, args.output)
-    return EXIT_OK if result.converged else EXIT_FAIL
+    return digest, rounded, int(result.converged), int(not result.converged)
 
 
-def cmd_plane(args) -> int:
+def cmd_plane(args) -> Report:
     c = _resolve_form(args.form, exact=args.exact)
-    try:
-        plane = calib.load_plane(_load_json_file(args.vectors))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    results: dict = {"form": c.name, "dim": plane.dim, "degree": plane.degree}
+    obj = _load_json_file(args.vectors)
+    plane = calib.load_plane(obj)
+    results: dict = {"form": c.name, "dim": plane.dim, "degree": plane.degree,
+                     "value": float(calib.calibration_value(c, plane))}
     failures = 0
-    try:
-        results["value"] = float(calib.calibration_value(c, plane))
-    except DegeneratePlaneError as exc:
-        raise InputError(str(exc)) from exc
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
     if c.dim == 8 and c.degree == 4 and plane.degree == 4:
         cert = spin7.is_spin7_form(c.form)
         if cert.passed:
@@ -176,49 +154,28 @@ def cmd_plane(args) -> int:
             results["associative"] = g2mod.is_associative(g2m, plane)
         else:
             results["coassociative"] = g2mod.is_coassociative(g2m, plane)
-    digest = _digest(args.form, json.dumps(_load_json_file(args.vectors),
-                                           sort_keys=True))
-    payload = _report("plane", digest, results, 1 - failures, failures)
-    _render(payload, args.output)
-    return EXIT_OK if failures == 0 else EXIT_FAIL
+    digest = _digest(args.form, json.dumps(obj, sort_keys=True))
+    return digest, results, 1 - failures, failures
 
 
-def cmd_index(args) -> int:
+def cmd_index(args) -> Report:
     obj = _load_json_file(args.input)
+    digest = _digest(json.dumps(obj, sort_keys=True))
     try:
-        result = index_mod.evaluate_index(obj)
+        return digest, index_mod.evaluate_index(obj).as_dict(), 1, 0
     except ParityError as exc:
-        payload = _report("index", _digest(json.dumps(obj, sort_keys=True)),
-                          {"error": str(exc)}, 0, 1)
-        _render(payload, args.output)
-        return EXIT_FAIL
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    results = result.as_dict()
-    digest = _digest(json.dumps(obj, sort_keys=True))
-    payload = _report("index", digest, results, 1, 0)
-    _render(payload, args.output)
-    return EXIT_OK
+        return digest, {"error": str(exc)}, 0, 1
 
 
-def cmd_surgery(args) -> int:
+def cmd_surgery(args) -> Report:
     obj = _load_json_file(args.input)
-    try:
-        root, rows = surgery.evaluate_surgery(obj)
-    except (surgery.SurgeryError, KeyError, TypeError) as exc:
-        raise InputError(f"bad surgery input: {exc}") from exc
+    root, rows = surgery.evaluate_surgery(obj)
     results = {"result": root.as_dict(), "derivation": rows}
-    digest = _digest(json.dumps(obj, sort_keys=True))
-    payload = _report("surgery", digest, results, 1, 0)
-    _render(payload, args.output)
-    return EXIT_OK
+    return _digest(json.dumps(obj, sort_keys=True)), results, 1, 0
 
 
-def cmd_reproduce(args) -> int:
-    try:
-        derivation = reproduce.run_example(args.example)
-    except reproduce.UnknownExampleError as exc:
-        raise InputError(str(exc)) from exc
+def cmd_reproduce(args) -> Report:
+    derivation = reproduce.run_example(args.example)
     results = {
         "description": reproduce.load_fixture(args.example)["description"],
         "derivation": list(derivation.rows),
@@ -231,10 +188,8 @@ def cmd_reproduce(args) -> int:
                   if derivation.values.get(k) != v]
     if mismatches:
         results["mismatched_fields"] = mismatches
-    payload = _report("reproduce", _digest(f"example={args.example}"), results,
-                      len(derivation.expected) - len(mismatches), len(mismatches))
-    _render(payload, args.output)
-    return EXIT_OK if derivation.matches_expected else EXIT_FAIL
+    return (_digest(f"example={args.example}"), results,
+            len(derivation.expected) - len(mismatches), len(mismatches))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,17 +243,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        code = args.fn(args)
-    except InputError as exc:
+        digest, results, passes, failures = args.fn(args)
+        payload = {"command": args.subcommand, "inputs_digest": digest,
+                   "results": results, "passes": passes, "failures": failures}
+        out = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+        if args.output == "text":
+            out = _render_text(payload)
+    except (ValueError, OverflowError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     finally:
         print(f"# wall time: {time.monotonic() - start:.3f}s", file=sys.stderr)
-    return code
+    print(out)
+    return EXIT_FAIL if failures else EXIT_OK
 
 
 if __name__ == "__main__":

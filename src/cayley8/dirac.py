@@ -263,11 +263,10 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
     for _ in range(trials):
         covs.append(KForm(4, 1, {(i,): float(x)
                                  for i, x in zip(range(1, 5), rng.standard_normal(4))}))
+    symbols = [np.array(symbol_D(cpm, a), dtype=float) for a in covs]
     worst = 0.0
-    for a in covs:
-        sa = np.array(symbol_D(cpm, a), dtype=float)
-        for b in covs:
-            sb = np.array(symbol_D(cpm, b), dtype=float)
+    for a, sa in zip(covs, symbols):
+        for b, sb in zip(covs, symbols):
             lhs = sa.T @ sb + sb.T @ sa
             rhs = 2.0 * float(a.inner(b)) * np.eye(4)
             worst = max(worst, float(abs(lhs - rhs).max()))
@@ -355,15 +354,8 @@ def h_iso(apm: AssociativePointModel, f, alpha: KForm) -> Vector:
     """
     if alpha.dim != 3 or alpha.degree != 2:
         raise ValueError("alpha must be a 2-form on the 3-plane")
-    w_int = alpha.hodge()
-    w = apm.tangent_ambient(sharp_vector3(w_int))
+    w = apm.tangent_ambient(sharp(alpha.hodge()))
     return f * apm.s + g2mod.cross_g2(apm.g2model, apm.s, w)
-
-
-def sharp_vector3(a: KForm) -> Vector:
-    if a.dim != 3 or a.degree != 1:
-        raise ValueError("expected a 1-form on R^3")
-    return Vector(a.coeffs.get((i,), 0) for i in range(1, 4))
 
 
 def h_equivariance_check(apm: AssociativePointModel, trials: int = 8,

@@ -141,6 +141,25 @@ def _evaluate(name: str, fields: dict) -> IndexResult:
                        "non-integer value (eta terms are external reals)")
 
 
+def read_field(owner: str, field: str, value, *, real: bool = False,
+               minimum: Optional[int] = None):
+    """Return the JSON number ``value`` of ``field`` once it is checked.
+
+    An integer field takes an ``int`` that is not a ``bool`` and, when
+    ``minimum`` is given, not below it; a ``real`` field takes any finite
+    ``int`` or ``float``.  Anything else raises ValueError naming ``owner``
+    and ``field``.  Every JSON number the package reads goes through here.
+    """
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float) if real else int)
+            or isinstance(value, float) and not math.isfinite(value)):
+        kind = "a finite number" if real else "an integer"
+        raise ValueError(f"{owner}: field {field!r} must be {kind}, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{owner}: field {field!r} must be >= {minimum}, got {value!r}")
+    return value
+
+
 def _positional(name: str, *args) -> IndexResult:
     return _evaluate(name, dict(zip(FIELDS[name], args, strict=True)))
 
@@ -169,7 +188,7 @@ def evaluate_index(payload: dict) -> IndexResult:
     orientation = payload.get("orientation", "standard")
     if orientation not in ("standard", "complex"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    if name not in FORMULAS:
+    if not isinstance(name, str) or name not in FORMULAS:
         raise ValueError(f"unknown formula {name!r}; known: {sorted(FORMULAS)}")
     arg_names = FIELDS[name]
     missing = [a for a in arg_names if a not in fields]
@@ -179,12 +198,7 @@ def evaluate_index(payload: dict) -> IndexResult:
     if extra:
         raise ValueError(f"unexpected fields for {name}: {extra}")
     for field in arg_names:
-        value, real = fields[field], field in REAL_FIELDS
-        if (isinstance(value, bool)
-                or not isinstance(value, (int, float) if real else int)
-                or isinstance(value, float) and not math.isfinite(value)):
-            kind = "a finite number" if real else "an integer"
-            raise ValueError(f"{name}: field {field!r} must be {kind}, got {value!r}")
+        read_field(name, field, fields[field], real=field in REAL_FIELDS)
     flipped = [k for k in _SIGMA_FIELDS if k in fields and orientation == "complex"]
     for key in flipped:
         fields[key] = -fields[key]

@@ -363,26 +363,6 @@ class KForm:
 
     # -- numpy bridges ---------------------------------------------------------
 
-    def coeff_vector(self) -> np.ndarray:
-        """Coefficients over the lexicographic blade list, as floats."""
-        basis = blades(self.dim, self.degree)
-        out = np.zeros(len(basis))
-        for pos, blade in enumerate(basis):
-            c = self.coeffs.get(blade)
-            if c is not None:
-                out[pos] = float(c)
-        return out
-
-    @staticmethod
-    def from_coeff_vector(dim: int, degree: int, vec, tol: float = 0.0) -> "KForm":
-        basis = blades(dim, degree)
-        coeffs = {}
-        for blade, c in zip(basis, vec):
-            c = float(c)
-            if abs(c) > tol:
-                coeffs[blade] = c
-        return KForm(dim, degree, coeffs)
-
     def to_dense(self) -> np.ndarray:
         """Full antisymmetric evaluation tensor T[i1,...,ik] = a(e_i1,...,e_ik).
 
@@ -508,6 +488,9 @@ class OrientedPlane:
                 for u in basis:
                     w = w - u.dot(w) * u
                 nsq = w.norm_sq()
+                if isinstance(nsq, float) and not math.isfinite(nsq):
+                    raise ValueError(f"span vector {len(basis) + 1} has squared "
+                                     f"norm {nsq} outside float range")
                 if is_zero(nsq, GRAM_SCHMIDT_TOL ** 2):
                     raise DegeneratePlaneError("degenerate plane")
                 basis.append(w * (1 / exact_sqrt(nsq)))

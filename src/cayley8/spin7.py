@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -412,12 +412,6 @@ def tau(m: Spin7Model, a: Vector, b: Vector, c: Vector, d: Vector) -> KForm:
     if gad != 0:
         result = result + gad * cross2(m, b, c)
     return result
-
-
-def tau_norm(m: Spin7Model, plane_vectors: Sequence[Vector]):
-    """Norm of tau evaluated on the four given vectors."""
-    t = tau(m, *plane_vectors)
-    return t.norm()
 
 
 # -- frames -----------------------------------------------------------------------

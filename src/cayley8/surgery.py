@@ -11,7 +11,10 @@ non-compact pieces must be supplied explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
+
+from .index import read_field
 
 
 class SurgeryError(ValueError):
@@ -163,13 +166,38 @@ def closed_double_genus(b1_half: int) -> int:
 # -- surgery expression trees ---------------------------------------------------------
 
 
-def _leaf_from_dict(obj: dict) -> TopInvariants:
-    sigma = obj.get("sigma")
-    if sigma == "n/a":
-        sigma = None
-    return TopInvariants(dim=int(obj["dim"]), chi=int(obj["chi"]),
-                         sigma=None if sigma is None else int(sigma),
-                         betti=obj.get("betti"), label=str(obj.get("label", "")))
+def _get(node, key: str, what: str):
+    """``node[key]`` of a JSON object, or a SurgeryError naming what is wrong."""
+    if not isinstance(node, dict):
+        raise SurgeryError(f"{what} must be an object, got {node!r}")
+    if key not in node:
+        raise SurgeryError(f"{what} has no {key!r}")
+    return node[key]
+
+
+def _leaf_from_dict(obj) -> TopInvariants:
+    """Invariants from JSON: dim >= 0, chi, sigma (unless absent or "n/a")
+    and every Betti number >= 0 are integers."""
+    read = partial(read_field, "surgery invariants")
+    dim = read("dim", _get(obj, "dim", "invariants"), minimum=0)
+    chi = read("chi", _get(obj, "chi", "invariants"))
+    sigma, betti = obj.get("sigma"), obj.get("betti")
+    if betti is not None and not isinstance(betti, list):
+        raise SurgeryError(f"betti must be a list, got {betti!r}")
+    return TopInvariants(
+        dim=dim, chi=chi,
+        sigma=None if sigma in (None, "n/a") else read("sigma", sigma),
+        betti=None if betti is None else tuple(
+            read(f"betti[{k}]", b, minimum=0) for k, b in enumerate(betti)),
+        label=str(obj.get("label", "")))
+
+
+def _parts(node: dict, count: int) -> list:
+    """The child nodes of an operation node that takes ``count`` parts."""
+    parts = _get(node, "parts", f"{node['op']} node")
+    if not isinstance(parts, list) or len(parts) != count:
+        raise SurgeryError(f"{node['op']} takes a list of exactly {count} parts")
+    return parts
 
 
 def evaluate_surgery(tree: dict) -> Tuple[TopInvariants, List[dict]]:
@@ -180,32 +208,28 @@ def evaluate_surgery(tree: dict) -> Tuple[TopInvariants, List[dict]]:
            {"op": "connected_sum", "parts": [a, b]} |
            {"op": "product_s1", "parts": [a]}.
     Returns the root invariants and a derivation table, one row per node.
+    A node that is not an object or misses a key raises SurgeryError, an
+    invariant that is not an integer ValueError.
     """
     rows: List[dict] = []
 
-    def walk(node: dict) -> TopInvariants:
-        if not isinstance(node, dict) or "op" not in node:
-            raise SurgeryError("malformed surgery node: missing op")
-        op = node["op"]
+    # map() costs one Python frame per tree level (a list comprehension adds
+    # a second), so every tree that json can parse fits the recursion limit
+    def walk(node) -> TopInvariants:
+        op = _get(node, "op", "surgery node")
         if op == "leaf":
-            result = _leaf_from_dict(node["invariants"])
+            result = _leaf_from_dict(_get(node, "invariants", "leaf node"))
         elif op == "glue":
-            parts = [walk(child) for child in node["parts"]]
-            if len(parts) != 2:
-                raise SurgeryError("glue takes exactly two parts")
-            along = _leaf_from_dict(node["along"])
-            result = glue(parts[0], parts[1], along,
-                          novikov_ok=bool(node.get("novikov_ok", True)))
+            a, b = map(walk, _parts(node, 2))
+            along = _leaf_from_dict(_get(node, "along", "glue node"))
+            novikov_ok = node.get("novikov_ok", True)
+            if not isinstance(novikov_ok, bool):
+                raise SurgeryError(f"novikov_ok must be a boolean, got {novikov_ok!r}")
+            result = glue(a, b, along, novikov_ok=novikov_ok)
         elif op == "connected_sum":
-            parts = [walk(child) for child in node["parts"]]
-            if len(parts) != 2:
-                raise SurgeryError("connected_sum takes exactly two parts")
-            result = connected_sum(parts[0], parts[1])
+            result = connected_sum(*map(walk, _parts(node, 2)))
         elif op == "product_s1":
-            parts = [walk(child) for child in node["parts"]]
-            if len(parts) != 1:
-                raise SurgeryError("product_s1 takes exactly one part")
-            result = product_with_circle(parts[0])
+            result = product_with_circle(*map(walk, _parts(node, 1)))
         else:
             raise SurgeryError(f"unknown op {op!r}")
         rows.append({"op": op, **result.as_dict()})

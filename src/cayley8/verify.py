@@ -254,7 +254,10 @@ def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,
 
     ``form``: run the form-dependent identities against this candidate
     instead of the model form (the model-level checks are skipped).
+    ``trials`` must be >= 0.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     s = _Suite(exact=exact, seed=seed, trials=trials, tol=tol)
     phi = form if form is not None else spin7.phi0(exact=exact)
     _check_structure_form(s, phi)

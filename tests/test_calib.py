@@ -234,6 +234,16 @@ def test_comass_dualized_argmax_is_coassociative():
     assert g2.is_coassociative(g2m, res.plane, tol=1e-5)
 
 
+def test_comass_top_degree_is_abs_coefficient():
+    # c vol takes |c| on the standard frame, first vector negated when c < 0
+    for dim, c in ((8, -3.0), (4, 2.5), (1, Fraction(-1, 2))):
+        form = KForm(dim, dim, {tuple(range(1, dim + 1)): c})
+        res = calib.comass_estimate(calib.CalibrationForm(form), restarts=3)
+        assert res.value == abs(c) and res.converged and res.iterations == 0
+        assert calib.calibration_value(calib.CalibrationForm(form), res.plane) == abs(c)
+        assert res.plane.matrix()[0, 0] == (-1 if c < 0 else 1)
+
+
 def test_comass_rejects_bad_restarts():
     with pytest.raises(ValueError):
         calib.comass_estimate(calib.builtin_form("spin7", exact=False), restarts=0)

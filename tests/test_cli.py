@@ -187,26 +187,92 @@ def test_index_schema_violation_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("formula, field, value", [
-    ("closed", "chi", "3"),
-    ("closed", "chi", True),
-    ("closed", "self_intersection", 0.5),
-    ("eta", "eta_Dtilde", float("inf")),
-    ("eta", "eta_Dtilde", float("nan")),
-    ("eta", "eta_Bev", "0.5"),
-], ids=["string", "bool", "real-integer-field", "inf", "nan", "string-eta"])
-def test_index_malformed_field_exit_2(tmp_path, capsys, formula, field, value):
-    fields = {"closed": {"chi": 24, "sigma": -16, "self_intersection": 9},
-              "eta": {"chi": 48, "sigma": -16, "euler_normal": 24,
-                      "dim_ker_Dtilde": 0, "eta_Dtilde": 0.0,
-                      "eta_Bev": 0.0}}[formula]
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"formula": formula,
-                                "fields": dict(fields, **{field: value})}))
-    code = cli.main(["index", "--input", str(path)])
+_INDEX_FIELDS = {
+    "closed": {"chi": 24, "sigma": -16, "self_intersection": 9},
+    "eta": {"chi": 48, "sigma": -16, "euler_normal": 24, "dim_ker_Dtilde": 0,
+            "eta_Dtilde": 0.0, "eta_Bev": 0.0}}
+
+
+def _index(formula, field, value):
+    return ["index", "--input"], {
+        "formula": formula,
+        "fields": dict(_INDEX_FIELDS[formula], **{field: value})}, repr(field)
+
+
+def _leaf(**invariants):
+    return {"op": "leaf",
+            "invariants": dict({"dim": 4, "chi": 3, "sigma": 1}, **invariants)}
+
+
+def _surgery(tree, named):
+    return ["surgery", "--input"], tree, named
+
+
+def _plane(named, scale=1, **fields):
+    vectors = [[scale * (i == j) for i in range(8)] for j in range(4)]
+    return (["plane", "--form", "builtin:spin7", "--vectors"],
+            dict({"dim": 8, "degree": 4, "vectors": vectors}, **fields), named)
+
+
+def _form(named, **fields):
+    return (["comass", "--form"],
+            dict({"dim": 8, "degree": 4,
+                  "terms": [{"blade": [1, 2, 3, 4], "coeff": 1}]}, **fields), named)
+
+
+@pytest.mark.parametrize("argv, document, named", [
+    pytest.param(*_index("closed", "chi", "3"), id="string"),
+    pytest.param(*_index("closed", "chi", True), id="bool"),
+    pytest.param(*_index("closed", "self_intersection", 0.5), id="real-integer-field"),
+    pytest.param(*_index("eta", "eta_Dtilde", float("inf")), id="inf"),
+    pytest.param(*_index("eta", "eta_Dtilde", float("nan")), id="nan"),
+    pytest.param(*_index("eta", "eta_Bev", "0.5"), id="string-eta"),
+    pytest.param(*_surgery(_leaf(chi=1.5), "'chi'"), id="surgery-float-chi"),
+    pytest.param(*_surgery(_leaf(chi=True), "'chi'"), id="surgery-bool-chi"),
+    pytest.param(*_surgery(_leaf(sigma=2.5), "'sigma'"), id="surgery-float-sigma"),
+    pytest.param(*_surgery(_leaf(dim=-3, sigma="n/a"), "'dim'"), id="surgery-negative-dim"),
+    pytest.param(*_surgery(_leaf(dim=1, chi=0, sigma="n/a", betti=[1.5, 1.5]),
+                           "'betti[0]'"), id="surgery-float-betti"),
+    pytest.param(*_surgery(_leaf(chi="abc"), "'chi'"), id="surgery-string-chi"),
+    pytest.param(*_surgery(_leaf(sigma="x"), "'sigma'"), id="surgery-string-sigma"),
+    pytest.param(["surgery", "--input"],
+                 '{"op": "leaf", "invariants": {"dim": 4, "chi": 1e400}}', "'chi'",
+                 id="surgery-chi-beyond-float-range"),
+    pytest.param(*_surgery({"op": "leaf", "invariants": 5}, "invariants"),
+                 id="surgery-non-object-invariants"),
+    pytest.param(*_surgery({"op": "glue", "parts": [_leaf(), _leaf()],
+                            "along": {"dim": 3, "chi": 0}, "novikov_ok": "false"},
+                           "novikov_ok"), id="surgery-string-novikov"),
+    pytest.param(*_surgery({"op": "glue", "parts": [_leaf(), _leaf()]}, "'along'"),
+                 id="surgery-missing-key"),
+    pytest.param(["comass", "--form", "builtin:spin7", "--restarts", "0"], None,
+                 "restarts", id="comass-zero-restarts"),
+    pytest.param(["comass", "--form", "builtin:spin7", "--restarts", "1",
+                  "--tol", "nan"], None, "tol", id="comass-nan-tol"),
+    pytest.param(["verify", "--trials", "-3"], None, "trials",
+                 id="verify-negative-trials"),
+    pytest.param(*_plane("'dim'", dim="8"), id="plane-string-dim"),
+    pytest.param(*_plane("'dim'", dim=8.7), id="plane-float-dim"),
+    pytest.param(*_plane("vectors", vectors=5), id="plane-non-list-vectors"),
+    pytest.param(*_plane("float range", scale=1e200), id="plane-span-beyond-float-range"),
+    pytest.param(*_form("'degree'", degree=True), id="form-bool-degree"),
+    pytest.param(*_form("degree-0", degree=0, terms=[{"blade": [], "coeff": 2}]),
+                 id="comass-degree-0"),
+])
+def test_index_malformed_field_exit_2(tmp_path, capsys, argv, document, named):
+    """Every rejected input of every command exits 2 naming its cause.
+
+    ``document`` (JSON, or raw JSON text) is written to the file the last
+    flag of ``argv`` names.
+    """
+    if document is not None:
+        path = tmp_path / "bad.json"
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
+        argv = [*argv, str(path)]
+    code = cli.main(argv)
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert repr(field) in captured.err and "Traceback" not in captured.err
+    assert named in captured.err and "Traceback" not in captured.err
 
 
 def test_index_eta_sum_beyond_float_range_exit_2(tmp_path, capsys):

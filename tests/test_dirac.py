@@ -112,6 +112,15 @@ def test_clifford_check_basis_cases():
     assert report.passed and report.residual < 1e-10
 
 
+def test_clifford_check_builds_each_symbol_once(monkeypatch):
+    calls = []
+    symbol_d = dirac.symbol_D
+    monkeypatch.setattr(dirac, "symbol_D",
+                        lambda cpm, xi: calls.append(xi) or symbol_d(cpm, xi))
+    assert dirac.clifford_check(CPM, trials=8, seed=0).passed
+    assert len(calls) == 4 + 8  # the basis covectors and the random trials
+
+
 def test_symbol_isometry():
     assert dirac.symbol_isometry_report(CPM, trials=16, seed=1).passed
 

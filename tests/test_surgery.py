@@ -141,3 +141,9 @@ def test_expression_tree_evaluation():
     assert rows[-1]["op"] == "glue"
     with pytest.raises(SurgeryError):
         surgery.evaluate_surgery({"op": "warp", "parts": []})
+    # a 450-level tree, near the deepest that json parses, stays within the
+    # recursion limit
+    deep = {"op": "leaf", "invariants": {"dim": 0, "chi": 1}}
+    for _ in range(450):
+        deep = {"op": "product_s1", "parts": [deep]}
+    assert surgery.evaluate_surgery(deep)[0].dim == 450
