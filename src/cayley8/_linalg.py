@@ -79,15 +79,17 @@ def independent_rows(rows: Sequence[Sequence]) -> List[int]:
 def orthogonalize(rows: Sequence[Sequence]) -> List[List[Fraction]]:
     """Exact Gram-Schmidt without normalization; drops dependent rows."""
     basis: List[List[Fraction]] = []
+    norms: List[Fraction] = []
     for row in rows:
         vec = [Fraction(x) for x in row]
-        for b in basis:
-            bb = sum(x * x for x in b)
+        for b, bb in zip(basis, norms):
             vb = sum(x * y for x, y in zip(vec, b))
             if vb != 0:
-                vec = [x - vb * y / bb for x, y in zip(vec, b)]
+                ratio = vb / bb
+                vec = [x - ratio * y for x, y in zip(vec, b)]
         if any(x != 0 for x in vec):
             basis.append(vec)
+            norms.append(sum(x * x for x in vec))
     return basis
 
 

@@ -259,12 +259,7 @@ class CayleySweep:
 def random_orthonormal_frames(rng: np.random.Generator, count: int,
                               degree: int, dim: int) -> np.ndarray:
     """(count, degree, dim) stacks of orthonormalized Gaussian frames."""
-    raw = rng.standard_normal((count, dim, degree))
-    q, r = np.linalg.qr(raw)
-    # fix sign so the frame depends continuously on the seed draw
-    signs = np.sign(np.einsum('nii->ni', r))
-    signs[signs == 0] = 1.0
-    return np.transpose(q * signs[:, None, :], (0, 2, 1))
+    return _retract(np.swapaxes(rng.standard_normal((count, dim, degree)), 1, 2))
 
 
 # -- comass optimization ---------------------------------------------------------------
@@ -318,7 +313,10 @@ def _dense_value_grad(T: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndar
 
 
 def _retract(X: np.ndarray) -> np.ndarray:
-    """Re-orthonormalize the rows of each frame (QR with positive diagonal)."""
+    """Re-orthonormalize the rows of each frame (QR with positive diagonal).
+
+    The sign fix makes a frame depend continuously on its input.
+    """
     q, r = np.linalg.qr(np.swapaxes(X, -1, -2))
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
@@ -387,14 +385,17 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float,
 def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     """(restarts, p, n) random starts, restart i drawn from substream [seed, i].
 
-    Each frame is stored column-major, the layout ``random_orthonormal_frames``
-    and ``_retract`` give a single frame.  BLAS may sum a contraction in an
+    Each restart draws its own (n, p) Gaussian, exactly as
+    ``random_orthonormal_frames(default_rng([seed, i]), 1, p, n)`` does;
+    one stacked ``_retract`` then orthonormalizes all of them.  Each frame
+    is stored column-major, the layout ``random_orthonormal_frames`` and
+    ``_retract`` give a single frame.  BLAS may sum a contraction in an
     order that depends on the stride of a frame row, so with this layout a
     restart reaches bit for bit the values it reaches when ascended alone.
     """
-    return np.swapaxes(np.stack([
-        random_orthonormal_frames(np.random.default_rng([seed, i]), 1, p, n)[0].T
-        for i in range(restarts)]), 1, 2)
+    raw = np.stack([np.random.default_rng([seed, i]).standard_normal((n, p))
+                    for i in range(restarts)])
+    return _retract(np.swapaxes(raw, 1, 2))
 
 
 def comass_estimate(c: CalibrationForm, restarts: int = 50,
@@ -405,11 +406,15 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     Random orthonormal starts (one independent substream per restart),
     projected gradient ascent run for all restarts at once over a stack of
     frames, deterministic max-merge with ties broken by the lowest restart
-    index.  Degrees above n/2 are optimized through the Hodge dual, which
-    has the same comass.  A top-degree form ``c vol`` needs no ascent: its
-    comass |c| is attained on the standard frame, first vector negated when
-    c < 0.  ``jobs`` is accepted for compatibility only and has no effect:
-    the restarts are batched, not run concurrently.
+    index.  The ascent runs on the form divided by its largest |coefficient|
+    and the value is scaled back, so ``tol`` (a bound on the Riemannian
+    gradient norm) is relative to the largest coefficient, and forms near
+    the float range converge like any other.  Degrees above n/2 are
+    optimized through the Hodge dual, which has the same comass.  A
+    top-degree form ``c vol`` needs no ascent: its comass |c| is attained
+    on the standard frame, first vector negated when c < 0.  ``jobs`` is
+    accepted for compatibility only and has no effect: the restarts are
+    batched, not run concurrently.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -432,15 +437,17 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     work = form.hodge() if dualized else form
     T = work.as_float().to_dense()
     p, n = work.degree, work.dim
+    # comass is homogeneous: ascend on the tensor scaled to largest |entry| 1
+    scale = float(np.abs(T).max()) or 1.0
 
     frames, values, iterations, converged = _ascend(
-        T, _start_frames(seed, restarts, p, n), tol)
+        T / scale, _start_frames(seed, restarts, p, n), tol)
 
     best_i = 0
     for i in range(1, restarts):
         if values[i] > values[best_i] + 1e-15:
             best_i = i
-    X, value = frames[best_i], values[best_i]
+    X, value = frames[best_i], scale * values[best_i]
 
     if dualized:
         X = _complement_frame(X)

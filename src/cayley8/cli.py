@@ -177,7 +177,7 @@ def cmd_surgery(args) -> Report:
 def cmd_reproduce(args) -> Report:
     derivation = reproduce.run_example(args.example)
     results = {
-        "description": reproduce.load_fixture(args.example)["description"],
+        "description": derivation.description,
         "derivation": list(derivation.rows),
         "values": derivation.values,
         "expected": derivation.expected,

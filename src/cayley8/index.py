@@ -182,9 +182,13 @@ def evaluate_index(payload: dict) -> IndexResult:
     """
     try:
         name = payload["formula"]
-        fields = dict(payload["fields"])
+        fields = payload["fields"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed index input: {exc}") from exc
+    if not isinstance(fields, dict):
+        raise ValueError(f"malformed index input: 'fields' must be a JSON object, "
+                         f"got {type(fields).__name__}")
+    fields = dict(fields)
     orientation = payload.get("orientation", "standard")
     if orientation not in ("standard", "complex"):
         raise ValueError(f"unknown orientation {orientation!r}")

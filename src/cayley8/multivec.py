@@ -10,7 +10,8 @@ rational.
 
 This module is also the package's one exact/float scalar policy:
 :func:`is_exact` decides whether values are exact and :func:`scalar` makes
-a constant of the mode's type (``Fraction`` exact, ``float`` otherwise).
+a constant of the mode's type (``int`` or ``Fraction`` exact, ``float``
+otherwise).
 
 Conventions (fixed for the whole package):
 
@@ -51,8 +52,15 @@ def is_exact(values: Iterable) -> bool:
 
 
 def scalar(num: int, den: int = 1, *, exact: bool):
-    """The constant ``num / den``: a ``Fraction`` if ``exact``, else a float."""
-    return Fraction(num, den) if exact else num / den
+    """The constant ``num / den`` of the mode's type.
+
+    Exact constants are ``int`` when ``den == 1`` (integer arithmetic is
+    several times cheaper than ``Fraction`` arithmetic) and ``Fraction``
+    otherwise; floating constants are ``float``.
+    """
+    if not exact:
+        return num / den
+    return num if den == 1 else Fraction(num, den)
 
 
 class DimensionError(ValueError):

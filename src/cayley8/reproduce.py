@@ -25,12 +25,15 @@ class UnknownExampleError(ValueError):
 
 @dataclass(frozen=True)
 class Derivation:
+    """One worked example's derivation; ``description`` is the fixture's."""
+
     example: int
     rows: Tuple[dict, ...]
     values: Dict[str, int]
     index: int
     matches_expected: bool
     expected: Dict[str, int]
+    description: str
 
     def as_dict(self) -> dict:
         return {"example": self.example, "rows": [dict(r) for r in self.rows],
@@ -199,4 +202,4 @@ def run_example(example: int) -> Derivation:
     matches = all(values.get(k) == v for k, v in expected.items())
     return Derivation(example=example, rows=tuple(rows), values=values,
                       index=result.index, matches_expected=matches,
-                      expected=expected)
+                      expected=expected, description=fix["description"])

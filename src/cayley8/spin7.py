@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
 import numpy as np
@@ -137,7 +137,9 @@ class Spin7Model:
     ``lambda2_op`` is the matrix of ``a -> star(a ^ phi)`` on the 28
     lexicographic 2-blades.  Basis lists hold coefficient vectors over
     the lexicographic blade bases: orthonormal numpy rows in floating
-    mode, orthogonal Fraction rows in exact mode.
+    mode, orthogonal rows of exact scalars in exact mode.  The exact
+    27-summand basis is built on the first ``lambda4_forms(27)``; until
+    then ``lambda4_bases[27]`` holds the function that builds it.
     """
 
     phi: KForm
@@ -146,10 +148,7 @@ class Spin7Model:
     lambda2_7_basis: object = field(repr=False)
     lambda2_21_basis: object = field(repr=False)
     lambda4_bases: Dict[int, object] = field(repr=False)
-
-    @property
-    def lambda4_dims(self) -> Tuple[int, ...]:
-        return tuple(len(self.lambda4_bases[k]) for k in (1, 7, 27, 35))
+    lambda4_dims: Tuple[int, ...] = ()
 
     def lambda2_eigenvalues(self) -> Dict[float, int]:
         return {-3.0: len(self.lambda2_7_basis), 1.0: len(self.lambda2_21_basis)}
@@ -161,7 +160,11 @@ class Spin7Model:
         return _rows_to_forms(self.lambda2_21_basis, 8, 2)
 
     def lambda4_forms(self, which: int) -> List[KForm]:
-        return _rows_to_forms(self.lambda4_bases[which], 8, 4)
+        rows = self.lambda4_bases[which]
+        if callable(rows):
+            # the dict is shared by every model of this form (see certify)
+            rows = self.lambda4_bases[which] = rows()
+        return _rows_to_forms(rows, 8, 4)
 
 
 def _rows_to_forms(rows, dim: int, degree: int) -> List[KForm]:
@@ -224,80 +227,119 @@ def _lambda4_7_generators(phi: KForm) -> List[KForm]:
     return gens
 
 
-def _self_dual_split(exact: bool):
-    """Bases of self-dual and anti-self-dual 4-forms as coefficient rows."""
+@lru_cache(maxsize=1)
+def _self_dual_pairs() -> Tuple[Tuple[int, int, int], ...]:
+    """The 35 pairs ``(i, j, sign)`` with ``star(e^b_i) = sign e^b_j``, i < j.
+
+    Indices run over the lexicographic 4-blades; each self-dual row is
+    ``e_i + sign e_j`` and each anti-self-dual row ``e_i - sign e_j``.
+    """
     basis4 = blades(8, 4)
     index = {b: i for i, b in enumerate(basis4)}
+    pairs = []
+    for i, b in enumerate(basis4):
+        [(comp, sign)] = KForm(8, 4, {b: 1}).hodge().coeffs.items()
+        if i < index[comp]:
+            pairs.append((i, index[comp], sign))
+    return tuple(pairs)
+
+
+def _pair_rows(pairs, flip: int, exact: bool) -> list:
+    """Coefficient rows ``e_i + flip * sign e_j`` over the 70 4-blades."""
     one, zero = scalar(1, exact=exact), scalar(0, exact=exact)
-    sd, asd = [], []
-    seen = set()
-    for b in basis4:
-        if b in seen:
-            continue
-        form = KForm(8, 4, {b: one})
-        star = form.hodge()
-        [(comp, sign)] = star.coeffs.items()
-        seen.add(b)
-        seen.add(comp)
-        for target, flip in ((sd, 1), (asd, -1)):
-            row = [zero] * 70
-            row[index[b]] = one
-            row[index[comp]] = flip * sign * one
-            target.append(row)
-    return sd, asd
+    rows = []
+    for i, j, sign in pairs:
+        row = [zero] * 70
+        row[i] = one
+        row[j] = flip * sign * one
+        rows.append(row)
+    return rows
+
+
+def _lift_self_dual(pairs, coords) -> List[list]:
+    """Orthogonal basis of the self-dual forms with these pair coordinates."""
+    lifted = []
+    for vec in coords:
+        row = [0] * 70
+        for x, (i, j, sign) in zip(vec, pairs):
+            row[i], row[j] = x, sign * x
+        lifted.append(row)
+    return _linalg.orthogonalize(lifted)
 
 
 def _build_lambda4(phi: KForm, exact: bool):
-    """Assemble the (1, 7, 27, 35) summand bases; returns (ok, detail, bases)."""
+    """Assemble the (1, 7, 27, 35) summand bases; returns (ok, detail, bases, dims).
+
+    In exact mode the 27 dimension is the rank of the nullspace of the
+    constraints (orthogonal to phi and to the 7-summand) on self-dual
+    forms; the orthogonal 27-summand basis itself is deferred to a
+    function that ``Spin7Model.lambda4_forms`` calls on first use.
+    """
     basis4 = blades(8, 4)
     phi_row = [phi.coeffs.get(b, 0) for b in basis4]
     gens = _lambda4_7_generators(phi)
     gen_rows = [[g.coeffs.get(b, 0) for b in basis4] for g in gens]
-    sd_rows, asd_rows = _self_dual_split(exact)
+    pairs = _self_dual_pairs()
+    asd_rows = _pair_rows(pairs, -1, exact)
 
     if exact:
         idx = _linalg.independent_rows(gen_rows)
         seven = _linalg.orthogonalize([gen_rows[i] for i in idx])
         if len(seven) != 7:
-            return False, f"rank of the 7-dim generator family is {len(seven)}", None
-        # 27-part: self-dual forms orthogonal to phi and to the 7 generators
+            return False, f"rank of the 7-dim generator family is {len(seven)}", None, None
+        # 27-part: self-dual forms orthogonal to phi and to the 7 generators;
+        # <con, e_i + sign e_j> reads the two nonzeros of each self-dual row
         constraints = [phi_row] + seven
         sd_coords = _linalg.nullspace(
-            [[sum(c * s for c, s in zip(con, sd)) for sd in sd_rows] for con in constraints])
-        twenty7 = _linalg.orthogonalize(
-            [[sum(x * sd_rows[k][c] for k, x in enumerate(vec)) for c in range(70)]
-             for vec in sd_coords])
-        bases = {1: [phi_row], 7: seven, 27: twenty7, 35: asd_rows}
+            [[con[i] + sign * con[j] for i, j, sign in pairs] for con in constraints])
+        bases = {1: [phi_row], 7: seven, 27: partial(_lift_self_dual, pairs, sd_coords),
+                 35: asd_rows}
+        dims = (1, 7, len(sd_coords), 35)
+    else:
+        phi_vec = np.array([float(x) for x in phi_row])
+        phi_unit = phi_vec / np.linalg.norm(phi_vec)
+        gen_mat = np.array([[float(x) for x in row] for row in gen_rows]).T
+        seven_cols = _linalg.orthonormal_columns(gen_mat)
+        if seven_cols.shape[1] != 7:
+            return False, f"rank of the 7-dim generator family is {seven_cols.shape[1]}", None, None
+        sd_mat = np.array(_pair_rows(pairs, 1, exact)).T / np.sqrt(2.0)
+        asd_mat = np.array(asd_rows).T / np.sqrt(2.0)
+        sub = np.column_stack([phi_unit, seven_cols])
+        twenty7_cols = _linalg.complement_in_span(sd_mat, sub)
+        bases = {1: [phi_unit], 7: list(seven_cols.T), 27: list(twenty7_cols.T),
+                 35: list(asd_mat.T)}
         dims = tuple(len(bases[k]) for k in (1, 7, 27, 35))
-        if dims != LAMBDA4_DIMS:
-            return False, f"summand dims {dims} != {LAMBDA4_DIMS}", None
-        return True, "summand dims (1, 7, 27, 35)", bases
-
-    phi_vec = np.array([float(x) for x in phi_row])
-    phi_unit = phi_vec / np.linalg.norm(phi_vec)
-    gen_mat = np.array([[float(x) for x in row] for row in gen_rows]).T
-    seven_cols = _linalg.orthonormal_columns(gen_mat)
-    if seven_cols.shape[1] != 7:
-        return False, f"rank of the 7-dim generator family is {seven_cols.shape[1]}", None
-    sd_mat = np.array([[float(x) for x in row] for row in sd_rows]).T / np.sqrt(2.0)
-    asd_mat = np.array([[float(x) for x in row] for row in asd_rows]).T / np.sqrt(2.0)
-    sub = np.column_stack([phi_unit, seven_cols])
-    twenty7_cols = _linalg.complement_in_span(sd_mat, sub)
-    bases = {1: [phi_unit], 7: list(seven_cols.T), 27: list(twenty7_cols.T),
-             35: list(asd_mat.T)}
-    dims = tuple(len(bases[k]) for k in (1, 7, 27, 35))
     if dims != LAMBDA4_DIMS:
-        return False, f"summand dims {dims} != {LAMBDA4_DIMS}", None
-    return True, "summand dims (1, 7, 27, 35)", bases
+        return False, f"summand dims {dims} != {LAMBDA4_DIMS}", None, None
+    return True, "summand dims (1, 7, 27, 35)", bases, dims
+
+
+#: Structure forms whose certificate and model ingredients ``certify`` keeps.
+CERTIFY_CACHE_SIZE = 16
 
 
 def certify(phi: KForm, tol: float = DEFAULT_TOL):
-    """Run the structure checks; returns (certificate, model ingredients)."""
+    """Run the structure checks; returns (certificate, model ingredients).
+
+    The one entry point of the certificate: results are cached per
+    ``(dim, degree, sorted coefficients, tol)``, so a form is certified
+    once per process however many forms with its coefficients are checked
+    or built.  Exactness is part of the key, because ``1 == 1.0`` hashes
+    alike, and the checks run on the form rebuilt from the sorted
+    coefficients, so a result depends on the key alone.  The ingredients
+    are ``None`` when the certificate fails.
+    """
+    items = tuple(sorted(phi.coeffs.items()))
+    return _certify(phi.dim, phi.degree, items, is_exact(phi.coeffs.values()), tol)
+
+
+@lru_cache(maxsize=CERTIFY_CACHE_SIZE)
+def _certify(dim: int, degree: int, items: tuple, exact: bool, tol: float):
     checks: List[CheckResult] = []
-    if phi.dim != 8 or phi.degree != 4:
+    if dim != 8 or degree != 4:
         checks.append(CheckResult("shape", False, 1.0, "need a degree-4 form on R^8"))
         return Spin7Certificate(False, tuple(checks)), None
-    exact = is_exact(phi.coeffs.values())
+    phi = KForm(dim, degree, dict(items))
 
     sd_diff = phi.hodge() - phi
     sd_ok = sd_diff.is_zero(tol)
@@ -311,16 +353,16 @@ def certify(phi: KForm, tol: float = DEFAULT_TOL):
     spec_ok, detail, b7, b21 = _check_lambda2_spectrum(op, exact)
     checks.append(CheckResult("lambda2 spectrum", spec_ok, 0.0 if spec_ok else 1.0, detail))
 
-    l4_ok, l4_detail, l4_bases = (False, "skipped (spectrum failed)", None)
+    l4_ok, l4_detail, l4_bases, l4_dims = (False, "skipped (spectrum failed)", None, None)
     if sd_ok and spec_ok:
-        l4_ok, l4_detail, l4_bases = _build_lambda4(phi, exact)
+        l4_ok, l4_detail, l4_bases, l4_dims = _build_lambda4(phi, exact)
     checks.append(CheckResult("lambda4 dims", l4_ok, 0.0 if l4_ok else 1.0, l4_detail))
 
     passed = all(c.passed for c in checks)
     cert = Spin7Certificate(passed, tuple(checks))
     if not passed:
         return cert, None
-    return cert, (exact, op, b7, b21, l4_bases)
+    return cert, (exact, op, b7, b21, l4_bases, l4_dims)
 
 
 def is_spin7_form(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Certificate:
@@ -330,23 +372,24 @@ def is_spin7_form(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Certificate:
 
 
 def build_model(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Model:
-    """Validate ``phi`` and cache its derived operators.
+    """Validate ``phi`` and wrap its derived operators.
 
     Raises :class:`Spin7StructureError` carrying the certificate when the
     eigenstructure does not match the (7, 21) / (1, 7, 27, 35) pattern.
+    Models of forms with the same coefficients share the operators and
+    bases that :func:`certify` cached.
     """
     cert, ingredients = certify(phi, tol)
     if ingredients is None:
         raise Spin7StructureError(cert)
-    exact, op, b7, b21, l4 = ingredients
+    exact, op, b7, b21, l4, dims = ingredients
     return Spin7Model(phi=phi, exact=exact, lambda2_op=op,
                       lambda2_7_basis=b7, lambda2_21_basis=b21,
-                      lambda4_bases=l4)
+                      lambda4_bases=l4, lambda4_dims=dims)
 
 
-@lru_cache(maxsize=2)
 def standard_model(exact: bool = True) -> Spin7Model:
-    """The cached model of the 14-term normal form."""
+    """The model of the 14-term normal form (certified once, see certify)."""
     return build_model(phi0(exact=exact))
 
 

@@ -158,3 +158,16 @@ def test_sweep_matches_einsum_formula():
 def test_sweep_empty_batch():
     tau_norms, values = calib.CayleySweep(MF)(np.zeros((0, 4, 8)))
     assert tau_norms.shape == values.shape == (0,)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2026])
+@pytest.mark.parametrize("restarts, p, n", [(200, 4, 8), (50, 3, 7), (7, 2, 8), (1, 1, 8)])
+def test_start_frames_match_per_restart_frames(restarts, p, n, seed):
+    # one stacked QR gives each restart the frame its own substream gives,
+    # bit for bit and in the same column-major layout
+    ref = np.swapaxes(np.stack([
+        calib.random_orthonormal_frames(np.random.default_rng([seed, i]), 1, p, n)[0].T
+        for i in range(restarts)]), 1, 2)
+    got = calib._start_frames(seed, restarts, p, n)
+    assert got.shape == ref.shape and got.strides == ref.strides
+    assert np.array_equal(got, ref)

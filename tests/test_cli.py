@@ -2,9 +2,10 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from cayley8 import calib, cli, verify
+from cayley8 import calib, cli, reproduce, verify
 from cayley8.spin7 import PHI0_TERMS
 
 
@@ -76,6 +77,21 @@ def test_comass_not_converged_exit_1(capsys):
     # ran out of halvings, and the warning names that cause
     assert payload["results"]["iterations"] < calib.COMASS_MAX_ITER
     assert "line search" in payload["results"]["warning"]
+
+
+def test_comass_scales_coefficients_near_float_range(tmp_path, capsys):
+    # comass is homogeneous; the ascent runs on the form scaled to largest
+    # coefficient 1, so 1e308 (e^1234 + e^5678) has comass 1e308, converges
+    # and raises no floating-point overflow on the way
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dim": 8, "degree": 4, "terms": [
+        {"blade": [1, 2, 3, 4], "coeff": 1e308},
+        {"blade": [5, 6, 7, 8], "coeff": 1e308}]}))
+    with np.errstate(over="raise", invalid="raise"):
+        code, out = run_cli(capsys, "--output", "json", "comass", "--form", str(path))
+    payload = json.loads(out)
+    assert code == 0 and payload["results"]["converged"] is True
+    assert abs(payload["results"]["comass"] / 1e308 - 1) < 1e-6
 
 
 def test_comass_unknown_builtin(capsys):
@@ -227,6 +243,10 @@ def _form(named, **fields):
     pytest.param(*_index("eta", "eta_Dtilde", float("inf")), id="inf"),
     pytest.param(*_index("eta", "eta_Dtilde", float("nan")), id="nan"),
     pytest.param(*_index("eta", "eta_Bev", "0.5"), id="string-eta"),
+    pytest.param(["index", "--input"],
+                 {"formula": "closed",
+                  "fields": [["chi", 24], ["sigma", -16], ["self_intersection", 9]]},
+                 "'fields'", id="index-fields-not-object"),
     pytest.param(*_surgery(_leaf(chi=1.5), "'chi'"), id="surgery-float-chi"),
     pytest.param(*_surgery(_leaf(chi=True), "'chi'"), id="surgery-bool-chi"),
     pytest.param(*_surgery(_leaf(sigma=2.5), "'sigma'"), id="surgery-float-sigma"),
@@ -350,6 +370,20 @@ def test_reproduce_example_2_reports_ledgered_mismatch(capsys):
     assert values["chi_Xbar"] == 44 and values["sigma_Xbar"] == -16
     assert values["euler_normal"] == 48 and values["chi_X"] == 72
     assert payload["results"]["mismatched_fields"] == ["index"]
+
+
+def test_reproduce_reads_its_fixture_once(capsys, monkeypatch):
+    calls = []
+    load = reproduce.load_fixture
+
+    def counting(example):
+        calls.append(example)
+        return load(example)
+
+    monkeypatch.setattr(reproduce, "load_fixture", counting)
+    code, out = run_cli(capsys, "--output", "json", "reproduce", "--example", "1")
+    assert code == 0 and calls == [1]
+    assert json.loads(out)["results"]["description"] == load(1)["description"]
 
 
 def test_reproduce_unknown_example(capsys):

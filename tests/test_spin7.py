@@ -2,12 +2,15 @@
 
 from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cayley8 import _linalg, calib, spin7
-from cayley8.multivec import (KForm, Vector, blades, contract, flat,
-                              random_vector, wedge)
+from cayley8.multivec import (KForm, OrientedPlane, Vector, blades, contract,
+                              flat, random_vector, wedge)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 M = spin7.standard_model(exact=True)
@@ -310,3 +313,97 @@ def test_stabilizer_rotations_preserve_pullback():
         frame = spin7.Frame8(tuple(Vector(R[:, j]) for j in range(8)))
         ok, report = spin7.is_spin7_frame(MF, frame, tol=1e-8)
         assert ok, report
+
+
+def _count_exact_certifications(monkeypatch):
+    """Clear the certify cache and count exact spectrum checks from now on."""
+    spin7._certify.cache_clear()
+    calls = []
+    check = spin7._check_lambda2_spectrum
+
+    def counting(op, exact):
+        if exact:
+            calls.append(1)
+        return check(op, exact)
+
+    monkeypatch.setattr(spin7, "_check_lambda2_spectrum", counting)
+    return calls
+
+
+def test_exact_suite_certifies_each_form_once(monkeypatch):
+    # phi0 (certificate row, standard_model(True)) and the SL form
+    from cayley8 import verify
+    calls = _count_exact_certifications(monkeypatch)
+    outcomes, summary = verify.run_suite(exact=True, seed=0, trials=2)
+    assert summary["failed"] == 0
+    assert len(calls) == 2
+
+
+def test_certify_cache_keys_on_coefficients_and_tol(monkeypatch):
+    calls = _count_exact_certifications(monkeypatch)
+    assert spin7.is_spin7_form(spin7.phi0()).passed
+    assert spin7.standard_model(exact=True).lambda4_dims == (1, 7, 27, 35)
+    # coassoc_model_form builds phi0 from the slice data: same coefficients
+    assert spin7.is_spin7_form(calib.coassoc_model_form()).passed
+    assert len(calls) == 1
+    assert spin7.is_spin7_form(spin7.phi0(), tol=1e-9).passed
+    assert len(calls) == 2
+    # equal values in float mode are a different key (1 == 1.0)
+    assert not spin7.standard_model(exact=False).exact
+
+
+def test_failing_form_raises_on_every_call():
+    bad = KForm.monomial(8, 1, 2, 3, 4)
+    for _ in range(2):
+        with pytest.raises(spin7.Spin7StructureError) as err:
+            spin7.build_model(bad)
+        assert not err.value.certificate.passed
+        assert not spin7.is_spin7_form(bad).passed
+
+
+def test_lambda4_27_basis_is_built_on_demand():
+    spin7._certify.cache_clear()
+    m = spin7.standard_model(exact=True)
+    assert m.lambda4_dims == (1, 7, 27, 35) and callable(m.lambda4_bases[27])
+    got = [[f.coeffs.get(b, 0) for b in blades(8, 4)] for f in m.lambda4_forms(27)]
+    assert not callable(m.lambda4_bases[27])
+    # the eager construction: self-dual forms orthogonal to phi and to the
+    # 7-summand, from 70-term dot products, lifted and orthogonalised
+    basis4 = blades(8, 4)
+    sd_rows = []
+    for b in basis4:
+        [(comp, sign)] = KForm(8, 4, {b: 1}).hodge().coeffs.items()
+        if b < comp:
+            sd_rows.append([1 if x == b else sign if x == comp else 0 for x in basis4])
+    constraints = [[m.phi.coeffs.get(b, 0) for b in basis4]] + [
+        [f.coeffs.get(b, 0) for b in basis4] for f in m.lambda4_forms(7)]
+    coords = _linalg.nullspace(
+        [[sum(c * s for c, s in zip(con, sd)) for sd in sd_rows] for con in constraints])
+    eager = _linalg.orthogonalize(
+        [[sum(x * sd_rows[k][c] for k, x in enumerate(vec)) for c in range(70)]
+         for vec in coords])
+    assert got == eager and len(got) == 27
+    assert m.lambda4_forms(27) == spin7.standard_model(exact=True).lambda4_forms(27)
+
+
+_UNIT_ENTRY = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=15)
+@given(hnp.arrays(np.float64, (8, 8), elements=_UNIT_ENTRY))
+def test_certificate_and_cayley_verdicts_invariant_under_so8(raw):
+    # Q^T phi0 is certified, and the plane Q^T V is Cayley for it with the
+    # verdict V has for phi0; QR of any matrix is orthogonal, det -1 flips
+    q, _ = np.linalg.qr(raw)
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    frame = spin7.Frame8(tuple(Vector(q[:, j]) for j in range(8)))
+    pulled = spin7.pullback_through_frame(MF.phi, frame)
+    assert spin7.is_spin7_form(pulled, tol=1e-9).passed
+    model = spin7.build_model(pulled, tol=1e-9)
+    for idx in ((1, 2, 3, 4), (1, 2, 4, 3), (1, 2, 3, 5), (3, 4, 7, 8), (1, 3, 5, 6)):
+        want = calib.cayley_test(MF, OrientedPlane([E[i - 1] for i in idx])).verdict
+        plane = OrientedPlane([Vector(q[i - 1]) for i in idx])
+        assert calib.cayley_test(model, plane).verdict == want
+    perturbed = pulled + 0.05 * KForm.monomial(8, 1, 2, 3, 5, coeff=1.0)
+    assert not spin7.is_spin7_form(perturbed, tol=1e-9).passed
