@@ -55,25 +55,12 @@ def nullspace(rows: Sequence[Sequence]) -> List[List[Fraction]]:
 
 
 def independent_rows(rows: Sequence[Sequence]) -> List[int]:
-    """Indices of a maximal linearly independent subset of rows (exact)."""
-    chosen: List[int] = []
-    reduced: List[List[Fraction]] = []
-    pivcols: List[int] = []
-    for i, row in enumerate(rows):
-        vec = [Fraction(x) for x in row]
-        for rrow, pc in zip(reduced, pivcols):
-            if vec[pc] != 0:
-                f = vec[pc]
-                vec = [x - f * y for x, y in zip(vec, rrow)]
-        pc = next((c for c, x in enumerate(vec) if x != 0), None)
-        if pc is None:
-            continue
-        pv = vec[pc]
-        vec = [x / pv for x in vec]
-        reduced.append(vec)
-        pivcols.append(pc)
-        chosen.append(i)
-    return chosen
+    """Indices of a maximal linearly independent subset of rows (exact).
+
+    Each row outside the span of the rows before it, that is, the pivot
+    columns of the transpose.
+    """
+    return rref([list(col) for col in zip(*rows)])[1]
 
 
 def orthogonalize(rows: Sequence[Sequence]) -> List[List[Fraction]]:

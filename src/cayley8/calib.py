@@ -32,7 +32,8 @@ from . import g2 as g2mod
 #: Default gate on |tau| below which a 4-plane counts as Cayley.
 TAU_TOL = 1e-9
 
-#: Default comass optimizer tolerance and the criterion-agreement tolerance.
+#: Default comass optimizer tolerance, and the tolerance on the Cayley
+#: identity value^2 + |tau|^2 = 1 that ties the two Cayley criteria.
 COMASS_TOL = 1e-6
 AGREEMENT_TOL = 1e-6
 
@@ -160,8 +161,11 @@ def cayley_test(m: Spin7Model, plane: OrientedPlane, tau_tol: float = TAU_TOL,
                 value_tol: float = AGREEMENT_TOL) -> CayleyVerdict:
     """Classify a 4-plane by tau-vanishing, with the calibration value as sign.
 
-    The tau criterion and the |value| = 1 criterion must agree; the
-    verdict carries the agreement flag.
+    The two criteria are tied by the Cayley identity ``value^2 + |tau|^2
+    = 1`` on unit 4-planes (Harvey-Lawson 1982); the agreement flag
+    checks it within ``value_tol``.  Gating |tau| and ||value| - 1|
+    separately would not do: near a Cayley plane |tau| is first order in
+    the distance and ||value| - 1| second order, so the two gates part.
     """
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("cayley test expects a 4-plane in R^8")
@@ -169,13 +173,12 @@ def cayley_test(m: Spin7Model, plane: OrientedPlane, tau_tol: float = TAU_TOL,
     t = tau(m, *onb)
     tnorm = t.norm()
     value = m.phi.evaluate(*onb)
-    is_cayley = is_zero(tnorm, tau_tol)
-    value_says = is_zero(abs(value) - 1, value_tol)
     verdict = "not-cayley"
-    if is_cayley:
+    if is_zero(tnorm, tau_tol):
         verdict = "cayley+" if value > 0 else "cayley-"
+    agree = bool(is_zero(value * value + t.norm_sq() - 1, value_tol))
     return CayleyVerdict(verdict=verdict, tau_norm=float(tnorm),
-                         value=float(value), criteria_agree=is_cayley == value_says)
+                         value=float(value), criteria_agree=agree)
 
 
 def sl_test(plane: OrientedPlane, tol: float = 1e-9) -> bool:
@@ -202,10 +205,11 @@ def complex_test(plane: OrientedPlane, tol: float = 1e-9) -> bool:
 class CayleySweep:
     """Vectorized tau-norm and calibration value over batches of 4-planes.
 
-    Uses the 28x28 matrix of ``a -> star(a ^ phi)`` so that the 2-fold
-    cross product is a single matrix product, and the 64x64 reshape of the
-    dense 4-form so that the triple cross product and the calibration value
-    are matrix products over outer products of frame vectors; agrees with
+    Every product is a matrix product over outer products of frame vectors
+    (``x outer y`` flattened to 64 entries): the 64x64 reshape of the dense
+    4-form gives the triple cross product and the calibration value, and
+    the 64x28 matrix ``TAU64`` takes ``x outer y`` to the 2-fold cross
+    product ``2 pi7(x ^ y)``, so tau is one matrix product.  Agrees with
     the sparse path to machine precision.
     """
 
@@ -213,20 +217,13 @@ class CayleySweep:
     BLOCK = 1024
 
     def __init__(self, model: Spin7Model):
-        if model.exact:
-            op = np.array([[float(x) for x in row] for row in model.lambda2_op])
-        else:
-            op = np.asarray(model.lambda2_op, dtype=float)
-        self.p7 = 0.25 * (np.eye(28) - op)
+        self.p7 = 0.25 * (np.eye(28) - np.array(model.lambda2_op, dtype=float))
         self.T4 = model.phi.as_float().to_dense()
         self.T64 = self.T4.reshape(64, 64)
-        basis2 = blades(8, 2)
-        self.idx_i = np.array([b[0] - 1 for b in basis2])
-        self.idx_j = np.array([b[1] - 1 for b in basis2])
-
-    def _wedge(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (x[:, self.idx_i] * y[:, self.idx_j]
-                - x[:, self.idx_j] * y[:, self.idx_i])
+        # column k: the 2-blade e^k as a dense 8x8 tensor, so x outer y -> x ^ y
+        wedge64 = np.stack([KForm(8, 2, {b: 1.0}).to_dense().reshape(64)
+                            for b in blades(8, 2)], axis=1)
+        self.TAU64 = wedge64 @ (2.0 * self.p7.T)
 
     @staticmethod
     def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -234,17 +231,17 @@ class CayleySweep:
 
     def _block(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         a, b, c, d = (frames[:, k, :] for k in range(4))
+        outer = self._outer
+        # values first: their (block, 64) temporaries are freed before tau's
+        values = np.einsum('Ni,Ni->N', outer(a, b) @ self.T64, outer(c, d))
         # (b . (c . (d . phi)))^sharp = phi(d, c, b, .)
-        p = (b[:, None, :] @ (self._outer(d, c) @ self.T64).reshape(-1, 8, 8))[:, 0]
-        gab = np.einsum('Ni,Ni->N', a, b)[:, None]
-        gac = np.einsum('Ni,Ni->N', a, c)[:, None]
-        gad = np.einsum('Ni,Ni->N', a, d)[:, None]
-        combo = (-self._wedge(a, p) + gab * self._wedge(c, d)
-                 + gac * self._wedge(d, b) + gad * self._wedge(b, c))
-        tau_norms = np.linalg.norm(2.0 * combo @ self.p7.T, axis=1)
-        values = np.einsum('Ni,Ni->N', self._outer(a, b) @ self.T64,
-                           self._outer(c, d))
-        return tau_norms, values
+        p = (b[:, None, :] @ (outer(d, c) @ self.T64).reshape(-1, 8, 8))[:, 0]
+        gab, gac, gad = (np.einsum('Ni,Ni->N', a, x)[:, None] for x in (b, c, d))
+        # -a outer p + gab c outer d + gac d outer b + gad b outer c, one matmul
+        x = np.stack([-a, gab * c, gac * d, gad * b], axis=2)
+        y = np.stack([p, d, b, c], axis=1)
+        combo64 = (x @ y).reshape(-1, 64)
+        return np.linalg.norm(combo64 @ self.TAU64, axis=1), values
 
     def __call__(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """frames: (N, 4, 8) orthonormal rows; returns (tau_norms, values)."""
@@ -409,17 +406,19 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     index.  The ascent runs on the form divided by its largest |coefficient|
     and the value is scaled back, so ``tol`` (a bound on the Riemannian
     gradient norm) is relative to the largest coefficient, and forms near
-    the float range converge like any other.  Degrees above n/2 are
-    optimized through the Hodge dual, which has the same comass.  A
-    top-degree form ``c vol`` needs no ascent: its comass |c| is attained
-    on the standard frame, first vector negated when c < 0.  ``jobs`` is
-    accepted for compatibility only and has no effect: the restarts are
-    batched, not run concurrently.
+    the float range converge like any other.  ``tol`` must lie in [0, 1):
+    the starting gradient norms of the normalised builtins are 0.45 to
+    2.0, so a bound of 1 or more can stop an ascent before its first
+    step.  Degrees above n/2 are optimized through the Hodge dual, which
+    has the same comass.  A top-degree form ``c vol`` needs no ascent: its
+    comass |c| is attained on the standard frame, first vector negated
+    when c < 0.  ``jobs`` is accepted for compatibility only and has no
+    effect: the restarts are batched, not run concurrently.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must be a finite number >= 0, got {tol}")
+    if not 0 <= tol < 1:
+        raise ValueError(f"tol must be a number in [0, 1), got {tol}")
     form = c.form
     if form.degree == 0:
         raise ValueError("a degree-0 form has no comass: an OrientedPlane "

@@ -184,17 +184,8 @@ def plane_sd_basis(exact: bool = True) -> List[KForm]:
 def embed_plane_form(cpm: CayleyPointModel, alpha: KForm) -> KForm:
     """Extend an intrinsic 2-form of the plane to R^8 by zero contraction."""
     onb = cpm.tangent_frame
-    ambient = KForm.zero(8, 2)
-    for (a, b), c in alpha.coeffs.items():
-        u, v = onb[a - 1], onb[b - 1]
-        term = {}
-        for i in range(1, 9):
-            for j in range(i + 1, 9):
-                val = c * (u[i] * v[j] - u[j] * v[i])
-                if val != 0:
-                    term[(i, j)] = val
-        ambient = ambient + KForm(8, 2, term)
-    return ambient
+    return sum((multivec.flat(onb[a - 1]).wedge(multivec.flat(onb[b - 1])) * c
+                for (a, b), c in alpha.coeffs.items()), KForm.zero(8, 2))
 
 
 def asd_embedding_report(cpm: CayleyPointModel, tol: float = 1e-9) -> CheckResult:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .multivec import (KForm, OrientedPlane, Vector, blades, is_zero,
-                       restrict, scalar)
+                       restrict, scalar, sharp)
 from .spin7 import phi0
 
 
@@ -80,12 +80,13 @@ def build_g2(exact: bool = True) -> G2Model:
 
 
 def cross_g2(m: G2Model, v: Vector, w: Vector) -> Vector:
-    """Cross product on R^7, defined metrically: ``g(u, v x w) = phi(u, v, w)``."""
+    """Cross product on R^7, defined metrically: ``g(u, v x w) = phi(u, v, w)``.
+
+    ``phi(u, v, w) = phi(v, w, u)``, so ``v x w = (w . (v . phi))^sharp``.
+    """
     if v.dim != 7 or w.dim != 7:
         raise ValueError("cross_g2 expects vectors in R^7")
-    return Vector(
-        m.phi3.evaluate(Vector.basis(7, i, exact=m.exact), v, w)
-        for i in range(1, 8))
+    return sharp(m.phi3.contract(v).contract(w))
 
 
 def associator(m: G2Model, u: Vector, v: Vector, w: Vector) -> Vector:

@@ -376,14 +376,11 @@ class KForm:
 
         0-based numpy indices; only sensible for small degree (k <= 5).
         """
-        shape = (self.dim,) * self.degree
-        T = np.zeros(shape)
+        T = np.zeros((self.dim,) * self.degree)
         for blade, c in self.coeffs.items():
             c = float(c)
-            for perm in itertools.permutations(range(self.degree)):
-                sign = _perm_parity(perm)
-                idx = tuple(blade[p] - 1 for p in perm)
-                T[idx] = sign * c
+            for idx in itertools.permutations(blade):
+                T[tuple(i - 1 for i in idx)] = sort_blade(idx)[1] * c
         return T
 
     # -- misc ------------------------------------------------------------------
@@ -415,23 +412,6 @@ class KForm:
         self._check_same_dim(other)
         if self.degree != other.degree:
             raise DegreeError(f"form degrees differ: {self.degree} vs {other.degree}")
-
-
-def _perm_parity(perm: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # -- module-level operations (spec surface) -------------------------------------

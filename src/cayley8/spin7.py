@@ -177,15 +177,16 @@ def _rows_to_forms(rows, dim: int, degree: int) -> List[KForm]:
 
 
 def _lambda2_matrix(phi: KForm, exact: bool):
-    """Matrix of a -> star(a ^ phi) over the lexicographic 2-blades."""
+    """Matrix of a -> star(a ^ phi) over the lexicographic 2-blades.
+
+    Entry (k, l) is ``<e^k, star(e^l ^ phi)>``, and ``<e^k, star(e^l ^
+    phi)> vol = e^k ^ e^l ^ phi``, which is the coefficient
+    ``star(phi)[k + l]`` of the concatenated blade.
+    """
+    star_phi = phi.hodge()
     basis2 = blades(8, 2)
-    columns = []
-    for b in basis2:
-        col_form = KForm(8, 2, {b: scalar(1, exact=exact)}).wedge(phi).hodge()
-        columns.append([col_form.coeffs.get(bb, 0) for bb in basis2])
-    if exact:
-        return [[columns[j][i] for j in range(28)] for i in range(28)]
-    return np.array(columns).T
+    rows = [[star_phi[k + l] for l in basis2] for k in basis2]
+    return rows if exact else np.array(rows, dtype=float)
 
 
 def _check_lambda2_spectrum(op, exact: bool):
@@ -550,23 +551,19 @@ def infinitesimal_action(phi: KForm, generator: KForm) -> KForm:
     """Derivative of the rotation pullback of ``phi`` along a 2-form generator.
 
     The generator corresponds to the skew map ``B`` with ``B_ij = beta(e_i,
-    e_j)``; the result is ``sum_slots phi(..., B v, ...)``.  It vanishes
-    exactly when the generator lies in the 21-dimensional summand (the
-    stabilizer algebra).
+    e_j)``; the result is ``sum_slots phi(..., B v, ...)``, which equals
+    ``sum_k e^k ^ ((B e_k) . phi)``.  It vanishes exactly when the
+    generator lies in the 21-dimensional summand (the stabilizer algebra).
     """
     if generator.degree != 2 or generator.dim != phi.dim:
         raise ValueError("generator must be a 2-form on the same space")
     n = phi.dim
     exact = is_exact(phi.coeffs.values()) and is_exact(generator.coeffs.values())
-    B = [[generator[(i, j)] for j in range(1, n + 1)] for i in range(1, n + 1)]
-    Bcols = [Vector([B[i][j] for i in range(n)]) for j in range(n)]
-    coeffs = {}
-    for blade in blades(n, phi.degree):
-        total = 0
-        for pos, i in enumerate(blade):
-            vecs = [Vector.basis(n, k, exact=exact) for k in blade]
-            vecs[pos] = Bcols[i - 1]
-            total += phi.evaluate(*vecs)
-        if total != 0:
-            coeffs[blade] = total
-    return KForm(n, phi.degree, coeffs)
+    result = KForm.zero(n, phi.degree)
+    if phi.degree == 0:
+        return result  # a constant is rotation invariant (and has no contraction)
+    for k in range(1, n + 1):
+        column = Vector(generator[(i, k)] for i in range(1, n + 1))  # B e_k
+        result = result + flat(Vector.basis(n, k, exact=exact)).wedge(
+            phi.contract(column))
+    return result

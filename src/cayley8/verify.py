@@ -221,8 +221,7 @@ def _check_model_level(s: _Suite, trials_light: int):
     sweep = calib.CayleySweep(mf)
     frames = calib.random_orthonormal_frames(s.rng, 2000, 4, 8)
     tn, vals = sweep(frames)
-    disagree = int(((tn <= calib.TAU_TOL)
-                    != (np.abs(np.abs(vals) - 1) <= calib.AGREEMENT_TOL)).sum())
+    disagree = int((np.abs(vals * vals + tn * tn - 1) > calib.AGREEMENT_TOL).sum())
     s.record("cayley criteria agree on random planes", float(disagree),
              "tau gate vs calibration value, 2000 planes")
 

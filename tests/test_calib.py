@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 from cayley8 import calib, g2, spin7
 from cayley8.multivec import (DegeneratePlaneError, KForm, OrientedPlane,
@@ -282,3 +285,45 @@ def test_plane_and_form_json_roundtrip():
                          "terms": [{"blade": [1, 2, 3, 4], "coeff": "1/0"}]})
     with pytest.raises(ValueError, match="not a number"):
         calib.load_plane({"dim": 8, "degree": 1, "vectors": [[None] * 8]})
+
+
+def _near_cayley_plane(eps):
+    """A random Cayley plane's frame moved by ``eps`` along a fixed direction."""
+    rng = np.random.default_rng(5)
+    base = np.array([v.to_array() for v in spin7.random_spin7_frame(MF, rng).vectors[:4]])
+    return base + eps * rng.standard_normal((4, 8))
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-7, 1e-5, 1e-3])
+def test_criteria_agree_near_cayley_planes(eps):
+    # |tau| is first order in eps and ||value| - 1| second order, so gating
+    # the two separately parts them for eps near 1e-5; the identity
+    # value^2 + |tau|^2 = 1 ties them at every distance
+    plane = OrientedPlane([Vector(r) for r in _near_cayley_plane(eps)])
+    verdict = calib.cayley_test(MF, plane)
+    assert verdict.criteria_agree is True
+    assert (verdict.verdict == "cayley+") == (eps < calib.TAU_TOL)
+
+
+@pytest.mark.parametrize("rows", [
+    [E[0], E[1], E[2], E[3]],                                    # Cayley
+    [E[0], E[1], E[2], E[4]],                                    # value 0
+    [Fraction(3, 5) * E[0] + Fraction(4, 5) * E[4], E[1], E[2], E[3]],
+])
+def test_cayley_identity_exact_on_rational_planes(rows):
+    onb = OrientedPlane(rows).orthonormal_basis
+    value = M.phi.evaluate(*onb)
+    assert value * value + spin7.tau(M, *onb).norm_sq() == 1
+    assert calib.cayley_test(M, OrientedPlane(rows)).criteria_agree is True
+
+
+@settings(max_examples=40)
+@given(hnp.arrays(np.float64, (8, 4), elements=st.floats(-1, 1, allow_nan=False)))
+def test_cayley_identity_on_random_float_planes(raw):
+    q, r = np.linalg.qr(raw)
+    assume(np.abs(np.diag(r)).min() > 1e-3)
+    frame = q.T
+    verdict = calib.cayley_test(MF, OrientedPlane([Vector(row) for row in frame]))
+    assert abs(verdict.value ** 2 + verdict.tau_norm ** 2 - 1) <= 1e-12
+    tau_norms, values = calib.CayleySweep(MF)(frame[None])
+    assert abs(values[0] ** 2 + tau_norms[0] ** 2 - 1) <= 1e-12

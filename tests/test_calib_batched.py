@@ -2,15 +2,16 @@
 
 ``_serial_value_grad``/``_serial_ascend`` are the per-restart comass ascent
 (one frame at a time, ``tensordot`` contractions) and ``_einsum_sweep`` is
-the 4-operand ``einsum`` Cayley sweep.  They are kept here as references:
-the batched code reorders no sums the tolerances below do not allow for.
+the 4-operand ``einsum`` Cayley sweep with index-gather wedges.  They are
+kept here as references: the batched code reorders no sums the tolerances
+below do not allow for.
 """
 
 import numpy as np
 import pytest
 
 from cayley8 import calib, spin7
-from cayley8.multivec import OrientedPlane, Vector
+from cayley8.multivec import OrientedPlane, Vector, blades
 
 MF = spin7.standard_model(exact=False)
 
@@ -80,14 +81,22 @@ def _serial_comass(c, restarts, seed, tol=calib.COMASS_TOL):
     return outcomes, best
 
 
+_IDX_I, _IDX_J = (np.array([b[k] - 1 for b in blades(8, 2)]) for k in (0, 1))
+
+
+def _wedge(x, y):
+    """Rows of x ^ y over the 28 lexicographic 2-blades, by index gathers."""
+    return x[:, _IDX_I] * y[:, _IDX_J] - x[:, _IDX_J] * y[:, _IDX_I]
+
+
 def _einsum_sweep(sweep, frames):
     a, b, c, d = (frames[:, k, :] for k in range(4))
     p = np.einsum('ijkz,Ni,Nj,Nk->Nz', sweep.T4, d, c, b, optimize=True)
     gab = np.einsum('Ni,Ni->N', a, b)[:, None]
     gac = np.einsum('Ni,Ni->N', a, c)[:, None]
     gad = np.einsum('Ni,Ni->N', a, d)[:, None]
-    combo = (-sweep._wedge(a, p) + gab * sweep._wedge(c, d)
-             + gac * sweep._wedge(d, b) + gad * sweep._wedge(b, c))
+    combo = (-_wedge(a, p) + gab * _wedge(c, d)
+             + gac * _wedge(d, b) + gad * _wedge(b, c))
     tau_norms = np.linalg.norm(2.0 * combo @ sweep.p7.T, axis=1)
     values = np.einsum('ijkl,Ni,Nj,Nk,Nl->N', sweep.T4, a, b, c, d, optimize=True)
     return tau_norms, values

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cayley8 import calib, cli, reproduce, verify
+from cayley8 import calib, cli, reproduce, spin7, verify
 from cayley8.spin7 import PHI0_TERMS
 
 
@@ -151,6 +151,23 @@ def test_plane_report(tmp_path, capsys):
     assert payload["results"]["complex"] is True
 
 
+def test_plane_near_cayley_plane_exits_0(tmp_path, capsys):
+    # 1e-5 off a Cayley plane: |tau| ~ 5e-5 says not Cayley while |value|
+    # is 1 to within 2e-9; the Cayley identity still holds, so no failure
+    mf = spin7.standard_model(exact=False)
+    rng = np.random.default_rng(5)
+    base = np.array([v.to_array() for v in spin7.random_spin7_frame(mf, rng).vectors[:4]])
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"dim": 8, "degree": 4, "vectors": (
+        base + 1e-5 * rng.standard_normal((4, 8))).tolist()}))
+    code, out = run_cli(capsys, "--output", "json", "plane",
+                        "--form", "builtin:spin7", "--vectors", str(path))
+    cayley = json.loads(out)["results"]["cayley"]
+    assert code == 0
+    assert cayley["verdict"] == "not-cayley" and cayley["criteria_agree"] is True
+    assert abs(cayley["value"]) > 1 - calib.AGREEMENT_TOL
+
+
 def test_plane_report_g2(tmp_path, capsys):
     path = tmp_path / "plane7.json"
     path.write_text(json.dumps({
@@ -269,6 +286,9 @@ def _form(named, **fields):
                  "restarts", id="comass-zero-restarts"),
     pytest.param(["comass", "--form", "builtin:spin7", "--restarts", "1",
                   "--tol", "nan"], None, "tol", id="comass-nan-tol"),
+    pytest.param(["comass", "--form", "builtin:spin7", "--restarts", "1",
+                  "--tol", "1e300"], None, "tol must be a number in [0, 1)",
+                 id="comass-huge-tol"),
     pytest.param(["verify", "--trials", "-3"], None, "trials",
                  id="verify-negative-trials"),
     pytest.param(*_plane("'dim'", dim="8"), id="plane-string-dim"),

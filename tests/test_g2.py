@@ -36,6 +36,13 @@ def test_cross_g2_norm_identity():
                 == v.norm_sq() * w.norm_sq() - v.dot(w) ** 2)
 
 
+def test_cross_g2_is_metric_dual_of_phi():
+    rng = np.random.default_rng(22)
+    for _ in range(50):
+        u, v, w = (random_vector(rng, 7, exact=True) for _ in range(3))
+        assert u.dot(g2.cross_g2(M, v, w)) == M.phi3.evaluate(u, v, w)
+
+
 def test_associator_alternating():
     rng = np.random.default_rng(21)
     for _ in range(60):

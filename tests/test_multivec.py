@@ -228,14 +228,17 @@ def test_plane_contains_and_pullback():
     assert pulled.coeffs == {(1, 2): 1}  # the (5,6) blade dies on the plane
 
 
-def test_evaluate_agrees_with_dense_tensor():
+@pytest.mark.parametrize("degree", range(6))
+def test_evaluate_agrees_with_dense_tensor(degree):
     rng = np.random.default_rng(9)
-    a = random_form(rng, 8, 3)
+    a = random_form(rng, 8, degree)
     T = a.to_dense()
     for _ in range(20):
-        u, v, w = (random_vector(rng, 8) for _ in range(3))
-        direct = a.evaluate(u, v, w)
-        dense = np.einsum('ijk,i,j,k->', T, u.to_array(), v.to_array(), w.to_array())
+        vs = [random_vector(rng, 8) for _ in range(degree)]
+        direct = a.evaluate(*vs)
+        dense = T
+        for v in vs:  # first slot first
+            dense = np.tensordot(v.to_array(), dense, axes=(0, 0))
         assert abs(direct - dense) < 1e-10
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 
 from cayley8 import _linalg, calib, spin7
 from cayley8.multivec import (KForm, OrientedPlane, Vector, blades, contract,
-                              flat, random_vector, wedge)
+                              flat, is_exact, random_vector, scalar, wedge)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 M = spin7.standard_model(exact=True)
@@ -117,8 +117,13 @@ def test_inner_cross2_identity_vectorized_1000():
     rng = np.random.default_rng(13)
     vs = rng.standard_normal((1000, 4, 8))
     a, b, c, d = (vs[:, k, :] for k in range(4))
-    wab = sweep._wedge(a, b)
-    wcd = sweep._wedge(c, d)
+    idx_i, idx_j = (np.array([bl[k] - 1 for bl in blades(8, 2)]) for k in (0, 1))
+
+    def wedge2(x, y):
+        return x[:, idx_i] * y[:, idx_j] - x[:, idx_j] * y[:, idx_i]
+
+    wab = wedge2(a, b)
+    wcd = wedge2(c, d)
     # cross2 = 2 pi7(wedge); pi7 self-adjoint idempotent, so
     # <cross2(a,b), cross2(c,d)> = 4 <pi7 wab, pi7 wcd> = 4 <wab, pi7 wcd>
     lhs = 4 * np.einsum('nk,kl,nl->n', wab, sweep.p7, wcd)
@@ -407,3 +412,87 @@ def test_certificate_and_cayley_verdicts_invariant_under_so8(raw):
         assert calib.cayley_test(model, plane).verdict == want
     perturbed = pulled + 0.05 * KForm.monomial(8, 1, 2, 3, 5, coeff=1.0)
     assert not spin7.is_spin7_form(perturbed, tol=1e-9).passed
+
+
+_SMALL_EXACT = st.one_of(st.integers(-3, 3),
+                         st.fractions(min_value=-3, max_value=3, max_denominator=6))
+
+
+def _random_form(data, degree, exact):
+    """A random degree-``degree`` form on R^8; generically not self-dual."""
+    coeff = _SMALL_EXACT if exact else _UNIT_ENTRY
+    terms = data.draw(st.dictionaries(st.sampled_from(blades(8, degree)), coeff,
+                                      max_size=24))
+    return KForm(8, degree, terms)
+
+
+def _lambda2_columns(phi, exact):
+    """The operator column by column: column l is star(e^l ^ phi)."""
+    basis2 = blades(8, 2)
+    cols = [KForm(8, 2, {b: scalar(1, exact=exact)}).wedge(phi).hodge() for b in basis2]
+    return [[col.coeffs.get(k, 0) for col in cols] for k in basis2]
+
+
+@settings(max_examples=30)
+@given(st.data(), st.booleans())
+def test_lambda2_matrix_matches_column_build(data, exact):
+    phi = _random_form(data, 4, exact)
+    if data.draw(st.booleans()):
+        phi = phi + spin7.phi0(exact)
+    got = spin7._lambda2_matrix(phi, exact)
+    want = _lambda2_columns(phi, exact)
+    if exact:
+        assert got == want
+    else:
+        assert np.array_equal(got, np.array(want, dtype=float))
+
+
+def _slot_sum(phi, generator):
+    """``sum_slots phi(..., B v, ...)`` on every basis blade, one evaluate each."""
+    n = phi.dim
+    exact = is_exact(phi.coeffs.values()) and is_exact(generator.coeffs.values())
+    bcols = [Vector(generator[(i, j)] for i in range(1, n + 1)) for j in range(1, n + 1)]
+    coeffs = {}
+    for blade in blades(n, phi.degree):
+        total = 0
+        for pos, i in enumerate(blade):
+            vecs = [Vector.basis(n, k, exact=exact) for k in blade]
+            vecs[pos] = bcols[i - 1]
+            total += phi.evaluate(*vecs)
+        if total != 0:
+            coeffs[blade] = total
+    return KForm(n, phi.degree, coeffs)
+
+
+@settings(max_examples=25)
+@given(st.data(), st.booleans(), st.integers(0, 4))
+def test_infinitesimal_action_matches_slot_sum(data, exact, degree):
+    phi = _random_form(data, degree, exact)
+    generator = _random_form(data, 2, exact)
+    got = spin7.infinitesimal_action(phi, generator)
+    want = _slot_sum(phi, generator)
+    if exact:
+        assert got == want
+    else:
+        assert (got - want).is_zero(1e-12)
+
+
+def _greedy_rank_rows(rows):
+    """Rows that raise the rank of the rows chosen before them."""
+    chosen = []
+    for i, row in enumerate(rows):
+        trial = np.array([rows[j] for j in chosen] + [row], dtype=float)
+        if np.linalg.matrix_rank(trial) > len(chosen):
+            chosen.append(i)
+    return chosen
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_independent_rows_matches_greedy_rank_increase(data):
+    ncols = data.draw(st.integers(1, 5))
+    distinct = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=ncols,
+                                           max_size=ncols), min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.sampled_from(range(len(distinct))), max_size=7))
+    rows = [distinct[k] for k in picks]  # repeated rows are dependent
+    assert _linalg.independent_rows(rows) == _greedy_rank_rows(rows)
