@@ -4,7 +4,8 @@ At a calibrated 4-plane the 7-dimensional 2-form summand splits into the
 plane's anti-self-dual forms and a rank-4 piece E (the forms vanishing on
 the plane); the principal symbol of the deformation operator sends a
 normal vector s to ``xi_sharp x s`` in E and satisfies the Clifford
-relation.  This module builds that splitting, the symbol matrices, the
+relation.  This module builds that splitting and stores the symbol once
+on the four basis covectors (``sigma`` is linear in xi), and builds the
 even-form Clifford module on a 3-manifold cross-section, the isomorphism
 ``h(f, alpha) = f s + s x (star alpha)^sharp`` onto the normal space of an
 associative plane, and the two symbol intertwinings that identify the
@@ -29,7 +30,7 @@ exactly, then fixed):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -74,17 +75,22 @@ def _orthonormal_complement(vectors: Sequence[Vector], dim: int) -> List[Vector]
 
 @dataclass(frozen=True)
 class CayleyPointModel:
-    """The splitting R^8 = T + N at a Cayley plane with the rank-4 bundle fibre E."""
+    """The splitting R^8 = T + N at a Cayley plane with the rank-4 bundle fibre E.
+
+    ``symbols[i]`` is the symbol at the basis covector ``e^(i+1)``: the
+    E-coordinates of ``t_(i+1) x n_j`` in column j (exact entries, dtype
+    object, when the model and the frames are exact).
+    """
 
     model: Spin7Model
     tangent_frame: Tuple[Vector, ...]
     normal_frame: Tuple[Vector, ...]
     e_basis: Tuple[KForm, ...]
+    symbols: Tuple[np.ndarray, ...] = field(compare=False)
 
     def tangent_vector(self, xi: KForm) -> Vector:
         """Raise an intrinsic tangent covector to an ambient vector."""
-        if xi.dim != 4 or xi.degree != 1:
-            raise ValueError("xi must be a 1-form on the 4-dimensional tangent plane")
+        _check_covector(xi)
         zero = Vector([0] * 8)
         return sum((xi.coeffs.get((i + 1,), 0) * t
                     for i, t in enumerate(self.tangent_frame)), zero)
@@ -93,9 +99,14 @@ class CayleyPointModel:
         return [form.inner(ek) for ek in self.e_basis]
 
 
+def _check_covector(xi: KForm) -> None:
+    if xi.dim != 4 or xi.degree != 1:
+        raise ValueError("xi must be a 1-form on the 4-dimensional tangent plane")
+
+
 def _plane_restriction_rows(forms: Sequence[KForm], onb: Sequence[Vector]):
-    pairs = [(a, b) for a in range(4) for b in range(a + 1, 4)]
-    return [[f.evaluate(onb[a], onb[b]) for f in forms] for a, b in pairs]
+    """Row per 2-blade ``(a, b)`` of the plane: each form evaluated on ``(t_a, t_b)``."""
+    return [[f.evaluate(onb[a - 1], onb[b - 1]) for f in forms] for a, b in blades(4, 2)]
 
 
 def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
@@ -103,10 +114,10 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
     """Assemble the point model at a Cayley 4-plane.
 
     E is the kernel of the restriction map on the 7-dimensional 2-form
-    summand; its dimension must be 4, it must coincide with the span of
-    the tangent-normal cross products, and the embedded plane ASD forms
-    must fill the orthogonal complement (conformally, with factor
-    sqrt(2)).  A failing tau gate raises :class:`NonCayleyPlaneError`.
+    summand; its dimension must be 4 and it must coincide with the span of
+    the tangent-normal cross products, whose E-coordinates are stored as
+    the symbol matrices.  A failing tau gate raises
+    :class:`NonCayleyPlaneError`.
     """
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("expected a 4-plane in R^8")
@@ -125,14 +136,10 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
     exact = m.exact and is_exact(c for v in onb for c in v.components)
 
     if exact:
-        kernel = _linalg.nullspace(rows)
+        kernel_dim = len(_linalg.nullspace(rows))
     else:
-        mat = np.array([[float(x) for x in row] for row in rows])
-        _, svals, vh = np.linalg.svd(mat)
-        small = [i for i in range(vh.shape[0])
-                 if i >= len(svals) or svals[i] <= 1e-9]
-        kernel = [vh[i] for i in small]
-    if len(kernel) != 4:
+        kernel_dim = len(l27) - np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-9)
+    if kernel_dim != 4:
         raise NonCayleyPlaneError(tnorm)
 
     gens = [cross2(m, t, n) for t in onb for n in normal]
@@ -151,14 +158,16 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
         e_basis.append(KForm(8, 2, {b: c / nrm for b, c in zip(basis2, row) if c != 0}))
 
     # cross products must land in the kernel of the restriction
-    for g in gens:
-        for a in range(4):
-            for b in range(a + 1, 4):
-                if not is_zero(g.evaluate(onb[a], onb[b]), 1e-9):
-                    raise NonCayleyPlaneError(tnorm)
+    if not all(is_zero(x, 1e-9) for row in _plane_restriction_rows(gens, onb) for x in row):
+        raise NonCayleyPlaneError(tnorm)
 
+    # gens[4 i + j] = t_i x n_j, so symbols[i][k, j] = <t_i x n_j, e_k>
+    coords = [[g.inner(ek) for ek in e_basis] for g in gens]
+    dtype = object if exact and is_exact(x for c in coords for x in c) else float
+    symbols = tuple(np.array(coords[4 * i:4 * i + 4], dtype=dtype).T for i in range(4))
     return CayleyPointModel(model=m, tangent_frame=tuple(onb),
-                            normal_frame=tuple(normal), e_basis=tuple(e_basis))
+                            normal_frame=tuple(normal), e_basis=tuple(e_basis),
+                            symbols=symbols)
 
 
 def plane_asd_basis(exact: bool = True) -> List[KForm]:
@@ -198,18 +207,10 @@ def asd_embedding_report(cpm: CayleyPointModel, tol: float = 1e-9) -> CheckResul
     m = cpm.model
     exact = m.exact
     asd = plane_asd_basis(exact)
-    images = []
-    worst = 0.0
-    for alpha in asd:
-        ambient = embed_plane_form(cpm, alpha)
-        img = 2 * proj2_7(m, ambient)
-        images.append(img)
-        for ek in cpm.e_basis:
-            worst = max(worst, abs(float(img.inner(ek))))
-        back = [img.evaluate(cpm.tangent_frame[a - 1], cpm.tangent_frame[b - 1])
-                for (a, b) in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
-        expect = [alpha[(a, b)] for (a, b) in [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]]
-        worst = max(worst, max(abs(float(x - y)) for x, y in zip(back, expect)))
+    images = [2 * proj2_7(m, embed_plane_form(cpm, alpha)) for alpha in asd]
+    worst = max(abs(float(img.inner(ek))) for img in images for ek in cpm.e_basis)
+    for row, pair in zip(_plane_restriction_rows(images, cpm.tangent_frame), blades(4, 2)):
+        worst = max(worst, max(abs(float(x - alpha[pair])) for x, alpha in zip(row, asd)))
     for i, ai in enumerate(asd):
         for j, aj in enumerate(asd):
             gram_img = images[i].inner(images[j])
@@ -227,17 +228,26 @@ def symbol_D(cpm: CayleyPointModel, xi: KForm) -> np.ndarray:
     """Matrix of ``s -> xi_sharp x s`` from the normal frame to the E basis.
 
     ``xi`` is an intrinsic covector of the tangent plane (degree 1 on the
-    4-dimensional plane).  Linear in xi; exact entries in exact mode
-    (dtype=object), floats otherwise.
+    4-dimensional plane).  The symbol is linear in xi, so this is
+    ``sum_i xi_i * cpm.symbols[i]`` over the symbols stored on the basis
+    covectors; exact entries in exact mode (dtype=object), floats otherwise.
     """
-    xs = cpm.tangent_vector(xi)
-    cols = []
-    for n in cpm.normal_frame:
-        c2 = cross2(cpm.model, xs, n)
-        cols.append(cpm.e_coords(c2))
-    if cpm.model.exact and is_exact(x for col in cols for x in col):
-        return np.array(cols, dtype=object).T
-    return np.array([[float(x) for x in col] for col in cols]).T
+    _check_covector(xi)
+    sig = sum(xi.coeffs.get((i + 1,), 0) * s for i, s in enumerate(cpm.symbols))
+    if sig.dtype == object and is_exact(sig.flat):
+        return sig
+    return np.array(sig, dtype=float)
+
+
+def _covector_set(count: int, seed: int, exact: bool) -> List[KForm]:
+    """The four basis covectors, then ``count`` standard normal ones drawn from ``seed``."""
+    one = scalar(1, exact=exact)
+    covs = [KForm(4, 1, {(i,): one}) for i in range(1, 5)]
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        covs.append(KForm(4, 1, {(i,): float(x)
+                                 for i, x in zip(range(1, 5), rng.standard_normal(4))}))
+    return covs
 
 
 def clifford_check(cpm: CayleyPointModel, trials: int = 16,
@@ -246,14 +256,7 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
 
     ``sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2 <xi, xi'> Id``.
     """
-    rng = np.random.default_rng(seed)
-    exact = cpm.model.exact
-    covs = []
-    for i in range(1, 5):
-        covs.append(KForm(4, 1, {(i,): scalar(1, exact=exact)}))
-    for _ in range(trials):
-        covs.append(KForm(4, 1, {(i,): float(x)
-                                 for i, x in zip(range(1, 5), rng.standard_normal(4))}))
+    covs = _covector_set(trials, seed, cpm.model.exact)
     symbols = [np.array(symbol_D(cpm, a), dtype=float) for a in covs]
     worst = 0.0
     for a, sa in zip(covs, symbols):
@@ -267,17 +270,13 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
 
 def symbol_isometry_report(cpm: CayleyPointModel, trials: int = 16,
                            seed: int = 0, tol: float = 1e-10) -> CheckResult:
-    """sigma(xi) is an isometry N -> E for unit xi (Gram matrix check)."""
-    rng = np.random.default_rng(seed)
+    """sigma(xi) is |xi| times an isometry N -> E (Gram matrix check)."""
     worst = 0.0
-    for _ in range(trials):
-        raw = rng.standard_normal(4)
-        raw /= np.linalg.norm(raw)
-        xi = KForm(4, 1, {(i,): float(x) for i, x in zip(range(1, 5), raw)})
+    for xi in _covector_set(trials, seed, cpm.model.exact):
         s = np.array(symbol_D(cpm, xi), dtype=float)
-        worst = max(worst, float(abs(s.T @ s - np.eye(4)).max()))
+        worst = max(worst, float(abs(s.T @ s - float(xi.norm_sq()) * np.eye(4)).max()))
     return CheckResult("symbol-isometry", worst <= tol, worst,
-                       "Gram(sigma(xi)) = Id for |xi| = 1")
+                       "Gram(sigma(xi)) = |xi|^2 Id")
 
 
 # -- even-form Clifford module on a 3-manifold ---------------------------------------
@@ -386,21 +385,23 @@ def h_equivariance_check(apm: AssociativePointModel, trials: int = 8,
 # -- symbol intertwinings ----------------------------------------------------------------
 
 
-def _matrix_ratio(lhs: np.ndarray, rhs: np.ndarray) -> float:
-    """Global scalar c minimizing |lhs - c rhs| (Frobenius)."""
-    denom = float((rhs * rhs).sum())
+def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int,
+                       tol: float) -> CheckResult:
+    """Compare two symbol maps ``xi -> matrix`` up to one global scalar.
+
+    The scalar c minimizing ``|lhs - c rhs|`` (Frobenius) is fixed at the
+    probe ``xi = e^1``; the check passes when both maps agree under it on
+    the basis and ``trials`` random covectors and ``|c| = 1``.
+    """
+    covs = _covector_set(trials, seed, exact=False)
+    probe_lhs, probe_rhs = lhs(covs[0]), rhs(covs[0])
+    denom = float((probe_rhs * probe_rhs).sum())
     if denom == 0:
         raise ValueError("degenerate probe: target symbol vanishes")
-    return float((lhs * rhs).sum()) / denom
-
-
-def _covector_set(count: int, seed: int) -> List[KForm]:
-    covs = [KForm(4, 1, {(i,): 1.0}) for i in range(1, 5)]
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        covs.append(KForm(4, 1, {(i,): float(x)
-                                 for i, x in zip(range(1, 5), rng.standard_normal(4))}))
-    return covs
+    ratio = float((probe_lhs * probe_rhs).sum()) / denom
+    worst = max(float(abs(lhs(xi) - ratio * rhs(xi)).max()) for xi in covs)
+    passed = worst <= tol and abs(abs(ratio) - 1) <= tol
+    return CheckResult(name, passed, worst, f"global scalar {ratio:+.6f}")
 
 
 def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
@@ -420,23 +421,19 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
     tangent = [e[0], e[2], e[4], e[6]]
     plane = OrientedPlane(tangent)
     cpm = build_cayley_model(m, plane)
-    jn = [calib.complex_structure(t) for t in tangent]
-    # permutation from the deterministic normal frame to (J t_i)
-    jmat = np.array([[float(n.dot(v)) for v in cpm.normal_frame] for n in jn])
+    # row i: J t_i in the deterministic normal frame (a signed permutation)
+    jcoords = np.array([[calib.complex_structure(t).dot(n) for n in cpm.normal_frame]
+                        for t in tangent], dtype=object)
+    jmat = np.array(jcoords, dtype=float)
 
-    omega = calib.kaehler_form(exact)
     half = scalar(1, 2, exact=exact)
-    sd = plane_sd_basis(exact)
-    cross_antisym = {}
-    for k, beta in enumerate(sd):
-        img = KForm.zero(8, 2)
-        for (i, j), c in beta.coeffs.items():
-            term = cross2(m, tangent[i - 1], jn[j - 1]) \
-                - cross2(m, tangent[j - 1], jn[i - 1])
-            img = img + (half * c) * term
-        cross_antisym[k] = np.array([float(x) for x in cpm.e_coords(img)])
-    f_image = np.array([float(x) for x in cpm.e_coords((-half) * omega)])
-    B = np.column_stack([f_image] + [cross_antisym[k] for k in range(3)])
+    # t_i x J t_j has E-coordinates sigma(e^i) (J t_j)
+    cols = [cpm.e_coords((-half) * calib.kaehler_form(exact))]
+    for beta in plane_sd_basis(exact):
+        cols.append(sum(half * c * (cpm.symbols[i - 1] @ jcoords[j - 1]
+                                    - cpm.symbols[j - 1] @ jcoords[i - 1])
+                        for (i, j), c in beta.coeffs.items()))
+    B = np.array(cols, dtype=float).T
 
     def target_matrix(xi: KForm) -> np.ndarray:
         cols = []
@@ -449,22 +446,9 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
             cols.append(coords)
         return np.array(cols).T
 
-    def lhs_matrix(xi: KForm) -> np.ndarray:
-        sig = np.array(symbol_D(cpm, xi), dtype=float)
-        return sig @ jmat.T
-
-    def rhs_matrix(xi: KForm) -> np.ndarray:
-        t = target_matrix(xi)
-        return B @ t
-
-    probe = KForm(4, 1, {(1,): 1.0})
-    ratio = _matrix_ratio(lhs_matrix(probe), rhs_matrix(probe))
-    worst = 0.0
-    for xi in _covector_set(trials, seed):
-        worst = max(worst, float(abs(lhs_matrix(xi) - ratio * rhs_matrix(xi)).max()))
-    passed = worst <= tol and abs(abs(ratio) - 1) <= tol
-    return CheckResult("sl-intertwine", passed, worst,
-                       f"global scalar {ratio:+.6f}")
+    return _intertwine_report(
+        "sl-intertwine", lambda xi: np.array(symbol_D(cpm, xi), dtype=float) @ jmat.T,
+        lambda xi: B @ target_matrix(xi), trials, seed, tol)
 
 
 def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
@@ -490,22 +474,16 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
     r7_normals = [g2mod.project_vector(v) for v in (e[1], e[2], e[3])]
     asd = plane_asd_basis(exact)
     # n_k: the R^8 normal whose phi-contraction restricts to asd[k]
+    restricted = np.array(_plane_restriction_rows(
+        [g2m.phi3.contract(v) for v in r7_normals],
+        [g2mod.project_vector(t) for t in tangent]), dtype=float)
     amb_for_asd: List[Vector] = []
-    pairs6 = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
-    for k, alpha in enumerate(asd):
-        target = np.array([float(alpha[p]) for p in pairs6])
-        sol = None
-        for cand8, cand7 in zip((e[1], e[2], e[3]), r7_normals):
-            got = g2m.phi3.contract(cand7)
-            comp = np.array([[float(got.evaluate(
-                g2mod.project_vector(tangent[a - 1]),
-                g2mod.project_vector(tangent[b - 1]))) for (a, b) in pairs6]])
-            if np.allclose(comp[0], target, atol=1e-9):
-                sol = cand8
-                break
-        if sol is None:
+    for alpha in asd:
+        target = np.array([float(alpha[pair]) for pair in blades(4, 2)])
+        match = [c for c in range(3) if np.allclose(restricted[:, c], target, atol=1e-9)]
+        if not match:
             raise RuntimeError("no normal direction matches the ASD form")
-        amb_for_asd.append(sol)
+        amb_for_asd.append(e[1 + match[0]])
 
     nmat_cols = [np.array([float(v.dot(nf)) for nf in cpm.normal_frame])
                  for v in amb_for_asd + [theta]]
@@ -536,15 +514,6 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
             cols.append([float(out.coeffs.get(b, 0)) for b in l3])
         return np.array(cols).T
 
-    def lhs_matrix(xi: KForm) -> np.ndarray:
-        sig = np.array(symbol_D(cpm, xi), dtype=float)
-        return sig @ A
-
-    probe = KForm(4, 1, {(1,): 1.0})
-    ratio = _matrix_ratio(lhs_matrix(probe), B @ target_matrix(probe))
-    worst = 0.0
-    for xi in _covector_set(trials, seed):
-        worst = max(worst, float(abs(lhs_matrix(xi) - ratio * (B @ target_matrix(xi))).max()))
-    passed = worst <= tol and abs(abs(ratio) - 1) <= tol
-    return CheckResult("coassoc-intertwine", passed, worst,
-                       f"global scalar {ratio:+.6f}")
+    return _intertwine_report(
+        "coassoc-intertwine", lambda xi: np.array(symbol_D(cpm, xi), dtype=float) @ A,
+        lambda xi: B @ target_matrix(xi), trials, seed, tol)

@@ -103,7 +103,7 @@ def is_associative(m: G2Model, plane: OrientedPlane,
     if plane.degree != 3 or plane.dim != 7:
         raise ValueError("associative test expects a 3-plane in R^7")
     lam = restrict(m.phi3, plane)
-    return is_zero(abs(lam) - 1, tol)
+    return bool(is_zero(abs(lam) - 1, tol))
 
 
 def is_coassociative(m: G2Model, plane: OrientedPlane,

@@ -205,10 +205,6 @@ class Vector:
         one, zero = scalar(1, exact=exact), scalar(0, exact=exact)
         return Vector(one if j == i else zero for j in range(1, dim + 1))
 
-    @staticmethod
-    def from_array(arr) -> "Vector":
-        return Vector(float(x) for x in arr)
-
 
 @dataclass(frozen=True)
 class KForm:

@@ -223,7 +223,7 @@ def _check_model_level(s: _Suite, trials_light: int):
     tn, vals = sweep(frames)
     disagree = int((np.abs(vals * vals + tn * tn - 1) > calib.AGREEMENT_TOL).sum())
     s.record("cayley criteria agree on random planes", float(disagree),
-             "tau gate vs calibration value, 2000 planes")
+             f"planes of 2000 with |value^2 + |tau|^2 - 1| > {calib.AGREEMENT_TOL:g}")
 
     e = [Vector.basis(8, i, exact=s.exact) for i in range(1, 9)]
     cpm = dirac.build_cayley_model(m, OrientedPlane(e[:4]))

@@ -327,3 +327,22 @@ def test_cayley_identity_on_random_float_planes(raw):
     assert abs(verdict.value ** 2 + verdict.tau_norm ** 2 - 1) <= 1e-12
     tau_norms, values = calib.CayleySweep(MF)(frame[None])
     assert abs(values[0] ** 2 + tau_norms[0] ** 2 - 1) <= 1e-12
+
+
+def _numpy_plane(rows):
+    return OrientedPlane([Vector(r) for r in rows])
+
+
+@pytest.mark.parametrize("check", [
+    lambda: g2.is_associative(g2.build_g2(exact=False), _numpy_plane(np.eye(7)[:3])),
+    lambda: g2.is_coassociative(g2.build_g2(exact=False), _numpy_plane(np.eye(7)[3:])),
+    lambda: calib.sl_test(_numpy_plane(np.eye(8)[[0, 2, 4, 6]])),
+    lambda: calib.complex_test(_numpy_plane(np.eye(8)[:4])),
+    lambda: calib.cayley_test(MF, _numpy_plane(np.eye(8)[:4])).criteria_agree,
+    lambda: spin7.is_spin7_frame(MF, spin7.Frame8(tuple(Vector(r) for r in np.eye(8))))[0],
+], ids=["is_associative", "is_coassociative", "sl_test", "complex_test",
+        "criteria_agree", "is_spin7_frame"])
+def test_predicates_return_bool_on_numpy_components(check):
+    # np.float64 components must not leak numpy.bool, which json.dumps rejects
+    result = check()
+    assert type(result) is bool and result

@@ -2,17 +2,34 @@
 
 from fractions import Fraction
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cayley8 import calib, dirac, g2, spin7
-from cayley8.multivec import KForm, OrientedPlane, Vector
+from cayley8.multivec import KForm, OrientedPlane, Vector, is_exact
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 E7 = [Vector.basis(7, i) for i in range(1, 8)]
 M = spin7.standard_model(exact=True)
 MF = spin7.standard_model(exact=False)
 CPM = dirac.build_cayley_model(M, OrientedPlane(E[:4]))
+CPM_SL = dirac.build_cayley_model(spin7.build_model(calib.sl_model_form()),
+                                  OrientedPlane([E[0], E[2], E[4], E[6]]))
+
+
+def _symbol_by_cross_products(cpm, xi):
+    """Reference symbol: the E-coordinates of ``xi_sharp x n`` for each normal n."""
+    xs = cpm.tangent_vector(xi)
+    cols = []
+    for n in cpm.normal_frame:
+        c2 = spin7.cross2(cpm.model, xs, n)
+        cols.append(cpm.e_coords(c2))
+    if cpm.model.exact and is_exact(x for col in cols for x in col):
+        return np.array(cols, dtype=object).T
+    return np.array([[float(x) for x in col] for col in cols]).T
 
 
 def test_build_cayley_model_standard_plane():
@@ -89,6 +106,37 @@ def test_symbol_examples():
     assert np.allclose(sig[:, 0], expected)
     zero = np.array(dirac.symbol_D(CPM, KForm.zero(4, 1)), dtype=float)
     assert np.all(zero == 0)
+
+
+@settings(max_examples=30)
+@given(st.lists(st.integers(-5, 5), min_size=4, max_size=4), st.booleans())
+def test_symbol_matches_cross_products_exact(coeffs, sl_plane):
+    cpm = CPM_SL if sl_plane else CPM
+    xi = KForm(4, 1, {(i,): c for i, c in enumerate(coeffs, 1)})
+    got, ref = dirac.symbol_D(cpm, xi), _symbol_by_cross_products(cpm, xi)
+    assert got.dtype == object and ref.dtype == object
+    assert got.tolist() == ref.tolist()
+
+
+@settings(max_examples=10)
+@given(st.integers(0, 2**32 - 1),
+       hnp.arrays(np.float64, 4, elements=st.floats(-4, 4)))
+def test_symbol_matches_cross_products_at_random_cayley_planes(seed, raw):
+    frame = spin7.random_spin7_frame(MF, np.random.default_rng(seed))
+    cpm = dirac.build_cayley_model(MF, OrientedPlane(list(frame.vectors[:4])))
+    xi = KForm(4, 1, {(i,): float(x) for i, x in enumerate(raw, 1)})
+    got, ref = dirac.symbol_D(cpm, xi), _symbol_by_cross_products(cpm, xi)
+    assert got.dtype == float
+    assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_symbol_D_reads_the_stored_symbols(monkeypatch):
+    monkeypatch.setattr(dirac, "cross2", lambda *args: pytest.fail("cross2 called"))
+    for i, stored in enumerate(CPM.symbols, 1):
+        sig = dirac.symbol_D(CPM, KForm(4, 1, {(i,): 1}))
+        assert sig.dtype == object and sig.tolist() == stored.tolist()
+    with pytest.raises(ValueError):
+        dirac.symbol_D(CPM, KForm(4, 2, {}))
 
 
 def test_symbol_invertible_for_nonzero_covectors():
@@ -201,6 +249,12 @@ def test_sl_symbol_intertwine():
     assert report.passed and report.residual < 1e-10
     with pytest.raises(ValueError):
         dirac.sl_symbol_intertwine(M)
+
+
+def test_intertwine_report_rejects_a_degenerate_probe():
+    with pytest.raises(ValueError, match="degenerate probe"):
+        dirac._intertwine_report("probe", lambda xi: np.eye(4),
+                                 lambda xi: np.zeros((4, 4)), 2, 0, 1e-10)
 
 
 def test_coassoc_symbol_intertwine():
