@@ -1,7 +1,12 @@
 """Small exact/floating linear algebra helpers shared by spin7 and dirac.
 
-Exact paths run Gaussian elimination over Fractions; floating paths defer
-to numpy.  Matrices are lists of lists (exact) or numpy arrays (float).
+The one place that decides how to eliminate in each mode: ``nullspace``
+and ``orthogonalize`` read the mode from their entries with
+:func:`cayley8.multivec.is_exact`, so no caller forks on it.  Exact
+entries run Gaussian elimination and Gram-Schmidt over Fractions; float
+entries run one SVD whose singular values are compared with ``tol``.
+``orthogonalize`` returns orthogonal rows in both modes (orthonormal in
+float mode).  Matrices are sequences of rows.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
+
+from .multivec import is_exact
 
 
 def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
@@ -37,10 +44,28 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
     return mat, pivots
 
 
-def nullspace(rows: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Basis of the exact kernel of the matrix (rows = equations)."""
-    if not rows:
+def _exact(rows: Sequence[Sequence]) -> bool:
+    return is_exact(x for row in rows for x in row)
+
+
+def _svd(rows: Sequence[Sequence]):
+    """Singular values and the full square ``vh`` of a float matrix."""
+    _, svals, vh = np.linalg.svd(np.array(rows, dtype=float))
+    return svals, vh
+
+
+def nullspace(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
+    """Basis of the kernel of the matrix (rows = equations).
+
+    Exact: the free-column basis of the rref, exact entries.  Float: the
+    right singular vectors whose singular values are at most ``tol``
+    (orthonormal numpy rows).
+    """
+    if len(rows) == 0:
         return []
+    if not _exact(rows):
+        svals, vh = _svd(rows)
+        return list(vh[int((svals > tol).sum()):])
     ncols = len(rows[0])
     mat, pivots = rref(rows)
     free = [c for c in range(ncols) if c not in pivots]
@@ -63,17 +88,26 @@ def independent_rows(rows: Sequence[Sequence]) -> List[int]:
     return rref([list(col) for col in zip(*rows)])[1]
 
 
-def orthogonalize(rows: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact Gram-Schmidt without normalization; drops dependent rows."""
+def orthogonalize(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
+    """Orthogonal basis of the row span; dependent rows are dropped.
+
+    Exact: Gram-Schmidt without normalization, exact entries.  Float: the
+    right singular vectors whose singular values exceed ``tol``
+    (orthonormal numpy rows).
+    """
+    if len(rows) and not _exact(rows):
+        svals, vh = _svd(rows)
+        return [vh[i] for i in range(len(svals)) if svals[i] > tol]
     basis: List[List[Fraction]] = []
     norms: List[Fraction] = []
     for row in rows:
         vec = [Fraction(x) for x in row]
         for b, bb in zip(basis, norms):
-            vb = sum(x * y for x, y in zip(vec, b))
+            # structure rows are sparse: skip the zero products
+            vb = sum(x * y for x, y in zip(vec, b) if x and y)
             if vb != 0:
                 ratio = vb / bb
-                vec = [x - ratio * y for x, y in zip(vec, b)]
+                vec = [x - ratio * y if y else x for x, y in zip(vec, b)]
         if any(x != 0 for x in vec):
             basis.append(vec)
             norms.append(sum(x * x for x in vec))
@@ -90,12 +124,3 @@ def orthonormal_columns(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         return mat
     u, svals, _ = np.linalg.svd(mat, full_matrices=False)
     return u[:, svals > tol]
-
-
-def complement_in_span(span_cols: np.ndarray, sub_cols: np.ndarray,
-                       tol: float = 1e-10) -> np.ndarray:
-    """Orthonormal basis of (span of span_cols) minus (span of sub_cols)."""
-    q = orthonormal_columns(span_cols, tol)
-    s = orthonormal_columns(sub_cols, tol)
-    proj = q - s @ (s.T @ q) if s.size else q
-    return orthonormal_columns(proj, tol)

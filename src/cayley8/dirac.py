@@ -36,7 +36,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg, calib, g2 as g2mod, multivec
-from ._linalg import orthogonalize
 from .multivec import (KForm, OrientedPlane, Vector, blades, exact_sqrt,
                        is_exact, is_zero, scalar, sharp)
 from .spin7 import CheckResult, Spin7Model, cross2, phi0, proj2_7, tau
@@ -131,25 +130,12 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
         raise NonCayleyPlaneError(tnorm)
 
     basis2 = blades(8, 2)
-    l27 = m.lambda2_7_forms()
-    rows = _plane_restriction_rows(l27, onb)
-    exact = m.exact and is_exact(c for v in onb for c in v.components)
-
-    if exact:
-        kernel_dim = len(_linalg.nullspace(rows))
-    else:
-        kernel_dim = len(l27) - np.linalg.matrix_rank(np.array(rows, dtype=float), tol=1e-9)
-    if kernel_dim != 4:
+    if len(_linalg.nullspace(_plane_restriction_rows(m.lambda2_7_forms(), onb), tol=1e-9)) != 4:
         raise NonCayleyPlaneError(tnorm)
 
     gens = [cross2(m, t, n) for t in onb for n in normal]
-    gen_rows = [[g.coeffs.get(b, 0) for b in basis2] for g in gens]
-    if exact:
-        ortho = orthogonalize(gen_rows)
-    else:
-        mat = np.array([[float(x) for x in r] for r in gen_rows])
-        _, svals, vh = np.linalg.svd(mat)
-        ortho = [vh[i] for i in range(len(svals)) if svals[i] > 1e-9]
+    ortho = _linalg.orthogonalize([[g.coeffs.get(b, 0) for b in basis2] for g in gens],
+                                  tol=1e-9)
     if len(ortho) != 4:
         raise NonCayleyPlaneError(tnorm)
     e_basis = []
@@ -163,7 +149,7 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
 
     # gens[4 i + j] = t_i x n_j, so symbols[i][k, j] = <t_i x n_j, e_k>
     coords = [[g.inner(ek) for ek in e_basis] for g in gens]
-    dtype = object if exact and is_exact(x for c in coords for x in c) else float
+    dtype = object if is_exact(x for c in coords for x in c) else float
     symbols = tuple(np.array(coords[4 * i:4 * i + 4], dtype=dtype).T for i in range(4))
     return CayleyPointModel(model=m, tangent_frame=tuple(onb),
                             normal_frame=tuple(normal), e_basis=tuple(e_basis),
@@ -490,18 +476,10 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
     A = np.column_stack(nmat_cols)
 
     l3 = blades(4, 3)
-
-    def b_map() -> np.ndarray:
-        cols = []
-        for blade in l3:
-            gamma = KForm(4, 3, {blade: scalar(1, exact=exact)})
-            v_int = gamma.hodge()
-            v = cpm.tangent_vector(v_int)
-            img = cross2(m, v, theta)
-            cols.append([float(x) for x in cpm.e_coords(img)])
-        return np.array(cols).T
-
-    B = b_map()
+    # column k: E-coordinates of (star gamma_k)^sharp x theta; A[:, 3] holds theta
+    one = scalar(1, exact=exact)
+    B = np.column_stack([np.array(symbol_D(cpm, KForm(4, 3, {blade: one}).hodge()), dtype=float)
+                         @ A[:, 3] for blade in l3])
     vol4 = KForm.volume(4, exact=exact)
 
     def target_matrix(xi: KForm) -> np.ndarray:

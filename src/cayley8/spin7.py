@@ -18,7 +18,6 @@ together with the first-slot interior product of :mod:`cayley8.multivec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Dict, List, Tuple
 
@@ -40,8 +39,9 @@ PHI0_TERMS: Dict[Tuple[int, ...], int] = {
     (3, 4, 7, 8): 1, (5, 6, 7, 8): 1,
 }
 
-#: Expected eigenstructure of a -> star(a ^ phi) on 2-forms.
-LAMBDA2_SPECTRUM = {Fraction(-3): 7, Fraction(1): 21}
+#: Expected eigenstructure of a -> star(a ^ phi) on 2-forms: eigenvalue ->
+#: multiplicity, which is also the dimension of the eigenspace summand.
+LAMBDA2_SPECTRUM = {-3: 7, 1: 21}
 
 #: Expected dimensions of the 4-form summands.
 LAMBDA4_DIMS = (1, 7, 27, 35)
@@ -135,36 +135,37 @@ class Spin7Model:
     """A validated structure form with cached derived operators.
 
     ``lambda2_op`` is the matrix of ``a -> star(a ^ phi)`` on the 28
-    lexicographic 2-blades.  Basis lists hold coefficient vectors over
-    the lexicographic blade bases: orthonormal numpy rows in floating
-    mode, orthogonal rows of exact scalars in exact mode.  The exact
-    27-summand basis is built on the first ``lambda4_forms(27)``; until
-    then ``lambda4_bases[27]`` holds the function that builds it.
+    lexicographic 2-blades.  ``bases`` maps ``(degree, dim)`` to the basis
+    of that summand of the 2- or 4-forms: orthogonal coefficient rows over
+    the lexicographic blade basis in both modes, exact scalars in exact
+    mode.  Each basis is built on its first read; until then the map holds
+    the function that builds it.  Every model of forms with the same
+    coefficients shares the map (see :func:`certify`).
     """
 
     phi: KForm
     exact: bool
     lambda2_op: object = field(repr=False)
-    lambda2_7_basis: object = field(repr=False)
-    lambda2_21_basis: object = field(repr=False)
-    lambda4_bases: Dict[int, object] = field(repr=False)
+    bases: Dict[Tuple[int, int], object] = field(repr=False)
     lambda4_dims: Tuple[int, ...] = ()
 
+    def _basis(self, degree: int, dim: int) -> list:
+        rows = self.bases[degree, dim]
+        if callable(rows):
+            rows = self.bases[degree, dim] = rows()
+        return rows
+
     def lambda2_eigenvalues(self) -> Dict[float, int]:
-        return {-3.0: len(self.lambda2_7_basis), 1.0: len(self.lambda2_21_basis)}
+        return {float(lam): len(self._basis(2, dim)) for lam, dim in LAMBDA2_SPECTRUM.items()}
 
     def lambda2_7_forms(self) -> List[KForm]:
-        return _rows_to_forms(self.lambda2_7_basis, 8, 2)
+        return _rows_to_forms(self._basis(2, 7), 8, 2)
 
     def lambda2_21_forms(self) -> List[KForm]:
-        return _rows_to_forms(self.lambda2_21_basis, 8, 2)
+        return _rows_to_forms(self._basis(2, 21), 8, 2)
 
     def lambda4_forms(self, which: int) -> List[KForm]:
-        rows = self.lambda4_bases[which]
-        if callable(rows):
-            # the dict is shared by every model of this form (see certify)
-            rows = self.lambda4_bases[which] = rows()
-        return _rows_to_forms(rows, 8, 4)
+        return _rows_to_forms(self._basis(4, which), 8, 4)
 
 
 def _rows_to_forms(rows, dim: int, degree: int) -> List[KForm]:
@@ -189,43 +190,31 @@ def _lambda2_matrix(phi: KForm, exact: bool):
     return rows if exact else np.array(rows, dtype=float)
 
 
-def _check_lambda2_spectrum(op, exact: bool):
-    """Return (ok, detail, basis7, basis21) for the 2-form operator."""
-    if exact:
-        n = 28
-        # minimal polynomial check: (L + 3)(L - 1) = 0
-        prod = [[sum((op[i][k] + (3 if i == k else 0)) * (op[k][j] - (1 if k == j else 0))
-                     for k in range(n)) for j in range(n)] for i in range(n)]
-        if any(prod[i][j] != 0 for i in range(n) for j in range(n)):
-            evals = np.linalg.eigvalsh(np.array(op, dtype=float))
-            return False, f"spectrum not {{-3, +1}}: eigenvalues {np.round(evals, 6)}", None, None
-        plus3 = [[op[i][j] + (3 if i == j else 0) for j in range(n)] for i in range(n)]
-        minus1 = [[op[i][j] - (1 if i == j else 0) for j in range(n)] for i in range(n)]
-        basis7 = _linalg.orthogonalize(_linalg.nullspace(plus3))
-        basis21 = _linalg.orthogonalize(_linalg.nullspace(minus1))
-        if (len(basis7), len(basis21)) != (7, 21):
-            return False, f"eigenspace dims ({len(basis7)}, {len(basis21)}) != (7, 21)", None, None
-        return True, "eigenvalues (-3 x7, +1 x21)", basis7, basis21
-    evals, evecs = np.linalg.eigh(op)
-    near7 = np.abs(evals + 3) <= EIGEN_CLUSTER_TOL
-    near21 = np.abs(evals - 1) <= EIGEN_CLUSTER_TOL
-    if near7.sum() != 7 or near21.sum() != 21 or (near7 | near21).sum() != 28:
-        return False, f"spectrum not (-3 x7, +1 x21): {np.round(evals, 6)}", None, None
-    return True, "eigenvalues (-3 x7, +1 x21)", list(evecs[:, near7].T), list(evecs[:, near21].T)
+def _check_lambda2_spectrum(op):
+    """Return (ok, detail, basis builders) for the 2-form operator ``L``.
+
+    ``L`` is symmetric, so kernels of dimensions 7 and 21 of ``L + 3`` and
+    ``L - 1`` imply the spectrum; in float mode the singular values of
+    ``L - c`` are ``|lambda - c|``, so ``EIGEN_CLUSTER_TOL`` clusters the
+    eigenvalues.  The builders orthogonalize the two kernels.
+    """
+    kernels = {lam: _linalg.nullspace([[x - lam if i == j else x for j, x in enumerate(row)]
+                                       for i, row in enumerate(op)], EIGEN_CLUSTER_TOL)
+               for lam in LAMBDA2_SPECTRUM}
+    if {lam: len(k) for lam, k in kernels.items()} != LAMBDA2_SPECTRUM:
+        evals = np.linalg.eigvalsh(np.array(op, dtype=float))
+        return False, f"spectrum not (-3 x7, +1 x21): eigenvalues {np.round(evals, 6)}", None
+    return True, "eigenvalues (-3 x7, +1 x21)", {
+        (2, dim): partial(_linalg.orthogonalize, kernels[lam])
+        for lam, dim in LAMBDA2_SPECTRUM.items()}
 
 
 def _lambda4_7_generators(phi: KForm) -> List[KForm]:
-    """Spanning set ``w_flat ^ (v . phi) - v_flat ^ (w . phi)`` over basis pairs."""
-    gens = []
+    """Spanning set ``w_flat ^ (v . phi) - v_flat ^ (w . phi)`` over the 28 basis pairs."""
     exact = is_exact(phi.coeffs.values())
-    for i in range(1, 9):
-        for j in range(i + 1, 9):
-            v = Vector.basis(8, i, exact=exact)
-            w = Vector.basis(8, j, exact=exact)
-            gen = flat(w).wedge(contract(v, phi)) - flat(v).wedge(contract(w, phi))
-            if not gen.is_zero():
-                gens.append(gen)
-    return gens
+    e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
+    return [flat(w).wedge(contract(v, phi)) - flat(v).wedge(contract(w, phi))
+            for i, v in enumerate(e) for w in e[i + 1:]]
 
 
 @lru_cache(maxsize=1)
@@ -245,14 +234,13 @@ def _self_dual_pairs() -> Tuple[Tuple[int, int, int], ...]:
     return tuple(pairs)
 
 
-def _pair_rows(pairs, flip: int, exact: bool) -> list:
-    """Coefficient rows ``e_i + flip * sign e_j`` over the 70 4-blades."""
+def _anti_self_dual_rows(pairs, exact: bool) -> list:
+    """Coefficient rows ``e_i - sign e_j`` over the 70 4-blades (orthogonal)."""
     one, zero = scalar(1, exact=exact), scalar(0, exact=exact)
     rows = []
     for i, j, sign in pairs:
         row = [zero] * 70
-        row[i] = one
-        row[j] = flip * sign * one
+        row[i], row[j] = one, -sign * one
         rows.append(row)
     return rows
 
@@ -269,50 +257,27 @@ def _lift_self_dual(pairs, coords) -> List[list]:
 
 
 def _build_lambda4(phi: KForm, exact: bool):
-    """Assemble the (1, 7, 27, 35) summand bases; returns (ok, detail, bases, dims).
+    """Check the (1, 7, 27, 35) summand dimensions; returns (ok, detail, builders, dims).
 
-    In exact mode the 27 dimension is the rank of the nullspace of the
-    constraints (orthogonal to phi and to the 7-summand) on self-dual
-    forms; the orthogonal 27-summand basis itself is deferred to a
-    function that ``Spin7Model.lambda4_forms`` calls on first use.
+    The 7 dimension is the rank of the generator family, and the 27 the
+    dimension of the self-dual forms orthogonal to phi and to every
+    generator.  The builders make the four orthogonal bases on first read.
     """
     basis4 = blades(8, 4)
     phi_row = [phi.coeffs.get(b, 0) for b in basis4]
-    gens = _lambda4_7_generators(phi)
-    gen_rows = [[g.coeffs.get(b, 0) for b in basis4] for g in gens]
+    gen_rows = [[g.coeffs.get(b, 0) for b in basis4] for g in _lambda4_7_generators(phi)]
     pairs = _self_dual_pairs()
-    asd_rows = _pair_rows(pairs, -1, exact)
-
-    if exact:
-        idx = _linalg.independent_rows(gen_rows)
-        seven = _linalg.orthogonalize([gen_rows[i] for i in idx])
-        if len(seven) != 7:
-            return False, f"rank of the 7-dim generator family is {len(seven)}", None, None
-        # 27-part: self-dual forms orthogonal to phi and to the 7 generators;
-        # <con, e_i + sign e_j> reads the two nonzeros of each self-dual row
-        constraints = [phi_row] + seven
-        sd_coords = _linalg.nullspace(
-            [[con[i] + sign * con[j] for i, j, sign in pairs] for con in constraints])
-        bases = {1: [phi_row], 7: seven, 27: partial(_lift_self_dual, pairs, sd_coords),
-                 35: asd_rows}
-        dims = (1, 7, len(sd_coords), 35)
-    else:
-        phi_vec = np.array([float(x) for x in phi_row])
-        phi_unit = phi_vec / np.linalg.norm(phi_vec)
-        gen_mat = np.array([[float(x) for x in row] for row in gen_rows]).T
-        seven_cols = _linalg.orthonormal_columns(gen_mat)
-        if seven_cols.shape[1] != 7:
-            return False, f"rank of the 7-dim generator family is {seven_cols.shape[1]}", None, None
-        sd_mat = np.array(_pair_rows(pairs, 1, exact)).T / np.sqrt(2.0)
-        asd_mat = np.array(asd_rows).T / np.sqrt(2.0)
-        sub = np.column_stack([phi_unit, seven_cols])
-        twenty7_cols = _linalg.complement_in_span(sd_mat, sub)
-        bases = {1: [phi_unit], 7: list(seven_cols.T), 27: list(twenty7_cols.T),
-                 35: list(asd_mat.T)}
-        dims = tuple(len(bases[k]) for k in (1, 7, 27, 35))
+    # <con, e_i + sign e_j> reads the two nonzeros of each self-dual row
+    sd_coords = _linalg.nullspace(
+        [[con[i] + sign * con[j] for i, j, sign in pairs] for con in [phi_row] + gen_rows])
+    dims = (1, len(basis4) - len(_linalg.nullspace(gen_rows)), len(sd_coords), 35)
     if dims != LAMBDA4_DIMS:
         return False, f"summand dims {dims} != {LAMBDA4_DIMS}", None, None
-    return True, "summand dims (1, 7, 27, 35)", bases, dims
+    builders = {(4, 1): lambda: [phi_row],
+                (4, 7): partial(_linalg.orthogonalize, gen_rows),
+                (4, 27): partial(_lift_self_dual, pairs, sd_coords),
+                (4, 35): partial(_anti_self_dual_rows, pairs, exact)}
+    return True, "summand dims (1, 7, 27, 35)", builders, dims
 
 
 #: Structure forms whose certificate and model ingredients ``certify`` keeps.
@@ -351,7 +316,7 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool, tol: float):
     checks.append(CheckResult("norm", nrm_ok, float(abs(nrm - 14)), f"<phi, phi> = {nrm}"))
 
     op = _lambda2_matrix(phi, exact)
-    spec_ok, detail, b7, b21 = _check_lambda2_spectrum(op, exact)
+    spec_ok, detail, bases = _check_lambda2_spectrum(op)
     checks.append(CheckResult("lambda2 spectrum", spec_ok, 0.0 if spec_ok else 1.0, detail))
 
     l4_ok, l4_detail, l4_bases, l4_dims = (False, "skipped (spectrum failed)", None, None)
@@ -363,7 +328,7 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool, tol: float):
     cert = Spin7Certificate(passed, tuple(checks))
     if not passed:
         return cert, None
-    return cert, (exact, op, b7, b21, l4_bases, l4_dims)
+    return cert, (exact, op, {**bases, **l4_bases}, l4_dims)
 
 
 def is_spin7_form(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Certificate:
@@ -383,10 +348,9 @@ def build_model(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Model:
     cert, ingredients = certify(phi, tol)
     if ingredients is None:
         raise Spin7StructureError(cert)
-    exact, op, b7, b21, l4, dims = ingredients
-    return Spin7Model(phi=phi, exact=exact, lambda2_op=op,
-                      lambda2_7_basis=b7, lambda2_21_basis=b21,
-                      lambda4_bases=l4, lambda4_dims=dims)
+    exact, op, bases, dims = ingredients
+    return Spin7Model(phi=phi, exact=exact, lambda2_op=op, bases=bases,
+                      lambda4_dims=dims)
 
 
 def standard_model(exact: bool = True) -> Spin7Model:
@@ -398,10 +362,10 @@ def unchecked_model(phi: KForm) -> Spin7Model:
     """Wrap a form without validating it (for diagnostics and mutation tests).
 
     Only the operations that read ``phi`` directly (cross products, tau,
-    projections) are usable; the basis fields are empty.
+    projections) are usable; the basis map is empty.
     """
     return Spin7Model(phi=phi, exact=is_exact(phi.coeffs.values()), lambda2_op=None,
-                      lambda2_7_basis=(), lambda2_21_basis=(), lambda4_bases={})
+                      bases={})
 
 
 # -- projections and cross products ---------------------------------------------

@@ -1,8 +1,10 @@
-"""Replay the benchmark's cold CLI script in process against its goldens.
+"""Replay the benchmark's cold CLI script and exact verify against goldens.
 
 ``perfbench/inputs.py`` writes the script's input files and
 ``perfbench/goldens/cli.json`` holds the stdout and exit code of every
-command; both are only read here.
+command; both are only read here.  ``goldens/verify_exact.json`` holds
+the stdout of ``cayley8 --exact --output json verify --seed N`` per seed,
+which must stay byte-identical.
 """
 
 import importlib.util
@@ -18,6 +20,9 @@ PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 with open(os.path.join(PERFBENCH, "goldens", "cli.json")) as _fh:
     GOLDENS = json.load(_fh)
+
+with open(os.path.join(os.path.dirname(__file__), "goldens", "verify_exact.json")) as _fh:
+    VERIFY_EXACT = json.load(_fh)
 
 
 def _load_inputs():
@@ -44,3 +49,10 @@ def test_cli_output_matches_golden(key, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == GOLDENS[key]["exit"]
     assert out == GOLDENS[key]["stdout"]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_EXACT))
+def test_exact_verify_matches_golden(seed, capsys):
+    code = cli.main(["--exact", "--output", "json", "verify", "--seed", seed])
+    assert code == 0
+    assert capsys.readouterr().out == VERIFY_EXACT[seed]

@@ -326,10 +326,10 @@ def _count_exact_certifications(monkeypatch):
     calls = []
     check = spin7._check_lambda2_spectrum
 
-    def counting(op, exact):
-        if exact:
+    def counting(op):
+        if is_exact(x for row in op for x in row):
             calls.append(1)
-        return check(op, exact)
+        return check(op)
 
     monkeypatch.setattr(spin7, "_check_lambda2_spectrum", counting)
     return calls
@@ -366,12 +366,49 @@ def test_failing_form_raises_on_every_call():
         assert not spin7.is_spin7_form(bad).passed
 
 
-def test_lambda4_27_basis_is_built_on_demand():
+SUMMANDS = ((2, 7), (2, 21), (4, 1), (4, 7), (4, 27), (4, 35))
+
+
+def _read_summand(m, degree, dim):
+    """One summand's forms through the public accessors."""
+    if degree == 2:
+        return m.lambda2_7_forms() if dim == 7 else m.lambda2_21_forms()
+    return m.lambda4_forms(dim)
+
+
+def test_summand_bases_are_built_once_on_first_read(monkeypatch):
+    orthogonalize = _linalg.orthogonalize
+    calls = []
+
+    def counting(rows, *args, **kwargs):
+        calls.append(len(rows))
+        return orthogonalize(rows, *args, **kwargs)
+
+    monkeypatch.setattr(_linalg, "orthogonalize", counting)
+    # a fresh exact certificate reads only dimensions: no Gram-Schmidt
     spin7._certify.cache_clear()
     m = spin7.standard_model(exact=True)
-    assert m.lambda4_dims == (1, 7, 27, 35) and callable(m.lambda4_bases[27])
+    assert m.lambda4_dims == (1, 7, 27, 35) and calls == []
+    assert sorted(m.bases) == sorted(SUMMANDS)
+    assert all(callable(rows) for rows in m.bases.values())
+    # each basis is built on its first read; the phi row and the
+    # anti-self-dual rows are orthogonal by construction
+    built = {}
+    for key in SUMMANDS:
+        before = len(calls)
+        assert len(_read_summand(m, *key)) == key[1]
+        assert len(calls) - before == (0 if key in ((4, 1), (4, 35)) else 1)
+        built[key] = m.bases[key]
+        assert not callable(built[key])
+    # a second read and a second model of the same form rebuild nothing
+    again = spin7.build_model(spin7.phi0(exact=True))
+    for key in SUMMANDS:
+        assert len(_read_summand(again, *key)) == key[1]
+        assert again.bases[key] is built[key]
+    assert len(calls) == 4
+    monkeypatch.undo()
+
     got = [[f.coeffs.get(b, 0) for b in blades(8, 4)] for f in m.lambda4_forms(27)]
-    assert not callable(m.lambda4_bases[27])
     # the eager construction: self-dual forms orthogonal to phi and to the
     # 7-summand, from 70-term dot products, lifted and orthogonalised
     basis4 = blades(8, 4)
@@ -389,6 +426,21 @@ def test_lambda4_27_basis_is_built_on_demand():
          for vec in coords])
     assert got == eager and len(got) == 27
     assert m.lambda4_forms(27) == spin7.standard_model(exact=True).lambda4_forms(27)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_summand_bases_are_orthogonal_rows(exact):
+    m = spin7.standard_model(exact=exact)
+    for key in SUMMANDS:
+        _read_summand(m, *key)
+        rows = m.bases[key]
+        assert len(rows) == key[1]
+        assert exact == is_exact(x for row in rows for x in row)
+        for i, a in enumerate(rows):
+            assert sum(x * x for x in a) > 0.5
+            for b in rows[i + 1:]:
+                dot = sum(x * y for x, y in zip(a, b))
+                assert dot == 0 if exact else abs(dot) < 1e-12
 
 
 _UNIT_ENTRY = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
