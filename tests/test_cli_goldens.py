@@ -2,9 +2,9 @@
 
 ``perfbench/inputs.py`` writes the script's input files and
 ``perfbench/goldens/cli.json`` holds the stdout and exit code of every
-command; both are only read here.  ``goldens/verify_exact.json`` holds
-the stdout of ``cayley8 --exact --output json verify --seed N`` per seed,
-which must stay byte-identical.
+command; both are only read here.  ``goldens/verify_exact.json`` and
+``goldens/verify_float.json`` hold the stdout of ``cayley8 [--exact]
+--output json verify --seed N`` per seed, which must stay byte-identical.
 """
 
 import importlib.util
@@ -23,6 +23,9 @@ with open(os.path.join(PERFBENCH, "goldens", "cli.json")) as _fh:
 
 with open(os.path.join(os.path.dirname(__file__), "goldens", "verify_exact.json")) as _fh:
     VERIFY_EXACT = json.load(_fh)
+
+with open(os.path.join(os.path.dirname(__file__), "goldens", "verify_float.json")) as _fh:
+    VERIFY_FLOAT = json.load(_fh)
 
 
 def _load_inputs():
@@ -56,3 +59,10 @@ def test_exact_verify_matches_golden(seed, capsys):
     code = cli.main(["--exact", "--output", "json", "verify", "--seed", seed])
     assert code == 0
     assert capsys.readouterr().out == VERIFY_EXACT[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_FLOAT))
+def test_float_verify_matches_golden(seed, capsys):
+    code = cli.main(["--output", "json", "verify", "--seed", seed])
+    assert code == 0
+    assert capsys.readouterr().out == VERIFY_FLOAT[seed]
