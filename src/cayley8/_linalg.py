@@ -36,7 +36,8 @@ def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
         for i in range(nrows):
             if i != r and mat[i][c] != 0:
                 f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+                # structure rows are sparse: skip the zero entries of the pivot row
+                mat[i] = [x - f * y if y else x for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -30,7 +30,9 @@ exactly, then fixed):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -38,7 +40,7 @@ import numpy as np
 from . import _linalg, calib, g2 as g2mod, multivec
 from .multivec import (KForm, OrientedPlane, Vector, blades, exact_sqrt,
                        is_exact, is_zero, scalar, sharp)
-from .spin7 import CheckResult, Spin7Model, cross2, phi0, proj2_7, tau
+from .spin7 import CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
 
 #: Gate on |tau| for accepting a plane as Cayley (floating mode).
 CAYLEY_GATE = 1e-9
@@ -70,6 +72,85 @@ def _orthonormal_complement(vectors: Sequence[Vector], dim: int) -> List[Vector]
         if len(basis) == dim:
             break
     return out
+
+
+def _two_squares(r: int) -> Optional[Tuple[int, int]]:
+    """``(c, d)`` with ``c^2 + d^2 = r >= 0``, or None if none was found.
+
+    Small ``r`` is searched in full, and ``2 s = (u + v)^2 + (u - v)^2``
+    when ``s = u^2 + v^2``.  A large odd ``r = 1 (mod 4)`` is tried as a
+    prime by Hermite-Serret: Euclid's algorithm on ``(r, x)`` with ``x^2 =
+    -1 (mod r)`` stops at the first remainder below ``sqrt(r)``; a
+    composite ``r`` may fail the final check.
+    """
+    if r < 1 << 16:
+        c = next((c for c in range(math.isqrt(r), -1, -1)
+                  if math.isqrt(r - c * c) ** 2 == r - c * c), None)
+        return None if c is None else (c, math.isqrt(r - c * c))
+    if r % 2 == 0:
+        uv = _two_squares(r // 2)
+        return None if uv is None else (uv[0] + uv[1], abs(uv[0] - uv[1]))
+    if r % 4 != 1:
+        return None
+    x = next((x for x in (pow(z, (r - 1) // 4, r) for z in range(2, 64))
+              if x * x % r == r - 1), None)
+    if x is None:
+        return None
+    a, b = r, x
+    while b * b > r:
+        a, b = b, a % b
+    d = math.isqrt(r - b * b)
+    return (b, d) if b * b + d * d == r else None
+
+
+def _four_squares(n: int) -> Tuple[int, int, int, int]:
+    """Integers ``(a, b, c, d)`` with ``a^2 + b^2 + c^2 + d^2 = n >= 0``.
+
+    Greedy from the largest squares ``a^2`` and ``b^2``, passing over an
+    ``a`` whose rest has the form ``4^k (8 j + 7)`` (no sum of three
+    squares, by Legendre); the last rest goes to :func:`_two_squares`.
+    """
+    if n and n % 4 == 0:
+        return tuple(2 * x for x in _four_squares(n // 4))
+    for a in range(math.isqrt(n), -1, -1):
+        rest = odd = n - a * a
+        while odd and odd % 4 == 0:
+            odd //= 4
+        if odd % 8 == 7:
+            continue
+        for b in range(math.isqrt(rest), -1, -1):
+            cd = _two_squares(rest - b * b)
+            if cd is not None:
+                return (a, b) + cd
+    raise AssertionError("unreachable: every n >= 0 is a sum of four squares")
+
+
+def _normal_frame(m: Spin7Model, onb: Sequence[Vector]) -> List[Vector]:
+    """Orthonormal frame of the normal space of a Cayley 4-plane.
+
+    The standard-basis sweep of :func:`_orthonormal_complement`, unless the
+    model and the plane are exact and the sweep had to take an irrational
+    square root.  Then ``J_k = t_1 x t_k x .`` (k = 2, 3, 4) act on the
+    normal space as the unit imaginary quaternions: for a rational normal
+    ``w`` the vectors ``w, J_2 w, J_3 w, J_4 w`` are orthogonal of length
+    ``|w|``, a rational combination ``n`` of them has length 1 by
+    Lagrange's four-square theorem, and ``n, J_2 n, J_3 n, J_4 n`` is an
+    exact frame.
+    """
+    normal = _orthonormal_complement(onb, 8)
+    exact_plane = m.exact and is_exact(c for t in onb for c in t.components)
+    if len(normal) != 4 or not exact_plane or is_exact(c for v in normal for c in v.components):
+        return normal
+    zero = Vector([0] * 8)
+    w = next(w for w in (Vector.basis(8, i) - sum((t[i] * t for t in onb), zero)
+                         for i in range(1, 9)) if w.norm_sq() != 0)
+    q = Fraction(w.norm_sq())
+    # sum x_k^2 = n_q d_q / n_q^2 = 1 / q
+    x = [Fraction(c, q.numerator) for c in _four_squares(q.numerator * q.denominator)]
+    t1 = onb[0]
+    quaternion = [w] + [cross3(m, t1, t, w) for t in onb[1:]]
+    n = sum((c * v for c, v in zip(x, quaternion)), zero)
+    return [n] + [cross3(m, t1, t, n) for t in onb[1:]]
 
 
 @dataclass(frozen=True)
@@ -125,7 +206,7 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
     if not is_zero(tnorm, tau_tol):
         raise NonCayleyPlaneError(tnorm)
 
-    normal = _orthonormal_complement(onb, 8)
+    normal = _normal_frame(m, onb)
     if len(normal) != 4:
         raise NonCayleyPlaneError(tnorm)
 
@@ -240,27 +321,37 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
                    seed: int = 0, tol: float = 1e-10) -> CheckResult:
     """Verify the Clifford relation of the symbol on basis and random covectors.
 
-    ``sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2 <xi, xi'> Id``.
+    ``sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2 <xi, xi'> Id``,
+    on exact object arrays over an exact model.
     """
     covs = _covector_set(trials, seed, cpm.model.exact)
-    symbols = [np.array(symbol_D(cpm, a), dtype=float) for a in covs]
+    dtype = object if cpm.model.exact else float
+    symbols = [np.array(symbol_D(cpm, a), dtype=dtype) for a in covs]
+    eye = np.eye(4, dtype=dtype)
     worst = 0.0
     for a, sa in zip(covs, symbols):
         for b, sb in zip(covs, symbols):
             lhs = sa.T @ sb + sb.T @ sa
-            rhs = 2.0 * float(a.inner(b)) * np.eye(4)
-            worst = max(worst, float(abs(lhs - rhs).max()))
+            rhs = 2 * a.inner(b) * eye
+            worst = max(worst, abs(lhs - rhs).max())
+    worst = float(worst)
     return CheckResult("clifford", worst <= tol, worst,
                        "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
 
 
 def symbol_isometry_report(cpm: CayleyPointModel, trials: int = 16,
                            seed: int = 0, tol: float = 1e-10) -> CheckResult:
-    """sigma(xi) is |xi| times an isometry N -> E (Gram matrix check)."""
+    """sigma(xi) is |xi| times an isometry N -> E (Gram matrix check).
+
+    Exact object arrays over an exact model, as in :func:`clifford_check`.
+    """
+    dtype = object if cpm.model.exact else float
+    eye = np.eye(4, dtype=dtype)
     worst = 0.0
     for xi in _covector_set(trials, seed, cpm.model.exact):
-        s = np.array(symbol_D(cpm, xi), dtype=float)
-        worst = max(worst, float(abs(s.T @ s - float(xi.norm_sq()) * np.eye(4)).max()))
+        s = np.array(symbol_D(cpm, xi), dtype=dtype)
+        worst = max(worst, abs(s.T @ s - xi.norm_sq() * eye).max())
+    worst = float(worst)
     return CheckResult("symbol-isometry", worst <= tol, worst,
                        "Gram(sigma(xi)) = |xi|^2 Id")
 

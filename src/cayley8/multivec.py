@@ -13,6 +13,16 @@ This module is also the package's one exact/float scalar policy:
 a constant of the mode's type (``int`` or ``Fraction`` exact, ``float``
 otherwise).
 
+Every kernel operation reads a fixed blade table, built once per shape
+on first use and never at import: a wedge table per ``(dim, p, q)`` (for
+each blade ``a``, the blades ``b`` with ``a ^ b != 0`` mapped to the
+merged blade and its sign), and a hodge, a contract and a dense-tensor
+table per ``(dim, p)``.  Forms the kernel builds from those tables skip
+the blade checks.  The validated boundary is a public ``KForm(...)`` and
+:meth:`KForm.from_terms` (which ``calib.load_form`` reads JSON through);
+blades are sorted or merged only there, in indexing by a possibly
+unsorted blade, and in table construction.
+
 Conventions (fixed for the whole package):
 
 * blades are ordered lexicographically; all signs are explicit
@@ -24,6 +34,7 @@ Conventions (fixed for the whole package):
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -139,9 +150,54 @@ def merge_blades(a: Blade, b: Blade) -> Tuple[Blade, int]:
     return tuple(merged), sign
 
 
+@functools.lru_cache(maxsize=None)
 def blades(dim: int, degree: int) -> Tuple[Blade, ...]:
     """All degree-`degree` blades on R^dim in lexicographic order."""
     return tuple(itertools.combinations(range(1, dim + 1), degree))
+
+
+@functools.lru_cache(maxsize=None)
+def _wedge_table(dim: int, p: int, q: int) -> Dict[Blade, Dict[Blade, Tuple[Blade, int]]]:
+    """``a -> {b: (merged, sign)}`` over the pairs with ``e^a ^ e^b != 0``."""
+    table = {}
+    for a in blades(dim, p):
+        row = {}
+        for b in blades(dim, q):
+            merged, sign = merge_blades(a, b)
+            if sign:
+                row[b] = (merged, sign)
+        table[a] = row
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_table(dim: int, p: int) -> Dict[Blade, Tuple[Tuple[Tuple[int, ...], int], ...]]:
+    """``blade -> ((0-based permuted indices, sign), ...)`` over its permutations."""
+    return {blade: tuple((tuple(i - 1 for i in idx), sort_blade(idx)[1])
+                         for idx in itertools.permutations(blade))
+            for blade in blades(dim, p)}
+
+
+@functools.lru_cache(maxsize=None)
+def _hodge_table(dim: int, p: int) -> Dict[Blade, Tuple[Blade, int]]:
+    """``blade -> (complement, sign)`` with ``e^blade ^ e^complement = sign vol``."""
+    table = {}
+    for blade in blades(dim, p):
+        comp = tuple(i for i in range(1, dim + 1) if i not in blade)
+        table[blade] = (comp, merge_blades(blade, comp)[1])
+    return table
+
+
+@functools.lru_cache(maxsize=None)
+def _contract_table(dim: int, p: int) -> Dict[Blade, Tuple[Tuple[int, Blade, int], ...]]:
+    """``blade -> ((slot, rest, sign), ...)``, one entry per position ``pos``.
+
+    ``slot = blade[pos] - 1`` is the vector component read, and contracting
+    ``e^blade`` at that index leaves ``sign e^rest`` with ``sign = (-1)^pos``.
+    """
+    return {blade: tuple((i - 1, blade[:pos] + blade[pos + 1:], -1 if pos % 2 else 1)
+                         for pos, i in enumerate(blade))
+            for blade in blades(dim, p)}
 
 
 @dataclass(frozen=True)
@@ -236,6 +292,16 @@ class KForm:
                 clean[blade] = c
         object.__setattr__(self, "coeffs", clean)
 
+    @classmethod
+    def _trusted(cls, dim: int, degree: int, coeffs: Dict[Blade, object]) -> "KForm":
+        """A form over blades the kernel built itself: drops zero
+        coefficients and skips the checks of ``__post_init__``."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "coeffs", {b: c for b, c in coeffs.items() if c != 0})
+        return form
+
     # -- construction helpers ------------------------------------------------
 
     @staticmethod
@@ -269,16 +335,17 @@ class KForm:
         coeffs = dict(self.coeffs)
         for blade, c in other.coeffs.items():
             coeffs[blade] = coeffs.get(blade, 0) + c
-        return KForm(self.dim, self.degree, coeffs)
+        return KForm._trusted(self.dim, self.degree, coeffs)
 
     def __sub__(self, other: "KForm") -> "KForm":
         return self + (-other)
 
     def __neg__(self) -> "KForm":
-        return KForm(self.dim, self.degree, {b: -c for b, c in self.coeffs.items()})
+        return KForm._trusted(self.dim, self.degree, {b: -c for b, c in self.coeffs.items()})
 
     def __mul__(self, scalar) -> "KForm":
-        return KForm(self.dim, self.degree, {b: c * scalar for b, c in self.coeffs.items()})
+        return KForm._trusted(self.dim, self.degree,
+                              {b: c * scalar for b, c in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -300,14 +367,18 @@ class KForm:
         if self.degree + other.degree > self.dim:
             raise DegreeError(
                 f"wedge degree overflow: {self.degree} + {other.degree} > dim {self.dim}")
+        table = _wedge_table(self.dim, self.degree, other.degree)
         coeffs: Dict[Blade, object] = {}
+        # walk other.coeffs, not the table row: the sums then keep their order
         for ba, ca in self.coeffs.items():
+            row = table[ba]
             for bb, cb in other.coeffs.items():
-                merged, sign = merge_blades(ba, bb)
-                if sign == 0:
+                hit = row.get(bb)
+                if hit is None:
                     continue
+                merged, sign = hit
                 coeffs[merged] = coeffs.get(merged, 0) + sign * ca * cb
-        return KForm(self.dim, self.degree + other.degree, coeffs)
+        return KForm._trusted(self.dim, self.degree + other.degree, coeffs)
 
     def hodge(self, orientation: int = 1) -> "KForm":
         """Hodge star for the Euclidean metric and given orientation (+-1).
@@ -317,13 +388,12 @@ class KForm:
         """
         if orientation not in (1, -1):
             raise ValueError("orientation must be +1 or -1")
-        n = self.dim
+        table = _hodge_table(self.dim, self.degree)
         coeffs: Dict[Blade, object] = {}
         for blade, c in self.coeffs.items():
-            comp = tuple(i for i in range(1, n + 1) if i not in blade)
-            _, sign = merge_blades(blade, comp)
+            comp, sign = table[blade]
             coeffs[comp] = orientation * sign * c
-        return KForm(n, n - self.degree, coeffs)
+        return KForm._trusted(self.dim, self.dim - self.degree, coeffs)
 
     def contract(self, v: Vector) -> "KForm":
         """Interior product ``(v . a)(x1, ...) = a(v, x1, ...)`` (first slot)."""
@@ -331,16 +401,16 @@ class KForm:
             raise DimensionError(f"vector dim {v.dim} != form dim {self.dim}")
         if self.degree == 0:
             raise DegreeError("cannot contract a 0-form")
+        table = _contract_table(self.dim, self.degree)
+        comps = v.components
         coeffs: Dict[Blade, object] = {}
         for blade, c in self.coeffs.items():
-            for pos, i in enumerate(blade):
-                vi = v[i]
+            for slot, rest, sign in table[blade]:
+                vi = comps[slot]
                 if vi == 0:
                     continue
-                rest = blade[:pos] + blade[pos + 1:]
-                sign = -1 if pos % 2 else 1
                 coeffs[rest] = coeffs.get(rest, 0) + sign * vi * c
-        return KForm(self.dim, self.degree - 1, coeffs)
+        return KForm._trusted(self.dim, self.degree - 1, coeffs)
 
     def inner(self, other: "KForm"):
         """Euclidean inner product (blades are orthonormal)."""
@@ -373,10 +443,11 @@ class KForm:
         0-based numpy indices; only sensible for small degree (k <= 5).
         """
         T = np.zeros((self.dim,) * self.degree)
+        table = _dense_table(self.dim, self.degree)
         for blade, c in self.coeffs.items():
             c = float(c)
-            for idx in itertools.permutations(blade):
-                T[tuple(i - 1 for i in idx)] = sort_blade(idx)[1] * c
+            for idx, sign in table[blade]:
+                T[idx] = sign * c
         return T
 
     # -- misc ------------------------------------------------------------------
@@ -385,7 +456,8 @@ class KForm:
         return len(self.coeffs)
 
     def map_coeffs(self, fn) -> "KForm":
-        return KForm(self.dim, self.degree, {b: fn(c) for b, c in self.coeffs.items()})
+        return KForm._trusted(self.dim, self.degree,
+                              {b: fn(c) for b, c in self.coeffs.items()})
 
     def as_float(self) -> "KForm":
         return self.map_coeffs(float)

@@ -263,3 +263,60 @@ def test_coassoc_symbol_intertwine():
     m_sl = spin7.build_model(calib.sl_model_form())
     with pytest.raises(ValueError):
         dirac.coassoc_symbol_intertwine(m_sl)
+
+
+# -- exact checks at an exact Cayley plane off the axes ------------------------------
+
+
+def _skew(form):
+    B = np.zeros((8, 8), dtype=object)
+    B[:] = 0
+    for (i, j), c in form.coeffs.items():
+        B[i - 1, j - 1], B[j - 1, i - 1] = c, -c
+    return B
+
+
+def _off_axis_exact_cayley_plane(which):
+    """The image of e1..e4 under exact rotations in Spin(7).
+
+    A generator ``B`` of the 21-summand with ``B^3 = -B`` has the exact
+    rotations ``I + sin(t) B + (1 - cos(t)) B^2``; here sin(t) = 3/5 and
+    cos(t) = 4/5, one rotation for each chosen ``B``, applied in order.
+    """
+    gens = [B for B in map(_skew, M.lambda2_21_forms()) if (B @ B @ B + B == 0).all()]
+    assert len(gens) == 7
+    eye = np.eye(8, dtype=object)
+    R = eye
+    for B in (gens[i] for i in which):
+        R = (eye + Fraction(3, 5) * B + Fraction(1, 5) * (B @ B)) @ R
+    assert (R.T @ R == eye).all()
+    return OrientedPlane([Vector(R[:, i]) for i in range(4)])
+
+
+# the first plane has no unit normal of the standard-basis sweep that is
+# rational; at the second the sweep's frame is exact, but products of the
+# symbols taken in floats leave 5e-17
+@pytest.mark.parametrize("which, nonzero", [((0, 1, 2, 3, 4, 5), 30), ((0, 4, 6), 20)])
+def test_symbol_checks_are_exact_at_exact_cayley_planes_off_the_axes(which, nonzero):
+    plane = _off_axis_exact_cayley_plane(which)
+    onb = plane.orthonormal_basis
+    assert sum(c != 0 for t in onb for c in t.components) == nonzero  # of 32
+    assert spin7.tau(M, *onb).is_zero(tol=0)
+    cpm = dirac.build_cayley_model(M, plane)
+    normal = cpm.normal_frame
+    assert is_exact(c for n in normal for c in n.components)
+    assert [[u.dot(v) for v in normal] for u in normal] == np.eye(4).tolist()
+    assert all(t.dot(n) == 0 for t in onb for n in normal)
+    assert all(s.dtype == object and is_exact(s.flat) for s in cpm.symbols)
+    for report in (dirac.clifford_check(cpm, trials=0),
+                   dirac.symbol_isometry_report(cpm, trials=0),
+                   dirac.asd_embedding_report(cpm)):
+        assert report.passed and report.residual == 0.0, report
+        assert type(report.residual) is float
+
+
+@given(st.integers(0, 10 ** 40))
+def test_four_squares(n):
+    squares = dirac._four_squares(n)
+    assert len(squares) == 4 and min(squares) >= 0
+    assert sum(x * x for x in squares) == n

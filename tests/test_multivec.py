@@ -206,8 +206,12 @@ def test_kform_validation():
         KForm(8, 9, {})
     with pytest.raises(ValueError, match="strictly increasing"):
         KForm(8, 2, {(2, 1): 1})
+    with pytest.raises(ValueError, match="strictly increasing"):
+        KForm(8, 2, {(3, 3): 1})
     with pytest.raises(DimensionError):
         KForm(4, 2, {(1, 5): 1})
+    with pytest.raises(DimensionError):
+        KForm(8, 2, {(0, 1): 1})
     with pytest.raises(DegreeError):
         KForm(8, 2, {(1, 2, 3): 1})
 
@@ -216,6 +220,8 @@ def test_from_terms_normalizes_signs():
     a = KForm.from_terms(8, 2, {(2, 1): 1, (1, 2): 2})
     assert a.coeffs == {(1, 2): 1}
     assert KForm.from_terms(8, 2, {(1, 1): 5}).is_zero()
+    b = KForm.from_terms(8, 3, {(3, 1, 2): 2, (2, 1, 4): 5})
+    assert b.coeffs == {(1, 2, 3): 2, (1, 2, 4): -5}
 
 
 def test_plane_contains_and_pullback():
@@ -311,3 +317,102 @@ def test_exact_kernel_ops_stay_exact_and_match_float(data):
         for blade in set(exact) | set(floating):
             err = abs(float(exact.get(blade, 0)) - floating.get(blade, 0.0))
             assert err <= bound, (name, blade, err, bound)
+
+
+# -- blade tables against the merge_blades loops they replace -----------------------
+
+
+def _ref_wedge(a, b):
+    coeffs = {}
+    for ba, ca in a.coeffs.items():
+        for bb, cb in b.coeffs.items():
+            merged, sign = merge_blades(ba, bb)
+            if sign == 0:
+                continue
+            coeffs[merged] = coeffs.get(merged, 0) + sign * ca * cb
+    return KForm(a.dim, a.degree + b.degree, coeffs)
+
+
+def _ref_hodge(a, orientation=1):
+    n = a.dim
+    coeffs = {}
+    for blade, c in a.coeffs.items():
+        comp = tuple(i for i in range(1, n + 1) if i not in blade)
+        _, sign = merge_blades(blade, comp)
+        coeffs[comp] = orientation * sign * c
+    return KForm(n, n - a.degree, coeffs)
+
+
+def _ref_contract(a, v):
+    coeffs = {}
+    for blade, c in a.coeffs.items():
+        for pos, i in enumerate(blade):
+            vi = v[i]
+            if vi == 0:
+                continue
+            rest = blade[:pos] + blade[pos + 1:]
+            sign = -1 if pos % 2 else 1
+            coeffs[rest] = coeffs.get(rest, 0) + sign * vi * c
+    return KForm(a.dim, a.degree - 1, coeffs)
+
+
+# zeros exercise the dropped coefficients
+_FLOAT_COEFF = st.one_of(st.just(0.0), st.floats(-9, 9, allow_nan=False))
+
+
+def _sparse_form(data, dim, degree, exact):
+    """A form whose ``coeffs`` hold up to 24 blades in a drawn order."""
+    coeff = st.one_of(st.just(0), _EXACT_COEFF) if exact else _FLOAT_COEFF
+    return KForm(dim, degree, data.draw(
+        st.dictionaries(st.sampled_from(blades(dim, degree)), coeff, max_size=24)))
+
+
+def _items(form):
+    return [(blade, c, type(c)) for blade, c in form.coeffs.items()]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_table_ops_equal_merge_blades_references(data):
+    """wedge, hodge and contract equal the merge_blades loops, in both modes.
+
+    Coefficients, their types and the order of ``coeffs`` are the same, so
+    float sums add their terms in the same order; every result also passes
+    re-validation through the public constructor.
+    """
+    exact = data.draw(st.booleans())
+    dim = data.draw(st.integers(1, 8))
+    p = data.draw(st.integers(0, dim))
+    q = data.draw(st.integers(0, dim - p))
+    a, b = _sparse_form(data, dim, p, exact), _sparse_form(data, dim, q, exact)
+    orientation = data.draw(st.sampled_from((1, -1)))
+    pairs = [(a.wedge(b), _ref_wedge(a, b)),
+             (a.hodge(orientation), _ref_hodge(a, orientation))]
+    if p:
+        v = Vector(_sparse_form(data, dim, 1, exact)[(i,)] for i in range(1, dim + 1))
+        pairs.append((a.contract(v), _ref_contract(a, v)))
+    for result, ref in pairs:
+        assert (result.dim, result.degree) == (ref.dim, ref.degree)
+        assert _items(result) == _items(ref)
+        assert KForm(result.dim, result.degree, dict(result.coeffs)) == result
+
+
+def test_kernel_linear_ops_keep_order_and_drop_zeros():
+    a = KForm(4, 2, {(3, 4): 2, (1, 2): Fraction(1, 2)})
+    b = KForm(4, 2, {(1, 2): Fraction(-1, 2), (2, 3): 1})
+    assert list((a + b).coeffs.items()) == [((3, 4), 2), ((2, 3), 1)]
+    assert list((-a).coeffs) == [(3, 4), (1, 2)]
+    assert (a * 0).coeffs == {}
+    assert a.map_coeffs(lambda c: c - 2).coeffs == {(1, 2): Fraction(-3, 2)}
+
+
+def test_second_verify_run_merges_no_blades(monkeypatch):
+    """After one warm-up run every table exists: no blade is merged again."""
+    from cayley8 import multivec, verify
+    verify.run_suite(exact=True, trials=0)
+    calls = []
+    merge = multivec.merge_blades
+    monkeypatch.setattr(multivec, "merge_blades",
+                        lambda a, b: calls.append((a, b)) or merge(a, b))
+    verify.run_suite(exact=True, trials=0)
+    assert calls == []
