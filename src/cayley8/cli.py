@@ -16,6 +16,11 @@ every ``ValueError`` a command raises, including a result that leaves
 float range; 0 otherwise.  JSON output is byte-identical for identical
 inputs and seeds.  Wall time goes to stderr so it never perturbs the
 payload.
+
+Only the arithmetic modules (``index``, ``surgery``, ``reproduce``) are
+imported with this module; ``verify``, ``comass`` and ``plane`` import
+the geometry stack (numpy and up) inside their handlers, so the
+arithmetic commands start without it.
 """
 
 from __future__ import annotations
@@ -25,11 +30,13 @@ import hashlib
 import json
 import sys
 import time
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-from . import (calib, g2 as g2mod, index as index_mod, reproduce, spin7,
-               surgery, verify)
+from . import index as index_mod, reproduce, surgery
 from .index import ParityError
+
+if TYPE_CHECKING:
+    from .calib import CalibrationForm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -84,13 +91,15 @@ def _load_json_file(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _resolve_form(spec: str, exact: bool) -> calib.CalibrationForm:
+def _resolve_form(spec: str, exact: bool) -> CalibrationForm:
+    from . import calib
     if spec.startswith("builtin:"):
         return calib.builtin_form(spec.split(":", 1)[1], exact=exact)
     return calib.load_form(_load_json_file(spec))
 
 
 def cmd_verify(args) -> Report:
+    from . import verify
     form = None
     digest_parts = [f"seed={args.seed}", f"trials={args.trials}",
                     f"exact={args.exact}"]
@@ -110,8 +119,10 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_comass(args) -> Report:
+    from . import calib
+    tol = calib.COMASS_TOL if args.tol is None else args.tol
     c = _resolve_form(args.form, exact=False)
-    result = calib.comass_estimate(c, restarts=args.restarts, tol=args.tol,
+    result = calib.comass_estimate(c, restarts=args.restarts, tol=tol,
                                    seed=args.seed, jobs=args.jobs)
     rounded = {
         "form": c.name,
@@ -127,11 +138,12 @@ def cmd_comass(args) -> Report:
     }
     if result.warning:
         rounded["warning"] = result.warning
-    digest = _digest(args.form, str(args.restarts), f"{args.tol}", str(args.seed))
+    digest = _digest(args.form, str(args.restarts), f"{tol}", str(args.seed))
     return digest, rounded, int(result.converged), int(not result.converged)
 
 
 def cmd_plane(args) -> Report:
+    from . import calib, g2 as g2mod, spin7
     c = _resolve_form(args.form, exact=args.exact)
     obj = _load_json_file(args.vectors)
     plane = calib.load_plane(obj)
@@ -216,7 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("comass", help="estimate the comass of a form")
     p.add_argument("--form", required=True, help="builtin:<name> or a JSON file")
     p.add_argument("--restarts", type=int, default=50)
-    p.add_argument("--tol", type=float, default=calib.COMASS_TOL)
+    p.add_argument("--tol", type=float, default=None,
+                   help="relative gradient-norm bound in [0, 1) "
+                        "(default calib.COMASS_TOL)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="ignored, kept for compatibility: restarts run as "

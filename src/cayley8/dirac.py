@@ -307,12 +307,17 @@ def symbol_D(cpm: CayleyPointModel, xi: KForm) -> np.ndarray:
 
 
 def _covector_set(count: int, seed: int, exact: bool) -> List[KForm]:
-    """The four basis covectors, then ``count`` standard normal ones drawn from ``seed``."""
+    """The four basis covectors, then ``count`` standard normal ones drawn from ``seed``.
+
+    In exact mode each drawn entry is the ``Fraction`` of its float, so the
+    random covectors are as exact as the basis ones.
+    """
     one = scalar(1, exact=exact)
     covs = [KForm(4, 1, {(i,): one}) for i in range(1, 5)]
     rng = np.random.default_rng(seed)
+    entry = Fraction if exact else float
     for _ in range(count):
-        covs.append(KForm(4, 1, {(i,): float(x)
+        covs.append(KForm(4, 1, {(i,): entry(x)
                                  for i, x in zip(range(1, 5), rng.standard_normal(4))}))
     return covs
 

@@ -350,6 +350,10 @@ class KForm:
     __rmul__ = __mul__
 
     def __getitem__(self, blade: Sequence[int]):
+        """The coefficient of ``blade``: a stored blade is read directly, any
+        other (permuted, repeated, absent or not a tuple) through ``sort_blade``."""
+        if isinstance(blade, tuple) and blade in self.coeffs:
+            return self.coeffs[blade]
         sorted_blade, sign = sort_blade(blade)
         return sign * self.coeffs.get(sorted_blade, 0)
 

@@ -66,6 +66,28 @@ def test_comass_byte_identical_json(capsys):
     assert out1 == out2
 
 
+def test_comass_default_tol_is_1e_6(capsys):
+    # the parser leaves --tol unset and cmd_comass reads calib.COMASS_TOL;
+    # the payload, inputs digest included, is that of an explicit 1e-6
+    args = ("--output", "json", "comass", "--form", "builtin:spin7",
+            "--restarts", "5", "--seed", "1")
+    code, default = run_cli(capsys, *args)
+    assert code == 0
+    assert run_cli(capsys, *args, "--tol", "1e-6") == (code, default)
+
+
+def test_help_exits_0_for_every_subcommand(capsys):
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if a.dest == "subcommand")
+    assert sorted(subparsers.choices) == ["comass", "index", "plane",
+                                          "reproduce", "surgery", "verify"]
+    for name in [None, *subparsers.choices]:
+        with pytest.raises(SystemExit) as exit_:
+            cli.main([name, "--help"] if name else ["--help"])
+        assert exit_.value.code == 0
+        assert "usage: cayley8" in capsys.readouterr().out
+
+
 def test_comass_not_converged_exit_1(capsys):
     code, out = run_cli(capsys, "--output", "json", "comass", "--form",
                         "builtin:spin7", "--restarts", "2", "--tol", "0")

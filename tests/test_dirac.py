@@ -308,8 +308,11 @@ def test_symbol_checks_are_exact_at_exact_cayley_planes_off_the_axes(which, nonz
     assert [[u.dot(v) for v in normal] for u in normal] == np.eye(4).tolist()
     assert all(t.dot(n) == 0 for t in onb for n in normal)
     assert all(s.dtype == object and is_exact(s.flat) for s in cpm.symbols)
+    # trials > 0 adds random covectors, drawn exact in exact mode
     for report in (dirac.clifford_check(cpm, trials=0),
+                   dirac.clifford_check(cpm, trials=4, seed=1),
                    dirac.symbol_isometry_report(cpm, trials=0),
+                   dirac.symbol_isometry_report(cpm, trials=4, seed=1),
                    dirac.asd_embedding_report(cpm)):
         assert report.passed and report.residual == 0.0, report
         assert type(report.residual) is float

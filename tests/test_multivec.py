@@ -397,6 +397,27 @@ def test_table_ops_equal_merge_blades_references(data):
         assert KForm(result.dim, result.degree, dict(result.coeffs)) == result
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_getitem_equals_sort_blade_reference(data):
+    """Indexing reads stored blades directly and sorts every other blade;
+    value and type equal ``sign * coeffs.get(sorted blade, 0)`` in both modes."""
+    exact = data.draw(st.booleans())
+    dim = data.draw(st.integers(1, 8))
+    degree = data.draw(st.integers(0, dim))
+    form = _sparse_form(data, dim, degree, exact)
+    blade = data.draw(st.one_of(
+        st.sampled_from(sorted(form.coeffs) or blades(dim, degree)),
+        st.lists(st.integers(1, dim), min_size=degree, max_size=degree).map(tuple)))
+    blade = data.draw(st.permutations(blade).map(tuple)) if data.draw(st.booleans()) else blade
+    if data.draw(st.booleans()):
+        blade = list(blade)
+    sorted_blade, sign = sort_blade(blade)
+    ref = sign * form.coeffs.get(sorted_blade, 0)
+    got = form[blade]
+    assert got == ref and type(got) is type(ref)
+
+
 def test_kernel_linear_ops_keep_order_and_drop_zeros():
     a = KForm(4, 2, {(3, 4): 2, (1, 2): Fraction(1, 2)})
     b = KForm(4, 2, {(1, 2): Fraction(-1, 2), (2, 3): 1})
