@@ -29,7 +29,8 @@ from .index import read_field
 from .spin7 import Spin7Model, phi0, tau
 from . import g2 as g2mod
 
-#: Default gate on |tau| below which a 4-plane counts as Cayley.
+#: Gate on |tau| below which a 4-plane counts as Cayley: the default of
+#: ``cayley_test`` and the gate of ``dirac.build_cayley_model``.
 TAU_TOL = 1e-9
 
 #: Default comass optimizer tolerance, and the tolerance on the Cayley
@@ -157,13 +158,13 @@ class CayleyVerdict:
                 "value": self.value, "criteria_agree": self.criteria_agree}
 
 
-def cayley_test(m: Spin7Model, plane: OrientedPlane, tau_tol: float = TAU_TOL,
-                value_tol: float = AGREEMENT_TOL) -> CayleyVerdict:
+def cayley_test(m: Spin7Model, plane: OrientedPlane,
+                tau_tol: float = TAU_TOL) -> CayleyVerdict:
     """Classify a 4-plane by tau-vanishing, with the calibration value as sign.
 
     The two criteria are tied by the Cayley identity ``value^2 + |tau|^2
     = 1`` on unit 4-planes (Harvey-Lawson 1982); the agreement flag
-    checks it within ``value_tol``.  Gating |tau| and ||value| - 1|
+    checks it within ``AGREEMENT_TOL``.  Gating |tau| and ||value| - 1|
     separately would not do: near a Cayley plane |tau| is first order in
     the distance and ||value| - 1| second order, so the two gates part.
     """
@@ -176,7 +177,7 @@ def cayley_test(m: Spin7Model, plane: OrientedPlane, tau_tol: float = TAU_TOL,
     verdict = "not-cayley"
     if is_zero(tnorm, tau_tol):
         verdict = "cayley+" if value > 0 else "cayley-"
-    agree = bool(is_zero(value * value + t.norm_sq() - 1, value_tol))
+    agree = bool(is_zero(value * value + t.norm_sq() - 1, AGREEMENT_TOL))
     return CayleyVerdict(verdict=verdict, tau_norm=float(tnorm),
                          value=float(value), criteria_agree=agree)
 
@@ -320,15 +321,15 @@ def _retract(X: np.ndarray) -> np.ndarray:
     return np.swapaxes(q * signs[..., None, :], -1, -2)
 
 
-def _ascend(T: np.ndarray, X: np.ndarray, tol: float,
-            max_iter: int = COMASS_MAX_ITER, max_halvings: int = 40):
+def _ascend(T: np.ndarray, X: np.ndarray, tol: float):
     """Projected gradient ascent with backtracking over a stack of frames.
 
     X: (R, p, n), one start per restart.  Returns (X, values, iterations,
     converged), one entry per restart.  Each restart keeps its own step
     size and leaves the active set once its gradient norm drops below
-    ``tol`` (converged) or its line search exhausts ``max_halvings``
-    (not converged); only restarts still searching take another halving.
+    ``tol`` (converged), its line search exhausts 40 step halvings or it
+    reaches ``COMASS_MAX_ITER`` iterations (not converged); only restarts
+    still searching take another halving.
     The sufficient-increase constant 1/2 rejects overshooting full steps,
     so halving lands near the quadratic-model optimum and the ascent
     converges linearly instead of crawling.
@@ -343,10 +344,10 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float,
         value[neg], grad[neg] = _dense_value_grad(T, np.ascontiguousarray(X[neg]))
     R = len(X)
     step = np.ones(R)
-    iters = np.full(R, max_iter)
+    iters = np.full(R, COMASS_MAX_ITER)
     converged = np.zeros(R, dtype=bool)
     active = np.arange(R)
-    for it in range(max_iter):
+    for it in range(COMASS_MAX_ITER):
         Xa, ga = X[active], grad[active]
         sym = Xa @ np.swapaxes(ga, -1, -2)
         riem = ga - 0.5 * (sym + np.swapaxes(sym, -1, -2)) @ Xa
@@ -359,7 +360,7 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float,
         active, riem, gnorm = active[~done], riem[~done], gnorm[~done]
         t = step[active]
         search = np.arange(len(active))
-        for _ in range(max_halvings):
+        for _ in range(40):
             if not len(search):
                 break
             idx = active[search]

@@ -42,8 +42,8 @@ from .multivec import (KForm, OrientedPlane, Vector, blades, exact_sqrt,
                        is_exact, is_zero, scalar, sharp)
 from .spin7 import CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
 
-#: Gate on |tau| for accepting a plane as Cayley (floating mode).
-CAYLEY_GATE = 1e-9
+#: Residual bound of the symbol, intertwining and h-equivariance checks.
+CHECK_TOL = 1e-10
 
 
 class NonCayleyPlaneError(ValueError):
@@ -189,21 +189,21 @@ def _plane_restriction_rows(forms: Sequence[KForm], onb: Sequence[Vector]):
     return [[f.evaluate(onb[a - 1], onb[b - 1]) for f in forms] for a, b in blades(4, 2)]
 
 
-def build_cayley_model(m: Spin7Model, plane: OrientedPlane,
-                       tau_tol: float = CAYLEY_GATE) -> CayleyPointModel:
+def build_cayley_model(m: Spin7Model, plane: OrientedPlane) -> CayleyPointModel:
     """Assemble the point model at a Cayley 4-plane.
 
     E is the kernel of the restriction map on the 7-dimensional 2-form
     summand; its dimension must be 4 and it must coincide with the span of
     the tangent-normal cross products, whose E-coordinates are stored as
-    the symbol matrices.  A failing tau gate raises
+    the symbol matrices.  A plane that fails the gate ``calib.TAU_TOL``
+    on |tau|, the one gate of :func:`cayley8.calib.cayley_test`, raises
     :class:`NonCayleyPlaneError`.
     """
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("expected a 4-plane in R^8")
     onb = plane.orthonormal_basis
     tnorm = tau(m, *onb).norm()
-    if not is_zero(tnorm, tau_tol):
+    if not is_zero(tnorm, calib.TAU_TOL):
         raise NonCayleyPlaneError(tnorm)
 
     normal = _normal_frame(m, onb)
@@ -323,7 +323,7 @@ def _covector_set(count: int, seed: int, exact: bool) -> List[KForm]:
 
 
 def clifford_check(cpm: CayleyPointModel, trials: int = 16,
-                   seed: int = 0, tol: float = 1e-10) -> CheckResult:
+                   seed: int = 0) -> CheckResult:
     """Verify the Clifford relation of the symbol on basis and random covectors.
 
     ``sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2 <xi, xi'> Id``,
@@ -340,12 +340,12 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
             rhs = 2 * a.inner(b) * eye
             worst = max(worst, abs(lhs - rhs).max())
     worst = float(worst)
-    return CheckResult("clifford", worst <= tol, worst,
+    return CheckResult("clifford", worst <= CHECK_TOL, worst,
                        "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
 
 
 def symbol_isometry_report(cpm: CayleyPointModel, trials: int = 16,
-                           seed: int = 0, tol: float = 1e-10) -> CheckResult:
+                           seed: int = 0) -> CheckResult:
     """sigma(xi) is |xi| times an isometry N -> E (Gram matrix check).
 
     Exact object arrays over an exact model, as in :func:`clifford_check`.
@@ -357,7 +357,7 @@ def symbol_isometry_report(cpm: CayleyPointModel, trials: int = 16,
         s = np.array(symbol_D(cpm, xi), dtype=dtype)
         worst = max(worst, abs(s.T @ s - xi.norm_sq() * eye).max())
     worst = float(worst)
-    return CheckResult("symbol-isometry", worst <= tol, worst,
+    return CheckResult("symbol-isometry", worst <= CHECK_TOL, worst,
                        "Gram(sigma(xi)) = |xi|^2 Id")
 
 
@@ -395,24 +395,23 @@ class AssociativePointModel:
 
 
 def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane,
-                            s: Optional[Vector] = None,
-                            tol: float = 1e-9) -> AssociativePointModel:
+                            s: Optional[Vector] = None) -> AssociativePointModel:
     """Frames at an associative plane; ``s`` defaults to the first normal."""
     if plane.degree != 3 or plane.dim != 7:
         raise ValueError("expected a 3-plane in R^7")
     onb = plane.orthonormal_basis
     lam = multivec.restrict(g2m.phi3, plane)
-    if not is_zero(lam - 1, tol):
+    if not is_zero(lam - 1, 1e-9):
         raise ValueError(
             f"plane is not positively associative (phi restricts to {float(lam)})")
     normal = _orthonormal_complement(onb, 7)
     if s is None:
         s = normal[0]
     else:
-        if not is_zero(s.norm_sq() - 1, tol):
+        if not is_zero(s.norm_sq() - 1, 1e-9):
             raise ValueError("s must be a unit vector")
         for t in onb:
-            if not is_zero(s.dot(t), tol):
+            if not is_zero(s.dot(t), 1e-9):
                 raise ValueError("s must be normal to the plane")
     return AssociativePointModel(g2model=g2m, tangent_frame=tuple(onb),
                                  normal_frame=tuple(normal), s=s)
@@ -430,12 +429,11 @@ def h_iso(apm: AssociativePointModel, f, alpha: KForm) -> Vector:
     return f * apm.s + g2mod.cross_g2(apm.g2model, apm.s, w)
 
 
-def h_equivariance_check(apm: AssociativePointModel, trials: int = 8,
-                         seed: int = 0, tol: float = 1e-10) -> CheckResult:
+def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
     """``h(v . (f, alpha)) = v x h(f, alpha)`` over the full basis sweep.
 
-    Exact (residual 0) in exact mode; random covectors extend the sweep in
-    floating mode.
+    Exact (residual 0) in exact mode; in floating mode 8 random vectors
+    and sections, drawn from seed 0, extend the sweep.
     """
     g2m = apm.g2model
     exact = g2m.exact and is_exact(c for v in apm.tangent_frame for c in v.components)
@@ -444,10 +442,9 @@ def h_equivariance_check(apm: AssociativePointModel, trials: int = 8,
     for blade in ((1, 2), (1, 3), (2, 3)):
         pairs.append((0, KForm(3, 2, {blade: one})))
     vs = [Vector.basis(3, i, exact=exact) for i in range(1, 4)]
-    if exact:
-        trials = 0  # the basis sweep is already exhaustive and exact
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    rng = np.random.default_rng(0)
+    # in exact mode the basis sweep is already exhaustive and exact
+    for _ in range(0 if exact else 8):
         vs.append(Vector(float(x) for x in rng.standard_normal(3)))
         pairs.append((float(rng.standard_normal()),
                       KForm(3, 2, {b: float(c) for b, c in
@@ -460,15 +457,14 @@ def h_equivariance_check(apm: AssociativePointModel, trials: int = 8,
             lhs = h_iso(apm, f_v, alpha_v)
             rhs = g2mod.cross_g2(g2m, v_amb, h_iso(apm, f, alpha))
             worst = max(worst, float(max(abs(x) for x in (lhs - rhs).components)))
-    return CheckResult("h-equivariance", worst <= tol, float(worst),
+    return CheckResult("h-equivariance", worst <= CHECK_TOL, float(worst),
                        "h(v.(f,alpha)) = v x h(f,alpha)")
 
 
 # -- symbol intertwinings ----------------------------------------------------------------
 
 
-def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int,
-                       tol: float) -> CheckResult:
+def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int) -> CheckResult:
     """Compare two symbol maps ``xi -> matrix`` up to one global scalar.
 
     The scalar c minimizing ``|lhs - c rhs|`` (Frobenius) is fixed at the
@@ -482,12 +478,11 @@ def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int,
         raise ValueError("degenerate probe: target symbol vanishes")
     ratio = float((probe_lhs * probe_rhs).sum()) / denom
     worst = max(float(abs(lhs(xi) - ratio * rhs(xi)).max()) for xi in covs)
-    passed = worst <= tol and abs(abs(ratio) - 1) <= tol
+    passed = worst <= CHECK_TOL and abs(abs(ratio) - 1) <= CHECK_TOL
     return CheckResult(name, passed, worst, f"global scalar {ratio:+.6f}")
 
 
-def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
-                         tol: float = 1e-10) -> CheckResult:
+def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0) -> CheckResult:
     """Identify the symbol with the special Lagrangian complex symbol.
 
     At the plane of real directions in C^4, under J on the normal side and
@@ -530,11 +525,11 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
 
     return _intertwine_report(
         "sl-intertwine", lambda xi: np.array(symbol_D(cpm, xi), dtype=float) @ jmat.T,
-        lambda xi: B @ target_matrix(xi), trials, seed, tol)
+        lambda xi: B @ target_matrix(xi), trials, seed)
 
 
-def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
-                              tol: float = 1e-10) -> CheckResult:
+def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
+                              seed: int = 0) -> CheckResult:
     """Identify the symbol with ``(alpha, beta) -> xi ^ alpha - xi . beta``.
 
     At the product of the circle direction with the standard coassociative
@@ -590,4 +585,4 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0,
 
     return _intertwine_report(
         "coassoc-intertwine", lambda xi: np.array(symbol_D(cpm, xi), dtype=float) @ A,
-        lambda xi: B @ target_matrix(xi), trials, seed, tol)
+        lambda xi: B @ target_matrix(xi), trials, seed)

@@ -13,8 +13,8 @@ factors as ``dtheta ^ phi + psi`` with theta the first coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .multivec import (KForm, OrientedPlane, Vector, blades, is_zero,
-                       restrict, scalar, sharp)
+from .multivec import (KForm, OrientedPlane, Vector, blades, is_exact,
+                       is_zero, restrict, scalar, sharp)
 from .spin7 import phi0
 
 
@@ -22,34 +22,32 @@ class G2ConsistencyError(RuntimeError):
     """Internal slice consistency failed (must not occur)."""
 
 
-def lower_index_form(a: KForm, drop: int = 1) -> KForm:
-    """Reindex a form on R^8 not involving ``drop`` to R^7 (slots shift down)."""
+def lower_index_form(a: KForm) -> KForm:
+    """Reindex a form on R^8 not involving slot 1 to R^7 (slots 2..8 to 1..7)."""
     coeffs = {}
     for blade, c in a.coeffs.items():
-        if drop in blade:
-            raise ValueError(f"blade {blade} involves the dropped slot {drop}")
-        coeffs[tuple(i - 1 if i > drop else i for i in blade)] = c
+        if 1 in blade:
+            raise ValueError(f"blade {blade} involves the dropped slot 1")
+        coeffs[tuple(i - 1 for i in blade)] = c
     return KForm(7, a.degree, coeffs)
 
 
-def raise_index_form(a: KForm, insert: int = 1) -> KForm:
-    """Reindex a form on R^7 to R^8, skipping the slot ``insert``."""
+def raise_index_form(a: KForm) -> KForm:
+    """Reindex a form on R^7 to R^8 (slots 1..7 to 2..8), skipping slot 1."""
     coeffs = {}
     for blade, c in a.coeffs.items():
-        coeffs[tuple(i + 1 if i >= insert else i for i in blade)] = c
+        coeffs[tuple(i + 1 for i in blade)] = c
     return KForm(8, a.degree, coeffs)
 
 
-def lift_vector(v: Vector, insert: int = 1, exact: bool = True) -> Vector:
-    """Embed an R^7 vector into R^8 with zero in the ``insert`` slot."""
-    comps = list(v.components)
-    return Vector(comps[:insert - 1] + [scalar(0, exact=exact)] + comps[insert - 1:])
+def lift_vector(v: Vector) -> Vector:
+    """Embed an R^7 vector into R^8 with a zero of its own mode in slot 1."""
+    return Vector((scalar(0, exact=is_exact(v.components)),) + v.components)
 
 
-def project_vector(v: Vector, drop: int = 1) -> Vector:
-    comps = list(v.components)
-    del comps[drop - 1]
-    return Vector(comps)
+def project_vector(v: Vector) -> Vector:
+    """Drop slot 1 of an R^8 vector, the inverse of :func:`lift_vector`."""
+    return Vector(v.components[1:])
 
 
 @dataclass(frozen=True)

@@ -384,19 +384,17 @@ class KForm:
                 coeffs[merged] = coeffs.get(merged, 0) + sign * ca * cb
         return KForm._trusted(self.dim, self.degree + other.degree, coeffs)
 
-    def hodge(self, orientation: int = 1) -> "KForm":
-        """Hodge star for the Euclidean metric and given orientation (+-1).
+    def hodge(self) -> "KForm":
+        """Hodge star for the Euclidean metric and the standard orientation.
 
         Satisfies ``a ^ star(a) = <a, a> vol`` and ``star(star(a)) =
         (-1)^(k(n-k)) a``.
         """
-        if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
         table = _hodge_table(self.dim, self.degree)
         coeffs: Dict[Blade, object] = {}
         for blade, c in self.coeffs.items():
             comp, sign = table[blade]
-            coeffs[comp] = orientation * sign * c
+            coeffs[comp] = sign * c
         return KForm._trusted(self.dim, self.dim - self.degree, coeffs)
 
     def contract(self, v: Vector) -> "KForm":
@@ -493,8 +491,8 @@ def wedge(a: KForm, b: KForm) -> KForm:
     return a.wedge(b)
 
 
-def hodge(a: KForm, orientation: int = 1) -> KForm:
-    return a.hodge(orientation)
+def hodge(a: KForm) -> KForm:
+    return a.hodge()
 
 
 def contract(v: Vector, a: KForm) -> KForm:
@@ -619,8 +617,8 @@ def random_form(rng: np.random.Generator, dim: int, degree: int,
     return KForm(dim, degree, coeffs)
 
 
-def random_vector(rng: np.random.Generator, dim: int, exact: bool = False,
-                  span: int = 9) -> Vector:
+def random_vector(rng: np.random.Generator, dim: int, exact: bool = False) -> Vector:
+    """Random vector for property tests; exact mode draws integers in [-5, 5)."""
     if exact:
-        return Vector(int(rng.integers(-span // 2, span // 2 + 1)) for _ in range(dim))
+        return Vector(int(rng.integers(-5, 5)) for _ in range(dim))
     return Vector(float(x) for x in rng.standard_normal(dim))

@@ -450,7 +450,7 @@ def is_spin7_frame(m: Spin7Model, frame: Frame8, tol: float = 1e-9):
 
 
 def complete_frame(m: Spin7Model, e1: Vector, e2: Vector, e3: Vector,
-                   e5: Vector, tol: float = 1e-9) -> Frame8:
+                   e5: Vector) -> Frame8:
     """Complete an admissible quadruple to an adapted frame.
 
     Preconditions: ``e1, e2, e3`` orthonormal, ``e5`` a unit vector
@@ -460,22 +460,22 @@ def complete_frame(m: Spin7Model, e1: Vector, e2: Vector, e3: Vector,
     """
     named = {"e1": e1, "e2": e2, "e3": e3, "e5": e5}
     for name, v in named.items():
-        if not is_zero(v.norm_sq() - 1, tol):
+        if not is_zero(v.norm_sq() - 1, 1e-9):
             raise FramePreconditionError(f"{name} is not a unit vector")
     pairs = [("e1", "e2"), ("e1", "e3"), ("e2", "e3"),
              ("e1", "e5"), ("e2", "e5"), ("e3", "e5")]
     for na, nb in pairs:
-        if not is_zero(named[na].dot(named[nb]), tol):
+        if not is_zero(named[na].dot(named[nb]), 1e-9):
             raise FramePreconditionError(f"{na} is not orthogonal to {nb}")
     c123 = cross3(m, e1, e2, e3)
-    if not is_zero(e5.dot(c123), tol):
+    if not is_zero(e5.dot(c123), 1e-9):
         raise FramePreconditionError("e5 is not orthogonal to e1 x e2 x e3")
     e4 = -c123
     e6 = -cross3(m, e1, e2, e5)
     e7 = -cross3(m, e1, e3, e5)
     e8 = cross3(m, e2, e3, e5)
     frame = Frame8((e1, e2, e3, e4, e5, e6, e7, e8))
-    ok, report = is_spin7_frame(m, frame, tol=max(tol, 1e-9))
+    ok, report = is_spin7_frame(m, frame)
     if not ok:
         raise FramePreconditionError(
             f"completion failed the frame check (max deviation {report['max_deviation']})")
@@ -526,8 +526,11 @@ def infinitesimal_action(phi: KForm, generator: KForm) -> KForm:
     result = KForm.zero(n, phi.degree)
     if phi.degree == 0:
         return result  # a constant is rotation invariant (and has no contraction)
+    B = [[0] * n for _ in range(n)]
+    for (i, k), c in generator.coeffs.items():
+        B[i - 1][k - 1], B[k - 1][i - 1] = c, -c
     for k in range(1, n + 1):
-        column = Vector(generator[(i, k)] for i in range(1, n + 1))  # B e_k
+        column = Vector(row[k - 1] for row in B)  # B e_k
         result = result + flat(Vector.basis(n, k, exact=exact)).wedge(
             phi.contract(column))
     return result

@@ -27,11 +27,11 @@ def _residual(value) -> float:
 
 
 class _Suite:
-    def __init__(self, exact: bool, seed: int, trials: int, tol: float):
+    def __init__(self, exact: bool, seed: int, trials: int):
         self.exact = exact
         self.rng = np.random.default_rng(seed)
         self.trials = trials
-        self.tol = 0.0 if exact else tol
+        self.tol = 0.0 if exact else FLOAT_TOL
         self.outcomes: List[CheckResult] = []
 
     def record(self, name: str, residual, detail: str = "",
@@ -41,12 +41,8 @@ class _Suite:
         bound = FLOAT_TOL if floating else self.tol
         self.outcomes.append(CheckResult(name, residual <= bound, residual, detail))
 
-    def vectors(self, count: int, dim: int = 8):
-        return [random_vector(self.rng, dim, exact=self.exact) for _ in range(count)]
-
-    def forms(self, count: int, dim: int, degree: int):
-        return [random_form(self.rng, dim, degree, exact=self.exact)
-                for _ in range(count)]
+    def vectors(self, count: int):
+        return [random_vector(self.rng, 8, exact=self.exact) for _ in range(count)]
 
 
 def _check_structure_form(s: _Suite, phi: KForm):
@@ -247,17 +243,17 @@ def _check_model_level(s: _Suite, trials_light: int):
 
 
 def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,
-              form: Optional[KForm] = None,
-              tol: float = FLOAT_TOL) -> Tuple[List[CheckResult], dict]:
+              form: Optional[KForm] = None) -> Tuple[List[CheckResult], dict]:
     """Run the identity suite; returns (outcomes, summary).
 
     ``form``: run the form-dependent identities against this candidate
     instead of the model form (the model-level checks are skipped).
-    ``trials`` must be >= 0.
+    ``trials`` must be >= 0.  Exact checks pass at residual 0, floating
+    ones at residual at most ``FLOAT_TOL``.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
-    s = _Suite(exact=exact, seed=seed, trials=trials, tol=tol)
+    s = _Suite(exact=exact, seed=seed, trials=trials)
     phi = form if form is not None else spin7.phi0(exact=exact)
     _check_structure_form(s, phi)
     _check_exterior_algebra(s)

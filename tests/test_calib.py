@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 
-from cayley8 import calib, g2, spin7
+from cayley8 import calib, dirac, g2, spin7
 from cayley8.multivec import (DegeneratePlaneError, KForm, OrientedPlane,
                               Vector)
 
@@ -124,7 +124,7 @@ def test_product_plane_relations():
     theta = E[0]
 
     def lift_plane(vectors):
-        return OrientedPlane([g2.lift_vector(v, exact=False) for v in vectors])
+        return OrientedPlane([g2.lift_vector(v) for v in vectors])
 
     # associative 3-planes lift with the circle direction to Cayley planes
     for _ in range(10):
@@ -133,13 +133,13 @@ def test_product_plane_relations():
         w = (w - u.dot(w) * u).normalized()
         tri = [u, w, g2.cross_g2(g2.build_g2(exact=False), u, w)]
         assert g2.is_associative(g2m, OrientedPlane(tri), tol=1e-8)
-        lifted = OrientedPlane([theta] + [g2.lift_vector(v, exact=False) for v in tri])
+        lifted = OrientedPlane([theta] + [g2.lift_vector(v) for v in tri])
         assert calib.cayley_test(MF, lifted, tau_tol=1e-8).verdict == "cayley+"
     # random 3-planes agree between the two criteria
     for _ in range(50):
         tri = [Vector(x) for x in rng.standard_normal((3, 7))]
         assoc = g2.is_associative(g2m, OrientedPlane(tri), tol=1e-8)
-        lifted = OrientedPlane([theta] + [g2.lift_vector(v, exact=False) for v in tri])
+        lifted = OrientedPlane([theta] + [g2.lift_vector(v) for v in tri])
         cay = calib.cayley_test(MF, lifted, tau_tol=1e-8).verdict != "not-cayley"
         assert assoc == cay
     # coassociative 4-planes viewed in the theta = const slice are Cayley
@@ -303,6 +303,12 @@ def test_criteria_agree_near_cayley_planes(eps):
     verdict = calib.cayley_test(MF, plane)
     assert verdict.criteria_agree is True
     assert (verdict.verdict == "cayley+") == (eps < calib.TAU_TOL)
+    # the point model of dirac gates on the same |tau| bound
+    if verdict.verdict == "not-cayley":
+        with pytest.raises(dirac.NonCayleyPlaneError):
+            dirac.build_cayley_model(MF, plane)
+    else:
+        dirac.build_cayley_model(MF, plane)
 
 
 @pytest.mark.parametrize("rows", [

@@ -254,7 +254,7 @@ def test_sl_symbol_intertwine():
 def test_intertwine_report_rejects_a_degenerate_probe():
     with pytest.raises(ValueError, match="degenerate probe"):
         dirac._intertwine_report("probe", lambda xi: np.eye(4),
-                                 lambda xi: np.zeros((4, 4)), 2, 0, 1e-10)
+                                 lambda xi: np.zeros((4, 4)), 2, 0)
 
 
 def test_coassoc_symbol_intertwine():

@@ -80,11 +80,6 @@ def test_hodge_isometry():
         assert inner(hodge(a), hodge(b)) == inner(a, b)
 
 
-def test_orientation_reversal_negates_hodge():
-    a = KForm.monomial(8, 1, 2)
-    assert hodge(a, orientation=-1).approx_equal(-1 * hodge(a))
-
-
 def test_contract_basics():
     assert contract(E[0], KForm.monomial(8, 1, 2)).coeffs == {(2,): 1}
     assert contract(E[4], KForm.monomial(8, 1, 2, 3, 4)).is_zero()
@@ -333,13 +328,13 @@ def _ref_wedge(a, b):
     return KForm(a.dim, a.degree + b.degree, coeffs)
 
 
-def _ref_hodge(a, orientation=1):
+def _ref_hodge(a):
     n = a.dim
     coeffs = {}
     for blade, c in a.coeffs.items():
         comp = tuple(i for i in range(1, n + 1) if i not in blade)
         _, sign = merge_blades(blade, comp)
-        coeffs[comp] = orientation * sign * c
+        coeffs[comp] = sign * c
     return KForm(n, n - a.degree, coeffs)
 
 
@@ -385,9 +380,7 @@ def test_table_ops_equal_merge_blades_references(data):
     p = data.draw(st.integers(0, dim))
     q = data.draw(st.integers(0, dim - p))
     a, b = _sparse_form(data, dim, p, exact), _sparse_form(data, dim, q, exact)
-    orientation = data.draw(st.sampled_from((1, -1)))
-    pairs = [(a.wedge(b), _ref_wedge(a, b)),
-             (a.hodge(orientation), _ref_hodge(a, orientation))]
+    pairs = [(a.wedge(b), _ref_wedge(a, b)), (a.hodge(), _ref_hodge(a))]
     if p:
         v = Vector(_sparse_form(data, dim, 1, exact)[(i,)] for i in range(1, dim + 1))
         pairs.append((a.contract(v), _ref_contract(a, v)))

@@ -529,6 +529,19 @@ def test_infinitesimal_action_matches_slot_sum(data, exact, degree):
         assert (got - want).is_zero(1e-12)
 
 
+def test_infinitesimal_action_sorts_no_blades(monkeypatch):
+    """B is read off the generator's stored blades: no blade is sorted."""
+    from cayley8 import multivec
+    generators = M.lambda2_7_forms() + MF.lambda2_21_forms()[:7]
+    calls = []
+    sort = multivec.sort_blade
+    monkeypatch.setattr(multivec, "sort_blade",
+                        lambda idx: calls.append(tuple(idx)) or sort(idx))
+    for beta in generators:
+        spin7.infinitesimal_action(M.phi, beta)
+    assert calls == []
+
+
 def _greedy_rank_rows(rows):
     """Rows that raise the rank of the rows chosen before them."""
     chosen = []
