@@ -505,7 +505,9 @@ def inner(a: KForm, b: KForm):
 
 def flat(v: Vector) -> KForm:
     """Musical isomorphism: vector to 1-form (Euclidean metric)."""
-    return KForm(v.dim, 1, {(i,): v[i] for i in range(1, v.dim + 1) if v[i] != 0})
+    if not 1 <= v.dim <= 8:
+        raise DimensionError(f"dim must be in 1..8, got {v.dim}")
+    return KForm._trusted(v.dim, 1, {(i,): c for i, c in enumerate(v.components, 1)})
 
 
 def sharp(a: KForm) -> Vector:
@@ -604,21 +606,17 @@ def pullback_to_plane(a: KForm, plane: OrientedPlane) -> KForm:
 
 def random_form(rng: np.random.Generator, dim: int, degree: int,
                 exact: bool = False, span: int = 9) -> KForm:
-    """Random form for property tests; exact mode draws small integers."""
+    """Random form for tests: one draw, the values of one scalar draw per blade."""
     basis = blades(dim, degree)
-    coeffs = {}
-    for blade in basis:
-        if exact:
-            c = int(rng.integers(-span // 2, span // 2 + 1))
-        else:
-            c = float(rng.standard_normal())
-        if c != 0:
-            coeffs[blade] = c
-    return KForm(dim, degree, coeffs)
+    if exact:
+        values = rng.integers(-span // 2, span // 2 + 1, size=len(basis))
+    else:
+        values = rng.standard_normal(len(basis))
+    return KForm._trusted(dim, degree, dict(zip(basis, values.tolist())))
 
 
 def random_vector(rng: np.random.Generator, dim: int, exact: bool = False) -> Vector:
     """Random vector for property tests; exact mode draws integers in [-5, 5)."""
     if exact:
-        return Vector(int(rng.integers(-5, 5)) for _ in range(dim))
+        return Vector(rng.integers(-5, 5, size=dim).tolist())
     return Vector(float(x) for x in rng.standard_normal(dim))

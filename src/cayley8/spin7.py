@@ -18,14 +18,14 @@ together with the first-slot interior product of :mod:`cayley8.multivec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from . import _linalg
-from .multivec import (DEFAULT_TOL, KForm, Vector, blades, contract, flat,
-                       is_exact, is_zero, scalar, sharp)
+from .multivec import (DEFAULT_TOL, KForm, Vector, _hodge_table, _wedge_table,
+                       blades, contract, flat, is_exact, is_zero, scalar, sharp)
 
 #: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
 EIGEN_CLUSTER_TOL = 1e-8
@@ -154,6 +154,16 @@ class Spin7Model:
         if callable(rows):
             rows = self.bases[degree, dim] = rows()
         return rows
+
+    @cached_property
+    def lambda2_rows(self) -> Dict[Tuple[int, int], tuple]:
+        """``L`` sparsely, ``l -> ((k, c), ...)`` with ``star(e^l ^ phi) = sum c e^k``,
+        from the kernel tables over ``phi``'s blades in ``KForm.wedge``'s order."""
+        wedge, star = _wedge_table(8, 2, 4), _hodge_table(8, 6)
+        return {l: tuple((star[merged][0], star[merged][1] * sign * c)
+                         for b, c in self.phi.coeffs.items() if b in wedge[l]
+                         for merged, sign in [wedge[l][b]])
+                for l in blades(8, 2)}
 
     def lambda2_eigenvalues(self) -> Dict[float, int]:
         return {float(lam): len(self._basis(2, dim)) for lam, dim in LAMBDA2_SPECTRUM.items()}
@@ -359,10 +369,10 @@ def standard_model(exact: bool = True) -> Spin7Model:
 
 
 def unchecked_model(phi: KForm) -> Spin7Model:
-    """Wrap a form without validating it (for diagnostics and mutation tests).
+    """Wrap a 4-form on R^8 without certifying it (for diagnostics and mutation tests).
 
     Only the operations that read ``phi`` directly (cross products, tau,
-    projections) are usable; the basis map is empty.
+    projections; ``lambda2_rows`` too) are usable; the basis map is empty.
     """
     return Spin7Model(phi=phi, exact=is_exact(phi.coeffs.values()), lambda2_op=None,
                       bases={})
@@ -371,10 +381,21 @@ def unchecked_model(phi: KForm) -> Spin7Model:
 # -- projections and cross products ---------------------------------------------
 
 
+def _minus_l(m: Spin7Model, a: KForm, den: int) -> KForm:
+    """``(a - L a) / den``; ``L a`` is summed in full before the subtraction,
+    so every float equals that of ``a - star(a ^ phi)`` bit for bit."""
+    la = {}
+    for l, cl in a.coeffs.items():
+        # a blade of another degree has no row: then the subtraction raises
+        for k, c in m.lambda2_rows.get(l, ()):
+            la[k] = la.get(k, 0) + c * cl
+    scale = scalar(1, den, exact=m.exact and is_exact(a.coeffs.values()))
+    return scale * (a - KForm._trusted(8, 2, la))
+
+
 def proj2_7(m: Spin7Model, a: KForm) -> KForm:
     """Projection of a 2-form onto the 7-dimensional summand."""
-    quarter = scalar(1, 4, exact=m.exact and is_exact(a.coeffs.values()))
-    return quarter * (a - a.wedge(m.phi).hodge())
+    return _minus_l(m, a, 4)
 
 
 def proj2_21(m: Spin7Model, a: KForm) -> KForm:
@@ -388,9 +409,7 @@ def cross2(m: Spin7Model, v: Vector, w: Vector) -> KForm:
     ``v x w = (v_flat ^ w_flat - star(v_flat ^ w_flat ^ phi)) / 2``;
     satisfies ``|v x w| = |v ^ w|``.
     """
-    vw = flat(v).wedge(flat(w))
-    half = scalar(1, 2, exact=m.exact and is_exact(vw.coeffs.values()))
-    return half * (vw - vw.wedge(m.phi).hodge())
+    return _minus_l(m, flat(v).wedge(flat(w)), 2)
 
 
 def cross3(m: Spin7Model, u: Vector, v: Vector, w: Vector) -> Vector:

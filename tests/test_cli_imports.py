@@ -84,3 +84,19 @@ def test_plane_and_comass_load_neither_dirac_nor_verify(inputs, argv):
     assert code == 0
     assert "cayley8.calib" in loaded
     assert "cayley8.dirac" not in loaded and "cayley8.verify" not in loaded
+
+
+def test_python_m_cayley8_runs_the_cli_without_numpy(inputs):
+    """``python -m cayley8`` is the ``cayley8`` command; ``-X importtime``
+    lists on stderr every module the process imported."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = ["-X", "importtime", "-m", "cayley8", "--output", "json",
+            "index", "--input", inputs["index"]]
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["command"] == "index"
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "cayley8.cli" in imported
+    assert not {"numpy", "cayley8.multivec"} & imported

@@ -129,6 +129,13 @@ def test_musical_roundtrip():
     assert sharp(flat(v)).components == v.components
 
 
+def test_flat_rejects_vectors_outside_dims_1_to_8():
+    with pytest.raises(DimensionError):
+        flat(Vector([1] * 9))
+    with pytest.raises(DimensionError):
+        flat(Vector([]))
+
+
 def test_restrict_examples():
     phi = phi0()
     assert restrict(phi, OrientedPlane(E[:4])) == 1
@@ -430,3 +437,44 @@ def test_second_verify_run_merges_no_blades(monkeypatch):
                         lambda a, b: calls.append((a, b)) or merge(a, b))
     verify.run_suite(exact=True, trials=0)
     assert calls == []
+
+
+def _ref_random_form(rng, dim, degree, exact, span):
+    """One scalar draw per blade, the loop ``random_form`` replaces with one draw."""
+    coeffs = {}
+    for blade in blades(dim, degree):
+        if exact:
+            c = int(rng.integers(-span // 2, span // 2 + 1))
+        else:
+            c = float(rng.standard_normal())
+        if c != 0:
+            coeffs[blade] = c
+    return KForm(dim, degree, coeffs)
+
+
+def _ref_random_vector(rng, dim, exact):
+    if exact:
+        return Vector(int(rng.integers(-5, 5)) for _ in range(dim))
+    return Vector(float(x) for x in rng.standard_normal(dim))
+
+
+@settings(max_examples=80)
+@given(st.integers(0, 2 ** 32 - 1), st.data())
+def test_random_draws_keep_the_per_scalar_streams(seed, data):
+    """random_form and random_vector draw each value list at once, yet give
+    the per-scalar loops' values, in type and order, and leave the generator
+    where those loops leave it, so every seeded test and golden keeps its data."""
+    dim = data.draw(st.integers(1, 8))
+    degree = data.draw(st.integers(0, dim))
+    exact = data.draw(st.booleans())
+    span = data.draw(st.integers(1, 12))
+    got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = random_form(got_rng, dim, degree, exact=exact, span=span)
+    ref = _ref_random_form(ref_rng, dim, degree, exact, span)
+    assert (got.dim, got.degree) == (ref.dim, ref.degree)
+    assert [(b, c, type(c)) for b, c in got.coeffs.items()] == \
+        [(b, c, type(c)) for b, c in ref.coeffs.items()]
+    v, ref_v = random_vector(got_rng, dim, exact=exact), _ref_random_vector(ref_rng, dim, exact)
+    assert [(c, type(c)) for c in v.components] == [(c, type(c)) for c in ref_v.components]
+    assert got_rng.integers(-5, 5) == ref_rng.integers(-5, 5)
+    assert got_rng.standard_normal() == ref_rng.standard_normal()

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 
 from cayley8 import _linalg, calib, spin7
-from cayley8.multivec import (KForm, OrientedPlane, Vector, blades, contract,
-                              flat, is_exact, random_vector, scalar, wedge)
+from cayley8.multivec import (DegreeError, DimensionError, KForm, OrientedPlane,
+                              Vector, blades, contract, flat, is_exact,
+                              random_form, random_vector, scalar, wedge)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 M = spin7.standard_model(exact=True)
@@ -60,9 +61,21 @@ def test_proj2_7_matches_cross2():
         spin7.cross2(M, E[0], E[4]))
 
 
+@pytest.mark.parametrize("a, error", [
+    (KForm.monomial(8, 1), DegreeError),
+    (KForm.monomial(8, 1, 2, 3), DegreeError),
+    (KForm.monomial(8, 1, 2, 3, 4), DegreeError),
+    (KForm.monomial(7, 1, 2), DimensionError),
+])
+def test_proj2_7_and_cross2_take_only_2_forms_on_r8(a, error):
+    with pytest.raises(error):
+        spin7.proj2_7(M, a)
+    with pytest.raises(DimensionError):
+        spin7.cross2(M, Vector([1, 0, 0, 0, 0, 0, 0]), Vector([0, 1, 0, 0, 0, 0, 0]))
+
+
 def test_projections_idempotent_and_resolve():
     rng = np.random.default_rng(10)
-    from cayley8.multivec import random_form
     for _ in range(50):
         a = random_form(rng, 8, 2, exact=True)
         p7 = spin7.proj2_7(M, a)
@@ -561,3 +574,36 @@ def test_independent_rows_matches_greedy_rank_increase(data):
     picks = data.draw(st.lists(st.sampled_from(range(len(distinct))), max_size=7))
     rows = [distinct[k] for k in picks]  # repeated rows are dependent
     assert _linalg.independent_rows(rows) == _greedy_rank_rows(rows)
+
+
+_COEFF_OR_ZERO = {True: st.one_of(st.just(0), _SMALL_EXACT),
+                  False: st.one_of(st.just(0.0), _UNIT_ENTRY)}
+
+
+def _items(form):
+    return [(blade, c, type(c)) for blade, c in form.coeffs.items()]
+
+
+def _wedge_hodge_reference(m, a, den):
+    """``(a - star(a ^ phi)) / den`` through the kernel's wedge and hodge."""
+    scale = scalar(1, den, exact=m.exact and is_exact(a.coeffs.values()))
+    return scale * (a - a.wedge(m.phi).hodge())
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(), st.data())
+def test_stored_operator_equals_wedge_hodge_reference(seed, phi_exact, exact, data):
+    """proj2_7 and cross2 read the model's stored rows of L, yet equal the
+    wedge and hodge reference in value, coefficient type and ``coeffs``
+    order, on forms that are not Spin(7) (an unchecked model) and on
+    2-forms whose blades come in any order, with zeros among the inputs."""
+    rng = np.random.default_rng(seed)
+    phi = random_form(rng, 8, 4, exact=phi_exact)
+    for m in (spin7.unchecked_model(phi), M if phi_exact else MF):
+        a = KForm(8, 2, data.draw(st.dictionaries(
+            st.sampled_from(blades(8, 2)), _COEFF_OR_ZERO[exact], max_size=28)))
+        assert _items(spin7.proj2_7(m, a)) == _items(_wedge_hodge_reference(m, a, 4))
+        v, w = (Vector(data.draw(st.lists(_COEFF_OR_ZERO[exact], min_size=8, max_size=8)))
+                for _ in range(2))
+        vw = flat(v).wedge(flat(w))
+        assert _items(spin7.cross2(m, v, w)) == _items(_wedge_hodge_reference(m, vw, 2))
