@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -285,28 +286,64 @@ class ComassResult:
         }
 
 
+def _dense_value(T: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, dict]:
+    """Values of a dense p-tensor on a stack of frames, and the trailing chain.
+
+    X: (R, p, n).  ``tails[r]`` for r = p-1, ..., 1 is T contracted with
+    rows p-1, ..., r of each frame: one stacked matmul of ``tails[r + 1]``,
+    reshaped to (n^r, n) per frame, against row r; ``tails[p]`` is T
+    itself, flattened and shared by all frames.  ``tails[1]`` is the
+    gradient of row 0 and gives the value.  For p > 2, ``tails[p - 1]`` is
+    then contracted with row 0 as well, the first leading step of row
+    p-2's gradient, so no entry kept beyond T has more than n^(p-2)
+    entries per frame.  Returns (value, grad, tails) with only row 0 of
+    ``grad`` filled: a line-search probe needs no more, and
+    ``_complete_grad`` fills the other rows from ``tails``.
+    """
+    _, p, n = X.shape
+    tails = {p: T.reshape(-1)}
+    for r in range(p - 1, 0, -1):
+        out = tails[r + 1]
+        tails[r] = (out.reshape(*out.shape[:-1], -1, n) @ X[:, r, :, None])[..., 0]
+    if p > 2:
+        tails[p - 1] = (X[:, 0, None, :] @ tails[p - 1].reshape(len(X), n, -1))[..., 0, :]
+    grad = np.empty_like(X)
+    grad[:, 0] = tails[1]
+    # the dot reads row 0 back from grad, whose strides follow X's layout
+    value = (X[:, 0, None, :] @ grad[:, 0, :, None])[:, 0, 0]
+    return value, grad, tails
+
+
+def _complete_grad(X: np.ndarray, grad: np.ndarray, tails: dict) -> None:
+    """Fill rows 1..p-1 of ``grad`` in place: ``tails[m + 1]``, then leading rows.
+
+    Row p-2 starts at leading row 1: ``_dense_value`` applied row 0.
+    Consumes ``tails``: each entry is dropped once its row starts.
+    """
+    _, p, n = X.shape
+    for m in range(1, p):
+        out = tails.pop(m + 1)
+        for r in range(1 if m == p - 2 else 0, m):
+            out = (X[:, r, None, :] @ out.reshape(*out.shape[:-1], n, -1))[..., 0, :]
+        grad[:, m] = out
+
+
 def _dense_value_grad(T: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Values and Euclidean gradients of a dense p-tensor on a stack of frames.
 
     X: (R, p, n).  ``grad[:, m]`` contracts T with every row but row m,
     trailing rows first, then leading rows; each contraction is one stacked
     matmul of the tensor reshaped to a matrix against one row per frame.
+    The trailing contractions are shared: ``_dense_value`` computes T with
+    rows p-1, ..., r once for each r, which is row 0's gradient at r = 1,
+    and row m starts from the chain's entry m + 1.  For p = 4 that is 9
+    matmuls per frame, 2 of them on the full tensor.
     Stacked matmul makes one BLAS call per frame, so a restart's values do
     not depend on which other restarts share the stack, and the lowest-index
     tie-break of ``comass_estimate`` sees the same values in any batch.
     """
-    _, p, n = X.shape
-    cols = X[:, :, :, None]
-    rows = X[:, :, None, :]
-    grad = np.empty_like(X)
-    for m in range(p):
-        out = T.reshape(-1)
-        for r in range(p - 1, m, -1):
-            out = (out.reshape(*out.shape[:-1], -1, n) @ cols[:, r])[..., 0]
-        for r in range(m):
-            out = (rows[:, r] @ out.reshape(*out.shape[:-1], n, -1))[..., 0, :]
-        grad[:, m] = out
-    value = (rows[:, 0] @ grad[:, 0, :, None])[:, 0, 0]
+    value, grad, tails = _dense_value(T, X)
+    _complete_grad(X, grad, tails)
     return value, grad
 
 
@@ -333,6 +370,11 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float):
     The sufficient-increase constant 1/2 rejects overshooting full steps,
     so halving lands near the quadratic-model optimum and the ascent
     converges linearly instead of crawling.
+    A line-search probe needs only its value, from the trailing contraction
+    chain of ``_dense_value``; the other gradient rows are completed from
+    that chain for accepted probes alone.  Every restart's arithmetic
+    depends on its own frame only, so ascending the first k frames of a
+    stack returns the first k rows of the full run, bit for bit.
     """
     X = X.copy(order="K")  # keeps the frame layout of _start_frames
     value, grad = _dense_value_grad(T, X)
@@ -342,7 +384,7 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float):
         # a flipped start is evaluated from a row-major copy, as the
         # per-restart reference ascent in tests/test_calib_batched.py does
         value[neg], grad[neg] = _dense_value_grad(T, np.ascontiguousarray(X[neg]))
-    R = len(X)
+    R, p, _ = X.shape
     step = np.ones(R)
     iters = np.full(R, COMASS_MAX_ITER)
     converged = np.zeros(R, dtype=bool)
@@ -366,11 +408,16 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float):
             idx = active[search]
             ts, gs = t[search], gnorm[search]
             Xn = _retract(X[idx] + ts[:, None, None] * riem[search])
-            vn, gn = _dense_value_grad(T, Xn)
+            vn, gn, tails = _dense_value(T, Xn)
             ok = vn > value[idx] + 0.5 * ts * gs * gs
-            won = idx[ok]
-            X[won], value[won], grad[won] = Xn[ok], vn[ok], gn[ok]
-            step[won] = np.minimum(2.0 * ts[ok], 1.0)
+            if ok.any():
+                won, Xok, gok = idx[ok], Xn[ok], gn[ok]
+                tails = {r: tail if r == p else tail[ok]
+                         for r, tail in tails.items() if r > 1}
+                _complete_grad(Xok, gok, tails)
+                X[won], value[won], grad[won] = Xok, vn[ok], gok
+                step[won] = np.minimum(2.0 * ts[ok], 1.0)
+            del tails  # else a rejected probe's chain outlives the next retraction
             search = search[~ok]
             t[search] *= 0.5
         iters[active[search]] = it + 1
@@ -390,9 +437,19 @@ def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     ``_retract`` give a single frame.  BLAS may sum a contraction in an
     order that depends on the stride of a frame row, so with this layout a
     restart reaches bit for bit the values it reaches when ascended alone.
+    Substream i is seeded from a uint32 array: the little-endian 32-bit
+    words of ``seed`` (at least one), then i.  ``SeedSequence`` reduces the
+    list ``[seed, i]`` to the same words, so the draws are the same, and the
+    array skips its per-call conversion of Python ints.
     """
-    raw = np.stack([np.random.default_rng([seed, i]).standard_normal((n, p))
-                    for i in range(restarts)])
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = max(1, -(-seed.bit_length() // 32))
+    entropy = np.empty((restarts, words + 1), dtype=np.uint32)
+    entropy[:, :words] = np.frombuffer(seed.to_bytes(4 * words, "little"), dtype="<u4")
+    entropy[:, words] = np.arange(restarts)
+    raw = np.stack([np.random.default_rng(e).standard_normal((n, p)) for e in entropy])
     return _retract(np.swapaxes(raw, 1, 2))
 
 

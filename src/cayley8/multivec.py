@@ -172,9 +172,15 @@ def _wedge_table(dim: int, p: int, q: int) -> Dict[Blade, Dict[Blade, Tuple[Blad
 
 @functools.lru_cache(maxsize=None)
 def _dense_table(dim: int, p: int) -> Dict[Blade, Tuple[Tuple[Tuple[int, ...], int], ...]]:
-    """``blade -> ((0-based permuted indices, sign), ...)`` over its permutations."""
-    return {blade: tuple((tuple(i - 1 for i in idx), sort_blade(idx)[1])
-                         for idx in itertools.permutations(blade))
+    """``blade -> ((0-based permuted indices, sign), ...)`` over its permutations.
+
+    The permutations of a blade come in the order of ``itertools.permutations``
+    of its positions, whose signs are computed once per degree.
+    """
+    orders = tuple(itertools.permutations(range(p)))
+    signs = tuple(sort_blade(order)[1] for order in orders)
+    return {blade: tuple((tuple(blade[k] - 1 for k in order), sign)
+                         for order, sign in zip(orders, signs))
             for blade in blades(dim, p)}
 
 

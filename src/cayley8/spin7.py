@@ -445,11 +445,20 @@ def tau(m: Spin7Model, a: Vector, b: Vector, c: Vector, d: Vector) -> KForm:
 
 
 def pullback_through_frame(phi: KForm, frame: Frame8) -> KForm:
-    """The form with coefficients ``phi(f_i, f_j, f_k, f_l)`` on increasing tuples."""
+    """The form with coefficients ``phi(f_i, f_j, f_k, f_l)`` on increasing tuples.
+
+    Each coefficient is the ``phi.evaluate`` contraction chain, first vector
+    first; blades that share a leading prefix share its contractions, so
+    degree 4 takes 125 contractions instead of 280.
+    """
     coeffs = {}
     vecs = frame.vectors
+    chains = {(): phi}
     for blade in blades(8, phi.degree):
-        val = phi.evaluate(*(vecs[i - 1] for i in blade))
+        for d in range(1, len(blade) + 1):
+            if blade[:d] not in chains:
+                chains[blade[:d]] = chains[blade[:d - 1]].contract(vecs[blade[d - 1] - 1])
+        val = chains[blade].coeffs.get((), 0)
         if val != 0:
             coeffs[blade] = val
     return KForm(8, phi.degree, coeffs)

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 
 from cayley8 import calib, dirac, g2, spin7
 from cayley8.multivec import (DegeneratePlaneError, KForm, OrientedPlane,
-                              Vector)
+                              Vector, random_form)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 E7 = [Vector.basis(7, i) for i in range(1, 8)]
@@ -245,6 +245,21 @@ def test_comass_top_degree_is_abs_coefficient():
         assert res.value == abs(c) and res.converged and res.iterations == 0
         assert calib.calibration_value(calib.CalibrationForm(form), res.plane) == abs(c)
         assert res.plane.matrix()[0, 0] == (-1 if c < 0 else 1)
+
+
+@pytest.mark.parametrize("tol", [calib.COMASS_TOL, 1e-13])
+def test_ascent_on_a_prefix_of_the_stack_is_bit_identical(tol):
+    # each restart's arithmetic depends only on its own frame, so ascending
+    # the first k frames of a stack gives the first k rows of the full run;
+    # the lowest-index tie-break of comass_estimate relies on it
+    T = random_form(np.random.default_rng(84), 8, 4).to_dense()
+    T /= np.abs(T).max()
+    X0 = calib._start_frames(5, 200, 4, 8)
+    full = calib._ascend(T, X0, tol)
+    for k in (1, 37, 199):
+        part = calib._ascend(T, X0[:k], tol)
+        for got, ref in zip(part, full):
+            assert np.array_equal(got, ref[:k])
 
 
 def test_comass_rejects_bad_restarts():

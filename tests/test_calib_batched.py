@@ -169,7 +169,7 @@ def test_sweep_empty_batch():
     assert tau_norms.shape == values.shape == (0,)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 2026])
+@pytest.mark.parametrize("seed", [0, 3, 2026, 2 ** 32, 2 ** 64 + 1])
 @pytest.mark.parametrize("restarts, p, n", [(200, 4, 8), (50, 3, 7), (7, 2, 8), (1, 1, 8)])
 def test_start_frames_match_per_restart_frames(restarts, p, n, seed):
     # one stacked QR gives each restart the frame its own substream gives,

@@ -88,6 +88,14 @@ def test_help_exits_0_for_every_subcommand(capsys):
         assert "usage: cayley8" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("seed", ["-1", str(-2 ** 70)])
+def test_comass_negative_seed_is_input_error(seed, capsys):
+    code = cli.main(["comass", "--form", "builtin:spin7", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: expected non-negative integer" in captured.err
+
+
 def test_comass_not_converged_exit_1(capsys):
     code, out = run_cli(capsys, "--output", "json", "comass", "--form",
                         "builtin:spin7", "--restarts", "2", "--tol", "0")

@@ -1,5 +1,6 @@
 """Exterior algebra core: products, duality, contraction, restriction."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cayley8 import multivec
 from cayley8.multivec import (DegeneratePlaneError, DegreeError,
                               DimensionError, KForm, OrientedPlane, Vector,
                               blades, contract, exact_sqrt, flat, hodge,
@@ -248,6 +250,17 @@ def test_evaluate_agrees_with_dense_tensor(degree):
         for v in vs:  # first slot first
             dense = np.tensordot(v.to_array(), dense, axes=(0, 0))
         assert abs(direct - dense) < 1e-10
+
+
+@pytest.mark.parametrize("dim, degree", [(8, 0), (8, 1), (8, 2), (8, 4), (7, 3), (8, 5)])
+def test_dense_table_signs_per_permutation(dim, degree):
+    # one parity per permutation of positions, reused for every blade: the
+    # table equals the per-blade sort of each permuted index tuple, in order
+    ref = {blade: tuple((tuple(i - 1 for i in idx), sort_blade(idx)[1])
+                        for idx in itertools.permutations(blade))
+           for blade in blades(dim, degree)}
+    table = multivec._dense_table(dim, degree)
+    assert list(table.items()) == list(ref.items())
 
 
 def test_scalar_policy():
