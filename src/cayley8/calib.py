@@ -24,14 +24,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .multivec import (KForm, OrientedPlane, Vector, blades, is_exact,
-                       is_zero, pullback_to_plane, restrict, scalar)
+from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, blades,
+                       is_exact, is_zero, pullback_to_plane, restrict, scalar)
 from .index import read_field
 from .spin7 import Spin7Model, phi0, tau
 from . import g2 as g2mod
 
-#: Gate on |tau| below which a 4-plane counts as Cayley: the default of
-#: ``cayley_test`` and the gate of ``dirac.build_cayley_model``.
+#: Gate on |tau| below which a 4-plane counts as Cayley: the gate of
+#: ``cayley_test`` and of ``dirac.build_cayley_model``.
 TAU_TOL = 1e-9
 
 #: Default comass optimizer tolerance, and the tolerance on the Cayley
@@ -159,15 +159,15 @@ class CayleyVerdict:
                 "value": self.value, "criteria_agree": self.criteria_agree}
 
 
-def cayley_test(m: Spin7Model, plane: OrientedPlane,
-                tau_tol: float = TAU_TOL) -> CayleyVerdict:
+def cayley_test(m: Spin7Model, plane: OrientedPlane) -> CayleyVerdict:
     """Classify a 4-plane by tau-vanishing, with the calibration value as sign.
 
     The two criteria are tied by the Cayley identity ``value^2 + |tau|^2
     = 1`` on unit 4-planes (Harvey-Lawson 1982); the agreement flag
-    checks it within ``AGREEMENT_TOL``.  Gating |tau| and ||value| - 1|
-    separately would not do: near a Cayley plane |tau| is first order in
-    the distance and ||value| - 1| second order, so the two gates part.
+    checks it within ``AGREEMENT_TOL``.  The verdict gates |tau| at
+    ``TAU_TOL``.  Gating |tau| and ||value| - 1| separately would not do:
+    near a Cayley plane |tau| is first order in the distance and
+    ||value| - 1| second order, so the two gates part.
     """
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("cayley test expects a 4-plane in R^8")
@@ -176,29 +176,29 @@ def cayley_test(m: Spin7Model, plane: OrientedPlane,
     tnorm = t.norm()
     value = m.phi.evaluate(*onb)
     verdict = "not-cayley"
-    if is_zero(tnorm, tau_tol):
+    if is_zero(tnorm, TAU_TOL):
         verdict = "cayley+" if value > 0 else "cayley-"
     agree = bool(is_zero(value * value + t.norm_sq() - 1, AGREEMENT_TOL))
     return CayleyVerdict(verdict=verdict, tau_norm=float(tnorm),
                          value=float(value), criteria_agree=agree)
 
 
-def sl_test(plane: OrientedPlane, tol: float = 1e-9) -> bool:
-    """Special Lagrangian: omega and Im(Omega) both restrict to zero."""
+def sl_test(plane: OrientedPlane) -> bool:
+    """Special Lagrangian: omega and Im(Omega) both restrict to zero (within ``PLANE_TOL``)."""
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("special Lagrangian test expects a 4-plane in R^8")
     exact = is_exact(c for u in plane.orthonormal_basis for c in u.components)
-    if not pullback_to_plane(kaehler_form(exact), plane).is_zero(tol):
+    if not pullback_to_plane(kaehler_form(exact), plane).is_zero(PLANE_TOL):
         return False
-    return is_zero(restrict(im_omega(exact), plane), tol)
+    return is_zero(restrict(im_omega(exact), plane), PLANE_TOL)
 
 
-def complex_test(plane: OrientedPlane, tol: float = 1e-9) -> bool:
-    """True iff the 4-plane is invariant under the complex structure J."""
+def complex_test(plane: OrientedPlane) -> bool:
+    """True iff the 4-plane is invariant under the complex structure J
+    (``OrientedPlane.contains`` of each ``J u``)."""
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("complex test expects a 4-plane in R^8")
-    return all(plane.contains(complex_structure(u), tol * tol)
-               for u in plane.orthonormal_basis)
+    return all(plane.contains(complex_structure(u)) for u in plane.orthonormal_basis)
 
 
 # -- batched Cayley sweep (floating) -------------------------------------------------
@@ -209,10 +209,12 @@ class CayleySweep:
 
     Every product is a matrix product over outer products of frame vectors
     (``x outer y`` flattened to 64 entries): the 64x64 reshape of the dense
-    4-form gives the triple cross product and the calibration value, and
-    the 64x28 matrix ``TAU64`` takes ``x outer y`` to the 2-fold cross
-    product ``2 pi7(x ^ y)``, so tau is one matrix product.  Agrees with
-    the sparse path to machine precision.
+    4-form gives the triple cross product ``p = phi(d, c, b, .)``, and the
+    64x28 matrix ``TAU64`` takes ``x outer y`` to the 2-fold cross product
+    ``2 pi7(x ^ y)``, so tau is one matrix product.  The calibration value
+    is ``<p, a> = phi(d, c, b, a) = phi(a, b, c, d)``: reversing four slots
+    is an even permutation.  Agrees with the sparse path to machine
+    precision.
     """
 
     #: Planes per block; bounds the (block, 64) temporaries.
@@ -227,17 +229,12 @@ class CayleySweep:
                             for b in blades(8, 2)], axis=1)
         self.TAU64 = wedge64 @ (2.0 * self.p7.T)
 
-    @staticmethod
-    def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return (x[:, :, None] * y[:, None, :]).reshape(len(x), 64)
-
     def _block(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         a, b, c, d = (frames[:, k, :] for k in range(4))
-        outer = self._outer
-        # values first: their (block, 64) temporaries are freed before tau's
-        values = np.einsum('Ni,Ni->N', outer(a, b) @ self.T64, outer(c, d))
-        # (b . (c . (d . phi)))^sharp = phi(d, c, b, .)
-        p = (b[:, None, :] @ (outer(d, c) @ self.T64).reshape(-1, 8, 8))[:, 0]
+        # (b . (c . (d . phi)))^sharp = phi(d, c, b, .), from d outer c
+        dc = (d[:, :, None] * c[:, None, :]).reshape(len(d), 64)
+        p = (b[:, None, :] @ (dc @ self.T64).reshape(-1, 8, 8))[:, 0]
+        values = np.einsum('Ni,Ni->N', p, a)
         gab, gac, gad = (np.einsum('Ni,Ni->N', a, x)[:, None] for x in (b, c, d))
         # -a outer p + gab c outer d + gac d outer b + gad b outer c, one matmul
         x = np.stack([-a, gab * c, gac * d, gad * b], axis=2)

@@ -15,7 +15,7 @@ input, reported as ``input error: ...`` on stderr with nothing on stdout:
 every ``ValueError`` a command raises, including a result that leaves
 float range; 0 otherwise.  JSON output is byte-identical for identical
 inputs and seeds.  Wall time goes to stderr so it never perturbs the
-payload.
+payload.  A reader that closes stdout early does not change the exit code.
 
 Only the arithmetic modules (``index``, ``surgery``, ``reproduce``) are
 imported with this module; ``verify``, ``comass`` and ``plane`` import
@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import TYPE_CHECKING, Optional, Tuple
@@ -119,6 +120,8 @@ def cmd_verify(args) -> Report:
 
 
 def cmd_comass(args) -> Report:
+    if args.exact:
+        raise InputError("comass is a floating-point estimate; --exact does not apply")
     from . import calib
     tol = calib.COMASS_TOL if args.tol is None else args.tol
     c = _resolve_form(args.form, exact=False)
@@ -271,7 +274,12 @@ def main(argv: Optional[list] = None) -> int:
         return EXIT_INPUT
     finally:
         print(f"# wall time: {time.monotonic() - start:.3f}s", file=sys.stderr)
-    print(out)
+    try:
+        print(out, flush=True)
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so the interpreter's
+        # final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_FAIL if failures else EXIT_OK
 
 

@@ -38,8 +38,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg, calib, g2 as g2mod, multivec
-from .multivec import (KForm, OrientedPlane, Vector, blades, exact_sqrt,
-                       is_exact, is_zero, scalar, sharp)
+from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, blades,
+                       exact_sqrt, is_exact, is_zero, scalar, sharp)
 from .spin7 import CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
 
 #: Residual bound of the symbol, intertwining and h-equivariance checks.
@@ -225,7 +225,7 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane) -> CayleyPointModel:
         e_basis.append(KForm(8, 2, {b: c / nrm for b, c in zip(basis2, row) if c != 0}))
 
     # cross products must land in the kernel of the restriction
-    if not all(is_zero(x, 1e-9) for row in _plane_restriction_rows(gens, onb) for x in row):
+    if not all(is_zero(x, PLANE_TOL) for row in _plane_restriction_rows(gens, onb) for x in row):
         raise NonCayleyPlaneError(tnorm)
 
     # gens[4 i + j] = t_i x n_j, so symbols[i][k, j] = <t_i x n_j, e_k>
@@ -264,12 +264,13 @@ def embed_plane_form(cpm: CayleyPointModel, alpha: KForm) -> KForm:
                 for (a, b), c in alpha.coeffs.items()), KForm.zero(8, 2))
 
 
-def asd_embedding_report(cpm: CayleyPointModel, tol: float = 1e-9) -> CheckResult:
+def asd_embedding_report(cpm: CayleyPointModel) -> CheckResult:
     """Conformality and orthogonality of ``alpha -> 2 pi7(alpha)`` on plane ASD forms.
 
     The image lies in the 7-dimensional summand, orthogonal to E, scales
     the Gram matrix by the fixed factor 2 (a sqrt(2)-conformal embedding),
-    and restricts back to the original form on the plane.
+    and restricts back to the original form on the plane; it passes when
+    the worst deviation is at most ``PLANE_TOL``.
     """
     m = cpm.model
     exact = m.exact
@@ -283,7 +284,7 @@ def asd_embedding_report(cpm: CayleyPointModel, tol: float = 1e-9) -> CheckResul
             gram_img = images[i].inner(images[j])
             gram_src = ai.inner(aj)
             worst = max(worst, abs(float(gram_img - 2 * gram_src)))
-    passed = worst <= tol
+    passed = worst <= PLANE_TOL
     return CheckResult("asd-embedding", passed, worst,
                        "2 pi7 is a sqrt(2)-conformal embedding orthogonal to E")
 
@@ -401,17 +402,17 @@ def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane,
         raise ValueError("expected a 3-plane in R^7")
     onb = plane.orthonormal_basis
     lam = multivec.restrict(g2m.phi3, plane)
-    if not is_zero(lam - 1, 1e-9):
+    if not is_zero(lam - 1, PLANE_TOL):
         raise ValueError(
             f"plane is not positively associative (phi restricts to {float(lam)})")
     normal = _orthonormal_complement(onb, 7)
     if s is None:
         s = normal[0]
     else:
-        if not is_zero(s.norm_sq() - 1, 1e-9):
+        if not is_zero(s.norm_sq() - 1, PLANE_TOL):
             raise ValueError("s must be a unit vector")
         for t in onb:
-            if not is_zero(s.dot(t), 1e-9):
+            if not is_zero(s.dot(t), PLANE_TOL):
                 raise ValueError("s must be normal to the plane")
     return AssociativePointModel(g2model=g2m, tangent_frame=tuple(onb),
                                  normal_frame=tuple(normal), s=s)

@@ -13,8 +13,8 @@ factors as ``dtheta ^ phi + psi`` with theta the first coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .multivec import (KForm, OrientedPlane, Vector, blades, is_exact,
-                       is_zero, restrict, scalar, sharp)
+from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, is_exact,
+                       is_zero, pullback_to_plane, restrict, scalar, sharp)
 from .spin7 import phi0
 
 
@@ -95,22 +95,16 @@ def associator(m: G2Model, u: Vector, v: Vector, w: Vector) -> Vector:
     return -1 * cross_g2(m, u, cross_g2(m, v, w)) - u.dot(v) * w + u.dot(w) * v
 
 
-def is_associative(m: G2Model, plane: OrientedPlane,
-                   tol: float = 1e-9) -> bool:
-    """True iff the 3-form restricts to +-volume on the 3-plane."""
+def is_associative(m: G2Model, plane: OrientedPlane) -> bool:
+    """True iff the 3-form restricts to +-volume on the 3-plane (within ``PLANE_TOL``)."""
     if plane.degree != 3 or plane.dim != 7:
         raise ValueError("associative test expects a 3-plane in R^7")
     lam = restrict(m.phi3, plane)
-    return bool(is_zero(abs(lam) - 1, tol))
+    return bool(is_zero(abs(lam) - 1, PLANE_TOL))
 
 
-def is_coassociative(m: G2Model, plane: OrientedPlane,
-                     tol: float = 1e-9) -> bool:
-    """True iff the 3-form restricts to zero on every 3-subframe of the 4-plane."""
+def is_coassociative(m: G2Model, plane: OrientedPlane) -> bool:
+    """True iff the 3-form pulls back to zero on the 4-plane (within ``PLANE_TOL``)."""
     if plane.degree != 4 or plane.dim != 7:
         raise ValueError("coassociative test expects a 4-plane in R^7")
-    onb = plane.orthonormal_basis
-    for blade in blades(4, 3):
-        if not is_zero(m.phi3.evaluate(*(onb[i - 1] for i in blade)), tol):
-            return False
-    return True
+    return pullback_to_plane(m.phi3, plane).is_zero(PLANE_TOL)

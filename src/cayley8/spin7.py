@@ -24,8 +24,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import _linalg
-from .multivec import (DEFAULT_TOL, KForm, Vector, _hodge_table, _wedge_table,
-                       blades, contract, flat, is_exact, is_zero, scalar, sharp)
+from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, Vector, _hodge_table,
+                       _wedge_table, blades, contract, flat, is_exact, is_zero,
+                       pullback, scalar, sharp)
 
 #: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
 EIGEN_CLUSTER_TOL = 1e-8
@@ -294,11 +295,11 @@ def _build_lambda4(phi: KForm, exact: bool):
 CERTIFY_CACHE_SIZE = 16
 
 
-def certify(phi: KForm, tol: float = DEFAULT_TOL):
+def certify(phi: KForm):
     """Run the structure checks; returns (certificate, model ingredients).
 
     The one entry point of the certificate: results are cached per
-    ``(dim, degree, sorted coefficients, tol)``, so a form is certified
+    ``(dim, degree, sorted coefficients)``, so a form is certified
     once per process however many forms with its coefficients are checked
     or built.  Exactness is part of the key, because ``1 == 1.0`` hashes
     alike, and the checks run on the form rebuilt from the sorted
@@ -306,11 +307,11 @@ def certify(phi: KForm, tol: float = DEFAULT_TOL):
     are ``None`` when the certificate fails.
     """
     items = tuple(sorted(phi.coeffs.items()))
-    return _certify(phi.dim, phi.degree, items, is_exact(phi.coeffs.values()), tol)
+    return _certify(phi.dim, phi.degree, items, is_exact(phi.coeffs.values()))
 
 
 @lru_cache(maxsize=CERTIFY_CACHE_SIZE)
-def _certify(dim: int, degree: int, items: tuple, exact: bool, tol: float):
+def _certify(dim: int, degree: int, items: tuple, exact: bool):
     checks: List[CheckResult] = []
     if dim != 8 or degree != 4:
         checks.append(CheckResult("shape", False, 1.0, "need a degree-4 form on R^8"))
@@ -318,11 +319,11 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool, tol: float):
     phi = KForm(dim, degree, dict(items))
 
     sd_diff = phi.hodge() - phi
-    sd_ok = sd_diff.is_zero(tol)
+    sd_ok = sd_diff.is_zero(DEFAULT_TOL)
     checks.append(CheckResult("self-dual", sd_ok, form_residual(sd_diff),
                               "star(phi) == phi" if sd_ok else "star(phi) != phi"))
     nrm = phi.norm_sq()
-    nrm_ok = is_zero(nrm - 14, 100 * tol)
+    nrm_ok = is_zero(nrm - 14, 100 * DEFAULT_TOL)
     checks.append(CheckResult("norm", nrm_ok, float(abs(nrm - 14)), f"<phi, phi> = {nrm}"))
 
     op = _lambda2_matrix(phi, exact)
@@ -341,13 +342,13 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool, tol: float):
     return cert, (exact, op, {**bases, **l4_bases}, l4_dims)
 
 
-def is_spin7_form(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Certificate:
+def is_spin7_form(phi: KForm) -> Spin7Certificate:
     """Certificate of the necessary structure conditions (never raises)."""
-    cert, _ = certify(phi, tol)
+    cert, _ = certify(phi)
     return cert
 
 
-def build_model(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Model:
+def build_model(phi: KForm) -> Spin7Model:
     """Validate ``phi`` and wrap its derived operators.
 
     Raises :class:`Spin7StructureError` carrying the certificate when the
@@ -355,7 +356,7 @@ def build_model(phi: KForm, tol: float = DEFAULT_TOL) -> Spin7Model:
     Models of forms with the same coefficients share the operators and
     bases that :func:`certify` cached.
     """
-    cert, ingredients = certify(phi, tol)
+    cert, ingredients = certify(phi)
     if ingredients is None:
         raise Spin7StructureError(cert)
     exact, op, bases, dims = ingredients
@@ -444,36 +445,15 @@ def tau(m: Spin7Model, a: Vector, b: Vector, c: Vector, d: Vector) -> KForm:
 # -- frames -----------------------------------------------------------------------
 
 
-def pullback_through_frame(phi: KForm, frame: Frame8) -> KForm:
-    """The form with coefficients ``phi(f_i, f_j, f_k, f_l)`` on increasing tuples.
-
-    Each coefficient is the ``phi.evaluate`` contraction chain, first vector
-    first; blades that share a leading prefix share its contractions, so
-    degree 4 takes 125 contractions instead of 280.
-    """
-    coeffs = {}
-    vecs = frame.vectors
-    chains = {(): phi}
-    for blade in blades(8, phi.degree):
-        for d in range(1, len(blade) + 1):
-            if blade[:d] not in chains:
-                chains[blade[:d]] = chains[blade[:d - 1]].contract(vecs[blade[d - 1] - 1])
-        val = chains[blade].coeffs.get((), 0)
-        if val != 0:
-            coeffs[blade] = val
-    return KForm(8, phi.degree, coeffs)
-
-
-def is_spin7_frame(m: Spin7Model, frame: Frame8, tol: float = 1e-9):
-    """True iff the frame pullback of phi equals the 14-term normal form.
+def is_spin7_frame(m: Spin7Model, frame: Frame8):
+    """True iff phi pulls back through the frame to the normal form within ``PLANE_TOL``.
 
     Returns (verdict, report) where the report carries the largest
     coefficient deviation.
     """
-    pulled = pullback_through_frame(m.phi, frame)
-    diff = pulled - phi0(exact=True)
+    diff = pullback(m.phi, frame.vectors) - phi0(exact=True)
     dev = max((abs(c) for c in diff.coeffs.values()), default=0)
-    ok = is_zero(dev, tol)
+    ok = is_zero(dev, PLANE_TOL)
     return ok, {"max_deviation": dev, "ok": ok}
 
 
@@ -488,15 +468,15 @@ def complete_frame(m: Spin7Model, e1: Vector, e2: Vector, e3: Vector,
     """
     named = {"e1": e1, "e2": e2, "e3": e3, "e5": e5}
     for name, v in named.items():
-        if not is_zero(v.norm_sq() - 1, 1e-9):
+        if not is_zero(v.norm_sq() - 1, PLANE_TOL):
             raise FramePreconditionError(f"{name} is not a unit vector")
     pairs = [("e1", "e2"), ("e1", "e3"), ("e2", "e3"),
              ("e1", "e5"), ("e2", "e5"), ("e3", "e5")]
     for na, nb in pairs:
-        if not is_zero(named[na].dot(named[nb]), 1e-9):
+        if not is_zero(named[na].dot(named[nb]), PLANE_TOL):
             raise FramePreconditionError(f"{na} is not orthogonal to {nb}")
     c123 = cross3(m, e1, e2, e3)
-    if not is_zero(e5.dot(c123), 1e-9):
+    if not is_zero(e5.dot(c123), PLANE_TOL):
         raise FramePreconditionError("e5 is not orthogonal to e1 x e2 x e3")
     e4 = -c123
     e6 = -cross3(m, e1, e2, e5)

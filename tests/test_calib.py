@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 
 from cayley8 import calib, dirac, g2, spin7
 from cayley8.multivec import (DegeneratePlaneError, KForm, OrientedPlane,
-                              Vector, random_form)
+                              Vector, pullback_to_plane, random_form)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 E7 = [Vector.basis(7, i) for i in range(1, 8)]
@@ -100,8 +100,8 @@ def test_special_lagrangian_planes_are_cayley_plus():
     for _ in range(5):
         R = _random_su4_rotation(rng)
         plane = OrientedPlane([Vector(R @ row) for row in base])
-        assert calib.sl_test(plane, tol=1e-8)
-        verdict = calib.cayley_test(m_sl, plane, tau_tol=1e-8)
+        assert calib.sl_test(plane)
+        verdict = calib.cayley_test(m_sl, plane)
         assert verdict.verdict == "cayley+" and verdict.criteria_agree
 
 
@@ -113,8 +113,8 @@ def test_complex_planes_are_cayley_minus():
         v = Vector(rng.standard_normal(8))
         w = Vector(rng.standard_normal(8))
         plane = OrientedPlane([v, J(v), w, J(w)])
-        assert calib.complex_test(plane, tol=1e-8)
-        verdict = calib.cayley_test(m_sl, plane, tau_tol=1e-8)
+        assert calib.complex_test(plane)
+        verdict = calib.cayley_test(m_sl, plane)
         assert verdict.verdict == "cayley-" and verdict.criteria_agree
 
 
@@ -132,27 +132,26 @@ def test_product_plane_relations():
         w = Vector(rng.standard_normal(7))
         w = (w - u.dot(w) * u).normalized()
         tri = [u, w, g2.cross_g2(g2.build_g2(exact=False), u, w)]
-        assert g2.is_associative(g2m, OrientedPlane(tri), tol=1e-8)
+        assert g2.is_associative(g2m, OrientedPlane(tri))
         lifted = OrientedPlane([theta] + [g2.lift_vector(v) for v in tri])
-        assert calib.cayley_test(MF, lifted, tau_tol=1e-8).verdict == "cayley+"
+        assert calib.cayley_test(MF, lifted).verdict == "cayley+"
     # random 3-planes agree between the two criteria
     for _ in range(50):
         tri = [Vector(x) for x in rng.standard_normal((3, 7))]
-        assoc = g2.is_associative(g2m, OrientedPlane(tri), tol=1e-8)
+        assoc = g2.is_associative(g2m, OrientedPlane(tri))
         lifted = OrientedPlane([theta] + [g2.lift_vector(v) for v in tri])
-        cay = calib.cayley_test(MF, lifted, tau_tol=1e-8).verdict != "not-cayley"
+        cay = calib.cayley_test(MF, lifted).verdict != "not-cayley"
         assert assoc == cay
     # coassociative 4-planes viewed in the theta = const slice are Cayley
     for _ in range(50):
         quad = [Vector(x) for x in rng.standard_normal((4, 7))]
-        coassoc = g2.is_coassociative(g2m, OrientedPlane(quad), tol=1e-8)
+        coassoc = g2.is_coassociative(g2m, OrientedPlane(quad))
         sliced = lift_plane(quad)
-        cay = calib.cayley_test(MF, sliced, tau_tol=1e-8).verdict != "not-cayley"
+        cay = calib.cayley_test(MF, sliced).verdict != "not-cayley"
         assert coassoc == cay
     comp = OrientedPlane(E7[3:])
     assert g2.is_coassociative(g2m, comp)
-    assert calib.cayley_test(MF, lift_plane(comp.orthonormal_basis),
-                             tau_tol=1e-8).verdict == "cayley+"
+    assert calib.cayley_test(MF, lift_plane(comp.orthonormal_basis)).verdict == "cayley+"
 
 
 def test_cayley_sweep_matches_sparse_path():
@@ -234,7 +233,9 @@ def test_comass_dualized_argmax_is_coassociative():
     res = calib.comass_estimate(calib.builtin_form("g2-coassoc", exact=False),
                                 restarts=12, seed=13)
     assert abs(res.value - 1) < 1e-6
-    assert g2.is_coassociative(g2m, res.plane, tol=1e-5)
+    # the ascent stops near a coassociative plane, and phi3 pulls back to
+    # first order in that distance: a looser bound than PLANE_TOL
+    assert pullback_to_plane(g2m.phi3, res.plane).is_zero(1e-5)
 
 
 def test_comass_top_degree_is_abs_coefficient():

@@ -1,6 +1,9 @@
 """Command-line surface: reports, schemas, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -122,6 +125,33 @@ def test_comass_scales_coefficients_near_float_range(tmp_path, capsys):
     payload = json.loads(out)
     assert code == 0 and payload["results"]["converged"] is True
     assert abs(payload["results"]["comass"] / 1e308 - 1) < 1e-6
+
+
+def test_comass_rejects_exact_mode(capsys):
+    # comass is a floating-point estimate; --exact would be silently ignored
+    code = cli.main(["--exact", "comass", "--form", "builtin:spin7", "--restarts", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: comass is a floating-point estimate" in captured.err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["comass", "--form", "builtin:spin7", "--restarts", "20"], 0),
+    (["reproduce", "--example", "2"], 1),  # the target mismatch kept by design
+])
+def test_closed_stdout_exits_quietly_with_the_payload_code(argv, code):
+    # like `cayley8 ... | true`: the reader is gone before the payload is written
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "cayley8", "--output", "json", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Exception" not in proc.stderr
+    assert proc.returncode == code
 
 
 def test_comass_unknown_builtin(capsys):

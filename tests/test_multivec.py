@@ -386,6 +386,34 @@ def _items(form):
     return [(blade, c, type(c)) for blade, c in form.coeffs.items()]
 
 
+@settings(max_examples=80)
+@given(st.data())
+def test_pullback_equals_per_blade_evaluate(data):
+    """``pullback`` shares contraction prefixes across blades, yet each
+    coefficient is the chain ``evaluate`` runs: the same items, types and
+    order, in both modes; ``pullback_to_plane`` is ``pullback`` through the
+    plane's orthonormal basis."""
+    exact = data.draw(st.booleans())
+    dim = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, 8))
+    degree = data.draw(st.integers(0, min(dim, k)))
+    a = _sparse_form(data, dim, degree, exact)
+    entry = st.one_of(st.just(0), _EXACT_COEFF) if exact else _FLOAT_COEFF
+    vecs = [Vector(data.draw(st.lists(entry, min_size=dim, max_size=dim)))
+            for _ in range(k)]
+    pulled = multivec.pullback(a, vecs)
+    ref = {b: a.evaluate(*(vecs[i - 1] for i in b)) for b in blades(k, degree)}
+    assert (pulled.dim, pulled.degree) == (k, degree)
+    assert _items(pulled) == [(b, v, type(v)) for b, v in ref.items() if v != 0]
+    if k <= dim:
+        plane = OrientedPlane(vecs)
+        try:
+            onb = plane.orthonormal_basis
+        except DegeneratePlaneError:
+            return
+        assert _items(multivec.pullback_to_plane(a, plane)) == _items(multivec.pullback(a, onb))
+
+
 @settings(max_examples=60)
 @given(st.data())
 def test_table_ops_equal_merge_blades_references(data):

@@ -1,0 +1,90 @@
+"""Every defaulted parameter of the package, as a reviewed list.
+
+Each tolerance is a named constant for one decision, not a per-call
+option.  This test walks the syntax tree of every module in
+``src/cayley8`` and compares each ``(module, function, parameter)`` that
+has a default with the set below, so a new option, or one that goes,
+shows up as an edit of this file.  Methods are named ``Class.method``.
+"""
+
+import ast
+import pathlib
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cayley8"
+
+DEFAULTED = {
+    ("_linalg", "nullspace", "tol"),
+    ("_linalg", "orthogonalize", "tol"),
+    ("_linalg", "orthonormal_columns", "tol"),
+    ("calib", "kaehler_form", "exact"),
+    ("calib", "_omega_parts", "exact"),
+    ("calib", "re_omega", "exact"),
+    ("calib", "im_omega", "exact"),
+    ("calib", "sl_model_form", "exact"),
+    ("calib", "coassoc_model_form", "exact"),
+    ("calib", "builtin_form", "exact"),
+    ("calib", "comass_estimate", "restarts"),
+    ("calib", "comass_estimate", "tol"),
+    ("calib", "comass_estimate", "seed"),
+    ("calib", "comass_estimate", "jobs"),
+    ("cli", "main", "argv"),
+    ("dirac", "plane_asd_basis", "exact"),
+    ("dirac", "plane_sd_basis", "exact"),
+    ("dirac", "clifford_check", "trials"),
+    ("dirac", "clifford_check", "seed"),
+    ("dirac", "symbol_isometry_report", "trials"),
+    ("dirac", "symbol_isometry_report", "seed"),
+    ("dirac", "build_associative_model", "s"),
+    ("dirac", "sl_symbol_intertwine", "trials"),
+    ("dirac", "sl_symbol_intertwine", "seed"),
+    ("dirac", "coassoc_symbol_intertwine", "trials"),
+    ("dirac", "coassoc_symbol_intertwine", "seed"),
+    ("g2", "build_g2", "exact"),
+    ("index", "read_field", "real"),
+    ("index", "read_field", "minimum"),
+    ("multivec", "scalar", "den"),
+    ("multivec", "is_zero", "tol"),
+    ("multivec", "random_form", "exact"),
+    ("multivec", "random_form", "span"),
+    ("multivec", "random_vector", "exact"),
+    ("multivec", "Vector.basis", "exact"),
+    ("multivec", "KForm.monomial", "coeff"),
+    ("multivec", "KForm.volume", "exact"),
+    ("multivec", "KForm.is_zero", "tol"),
+    ("multivec", "KForm.approx_equal", "tol"),
+    ("spin7", "phi0", "exact"),
+    ("spin7", "standard_model", "exact"),
+    ("surgery", "glue", "novikov_ok"),
+    ("verify", "run_suite", "exact"),
+    ("verify", "run_suite", "seed"),
+    ("verify", "run_suite", "trials"),
+    ("verify", "run_suite", "form"),
+    ("verify", "_Suite.record", "detail"),
+    ("verify", "_Suite.record", "floating"),
+}
+
+
+def _defaulted(node, module, prefix=""):
+    """Yield ``(module, qualified name, parameter)`` for each default under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(child, "name", "<lambda>")
+            args = child.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):] if args.defaults else []
+            named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            for arg in named:
+                yield module, name, arg.arg
+            name += "."
+        elif isinstance(child, ast.ClassDef):
+            name = f"{prefix}{child.name}."
+        yield from _defaulted(child, module, name)
+
+
+def test_defaulted_parameters_are_the_reviewed_set():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.extend(_defaulted(ast.parse(path.read_text()), path.stem))
+    assert len(found) == len(set(found)), "two parameters share a qualified name"
+    assert set(found) == DEFAULTED
