@@ -221,6 +221,23 @@ def test_is_spin7_frame_examples():
     assert not spin7.is_spin7_frame(M, scaled)[0]
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("degree", [3, 4])
+def test_pullback_through_frame_matches_per_blade_evaluate(exact, degree):
+    # shared contraction prefixes give each coefficient the chain that
+    # evaluate computes, so the pullback through the eight frame vectors is
+    # equal, exact and float alike
+    rng = np.random.default_rng(23 + degree)
+    phi = random_form(rng, 8, degree, exact=exact)
+    for _ in range(2):
+        vecs = tuple(random_vector(rng, 8, exact=exact) for _ in range(8))
+        pulled = pullback(phi, spin7.Frame8(vecs).vectors)
+        ref = {b: phi.evaluate(*(vecs[i - 1] for i in b)) for b in blades(8, degree)}
+        ref = {b: v for b, v in ref.items() if v != 0}
+        assert list(pulled.coeffs.items()) == list(ref.items())
+        assert all(is_exact([c]) == exact for c in pulled.coeffs.values())
+
+
 def test_complete_frame_standard():
     frame = spin7.complete_frame(M, E[0], E[1], E[2], E[4])
     for got, expect in zip(frame.vectors, E):
