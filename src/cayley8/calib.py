@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, blades,
-                       is_exact, is_zero, pullback_to_plane, restrict, scalar)
+                       is_zero, pullback_to_plane, restrict)
 from .index import read_field
 from .spin7 import Spin7Model, phi0, tau
 from . import g2 as g2mod
@@ -61,41 +61,39 @@ class CalibrationForm:
         return self.form.degree
 
 
-# -- standard C^4 data -------------------------------------------------------------
+# -- standard C^4 data (exact) -----------------------------------------------------
 
 
-def kaehler_form(exact: bool = True) -> KForm:
+def kaehler_form() -> KForm:
     """omega = sum_i dx_i ^ dy_i in interleaved coordinates."""
-    one = scalar(1, exact=exact)
-    return KForm(8, 2, {(2 * i - 1, 2 * i): one for i in range(1, 5)})
+    return KForm(8, 2, {(2 * i - 1, 2 * i): 1 for i in range(1, 5)})
 
 
-def _omega_parts(exact: bool = True) -> Tuple[KForm, KForm]:
+def _omega_parts() -> Tuple[KForm, KForm]:
     """(Re, Im) of (dx1 + i dy1) ^ ... ^ (dx4 + i dy4)."""
     re: dict = {}
     im: dict = {}
-    one = scalar(1, exact=exact)
     for ys in itertools.chain.from_iterable(
             itertools.combinations(range(1, 5), k) for k in range(5)):
         blade = tuple(2 * i if i in ys else 2 * i - 1 for i in range(1, 5))
         k = len(ys) % 4
         if k == 0:
-            re[blade] = one
+            re[blade] = 1
         elif k == 1:
-            im[blade] = one
+            im[blade] = 1
         elif k == 2:
-            re[blade] = -one
+            re[blade] = -1
         else:
-            im[blade] = -one
+            im[blade] = -1
     return KForm(8, 4, re), KForm(8, 4, im)
 
 
-def re_omega(exact: bool = True) -> KForm:
-    return _omega_parts(exact)[0]
+def re_omega() -> KForm:
+    return _omega_parts()[0]
 
 
-def im_omega(exact: bool = True) -> KForm:
-    return _omega_parts(exact)[1]
+def im_omega() -> KForm:
+    return _omega_parts()[1]
 
 
 def complex_structure(v: Vector) -> Vector:
@@ -109,34 +107,36 @@ def complex_structure(v: Vector) -> Vector:
     return Vector(out)
 
 
-def sl_model_form(exact: bool = True) -> KForm:
+def sl_model_form() -> KForm:
     """The structure form of a Calabi-Yau 4-fold: -omega^2/2 + Re(Omega)."""
-    om = kaehler_form(exact)
-    return -scalar(1, 2, exact=exact) * om.wedge(om) + re_omega(exact)
+    om = kaehler_form()
+    return -Fraction(1, 2) * om.wedge(om) + re_omega()
 
 
-def coassoc_model_form(exact: bool = True) -> KForm:
+def coassoc_model_form() -> KForm:
     """dtheta ^ phi + psi built from the R^7 slice data (equals the model form)."""
-    g2m = g2mod.build_g2(exact=exact)
-    dtheta = KForm.monomial(8, 1, coeff=scalar(1, exact=exact))
-    return dtheta.wedge(g2mod.raise_index_form(g2m.phi3)) \
+    g2m = g2mod.build_g2()
+    return KForm.monomial(8, 1).wedge(g2mod.raise_index_form(g2m.phi3)) \
         + g2mod.raise_index_form(g2m.psi4)
 
 
 def builtin_form(name: str, exact: bool = True) -> CalibrationForm:
-    """Look up a named calibration; raises ValueError for unknown names."""
+    """Look up a named calibration, built exact and converted with ``as_float``
+    when ``exact`` is false; raises ValueError for unknown names."""
     if name == "spin7":
-        return CalibrationForm(phi0(exact), "spin7")
-    if name == "wirtinger2":
-        om = kaehler_form(exact)
-        return CalibrationForm(scalar(1, 2, exact=exact) * om.wedge(om), "wirtinger2")
-    if name == "re-omega":
-        return CalibrationForm(re_omega(exact), "re-omega")
-    if name == "g2-assoc":
-        return CalibrationForm(g2mod.build_g2(exact).phi3, "g2-assoc")
-    if name == "g2-coassoc":
-        return CalibrationForm(g2mod.build_g2(exact).psi4, "g2-coassoc")
-    raise ValueError(f"unknown builtin form {name!r}; known: {BUILTIN_FORMS}")
+        form = phi0()
+    elif name == "wirtinger2":
+        om = kaehler_form()
+        form = Fraction(1, 2) * om.wedge(om)
+    elif name == "re-omega":
+        form = re_omega()
+    elif name == "g2-assoc":
+        form = g2mod.build_g2().phi3
+    elif name == "g2-coassoc":
+        form = g2mod.build_g2().psi4
+    else:
+        raise ValueError(f"unknown builtin form {name!r}; known: {BUILTIN_FORMS}")
+    return CalibrationForm(form if exact else form.as_float(), name)
 
 
 # -- pointwise tests ----------------------------------------------------------------
@@ -187,10 +187,9 @@ def sl_test(plane: OrientedPlane) -> bool:
     """Special Lagrangian: omega and Im(Omega) both restrict to zero (within ``PLANE_TOL``)."""
     if plane.degree != 4 or plane.dim != 8:
         raise ValueError("special Lagrangian test expects a 4-plane in R^8")
-    exact = is_exact(c for u in plane.orthonormal_basis for c in u.components)
-    if not pullback_to_plane(kaehler_form(exact), plane).is_zero(PLANE_TOL):
+    if not pullback_to_plane(kaehler_form(), plane).is_zero(PLANE_TOL):
         return False
-    return is_zero(restrict(im_omega(exact), plane), PLANE_TOL)
+    return is_zero(restrict(im_omega(), plane), PLANE_TOL)
 
 
 def complex_test(plane: OrientedPlane) -> bool:

@@ -164,7 +164,7 @@ def cmd_plane(args) -> Report:
         results["special_lagrangian"] = calib.sl_test(plane)
         results["complex"] = calib.complex_test(plane)
     if plane.dim == 7 and plane.degree in (3, 4):
-        g2m = g2mod.build_g2(exact=args.exact)
+        g2m = g2mod.build_g2()
         if plane.degree == 3:
             results["associative"] = g2mod.is_associative(g2m, plane)
         else:

@@ -237,23 +237,21 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane) -> CayleyPointModel:
                             symbols=symbols)
 
 
-def plane_asd_basis(exact: bool = True) -> List[KForm]:
-    """Intrinsic anti-self-dual 2-forms of an oriented 4-plane."""
-    one = scalar(1, exact=exact)
+def plane_asd_basis() -> List[KForm]:
+    """Intrinsic anti-self-dual 2-forms of an oriented 4-plane (exact)."""
     return [
-        KForm(4, 2, {(1, 2): one, (3, 4): -one}),
-        KForm(4, 2, {(1, 3): one, (2, 4): one}),
-        KForm(4, 2, {(1, 4): one, (2, 3): -one}),
+        KForm(4, 2, {(1, 2): 1, (3, 4): -1}),
+        KForm(4, 2, {(1, 3): 1, (2, 4): 1}),
+        KForm(4, 2, {(1, 4): 1, (2, 3): -1}),
     ]
 
 
-def plane_sd_basis(exact: bool = True) -> List[KForm]:
-    """Intrinsic self-dual 2-forms of an oriented 4-plane."""
-    one = scalar(1, exact=exact)
+def plane_sd_basis() -> List[KForm]:
+    """Intrinsic self-dual 2-forms of an oriented 4-plane (exact)."""
     return [
-        KForm(4, 2, {(1, 2): one, (3, 4): one}),
-        KForm(4, 2, {(1, 3): one, (2, 4): -one}),
-        KForm(4, 2, {(1, 4): one, (2, 3): one}),
+        KForm(4, 2, {(1, 2): 1, (3, 4): 1}),
+        KForm(4, 2, {(1, 3): 1, (2, 4): -1}),
+        KForm(4, 2, {(1, 4): 1, (2, 3): 1}),
     ]
 
 
@@ -273,8 +271,7 @@ def asd_embedding_report(cpm: CayleyPointModel) -> CheckResult:
     the worst deviation is at most ``PLANE_TOL``.
     """
     m = cpm.model
-    exact = m.exact
-    asd = plane_asd_basis(exact)
+    asd = plane_asd_basis()
     images = [2 * proj2_7(m, embed_plane_form(cpm, alpha)) for alpha in asd]
     worst = max(abs(float(img.inner(ek))) for img in images for ek in cpm.e_basis)
     for row, pair in zip(_plane_restriction_rows(images, cpm.tangent_frame), blades(4, 2)):
@@ -343,23 +340,6 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
     worst = float(worst)
     return CheckResult("clifford", worst <= CHECK_TOL, worst,
                        "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
-
-
-def symbol_isometry_report(cpm: CayleyPointModel, trials: int = 16,
-                           seed: int = 0) -> CheckResult:
-    """sigma(xi) is |xi| times an isometry N -> E (Gram matrix check).
-
-    Exact object arrays over an exact model, as in :func:`clifford_check`.
-    """
-    dtype = object if cpm.model.exact else float
-    eye = np.eye(4, dtype=dtype)
-    worst = 0.0
-    for xi in _covector_set(trials, seed, cpm.model.exact):
-        s = np.array(symbol_D(cpm, xi), dtype=dtype)
-        worst = max(worst, abs(s.T @ s - xi.norm_sq() * eye).max())
-    worst = float(worst)
-    return CheckResult("symbol-isometry", worst <= CHECK_TOL, worst,
-                       "Gram(sigma(xi)) = |xi|^2 Id")
 
 
 # -- even-form Clifford module on a 3-manifold ---------------------------------------
@@ -433,11 +413,12 @@ def h_iso(apm: AssociativePointModel, f, alpha: KForm) -> Vector:
 def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
     """``h(v . (f, alpha)) = v x h(f, alpha)`` over the full basis sweep.
 
-    Exact (residual 0) in exact mode; in floating mode 8 random vectors
-    and sections, drawn from seed 0, extend the sweep.
+    The tangent frame alone sets the mode (the G2 forms are exact): an
+    exact frame gives an exact sweep (residual 0); with a floating one, 8
+    random vectors and sections, drawn from seed 0, extend the sweep.
     """
     g2m = apm.g2model
-    exact = g2m.exact and is_exact(c for v in apm.tangent_frame for c in v.components)
+    exact = is_exact(c for v in apm.tangent_frame for c in v.components)
     one = scalar(1, exact=exact)
     pairs = [(one, KForm.zero(3, 2))]
     for blade in ((1, 2), (1, 3), (2, 3)):
@@ -492,7 +473,7 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0) -> Chec
     (-xi . alpha, (xi ^ alpha + star(xi ^ alpha)) / 2)`` up to one global
     unit scalar fixed at the probe ``xi = e^1``.
     """
-    if not m.phi.approx_equal(calib.sl_model_form(exact=m.exact), 1e-9):
+    if not m.phi.approx_equal(calib.sl_model_form(), 1e-9):
         raise ValueError("model must carry the Calabi-Yau structure form")
     exact = m.exact
     e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
@@ -506,8 +487,8 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0) -> Chec
 
     half = scalar(1, 2, exact=exact)
     # t_i x J t_j has E-coordinates sigma(e^i) (J t_j)
-    cols = [cpm.e_coords((-half) * calib.kaehler_form(exact))]
-    for beta in plane_sd_basis(exact):
+    cols = [cpm.e_coords((-half) * calib.kaehler_form())]
+    for beta in plane_sd_basis():
         cols.append(sum(half * c * (cpm.symbols[i - 1] @ jcoords[j - 1]
                                     - cpm.symbols[j - 1] @ jcoords[i - 1])
                         for (i, j), c in beta.coeffs.items()))
@@ -539,7 +520,7 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
     E is matched with the tangent space through the cross product with the
     circle direction; one global unit scalar is fixed at ``xi = e^1``.
     """
-    if not m.phi.approx_equal(phi0(exact=m.exact), 1e-9):
+    if not m.phi.approx_equal(phi0(), 1e-9):
         raise ValueError("model must carry the product structure form")
     exact = m.exact
     e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
@@ -548,9 +529,9 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
     plane = OrientedPlane(tangent)
     cpm = build_cayley_model(m, plane)
 
-    g2m = g2mod.build_g2(exact=exact)
+    g2m = g2mod.build_g2()
     r7_normals = [g2mod.project_vector(v) for v in (e[1], e[2], e[3])]
-    asd = plane_asd_basis(exact)
+    asd = plane_asd_basis()
     # n_k: the R^8 normal whose phi-contraction restricts to asd[k]
     restricted = np.array(_plane_restriction_rows(
         [g2m.phi3.contract(v) for v in r7_normals],
@@ -569,10 +550,9 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
 
     l3 = blades(4, 3)
     # column k: E-coordinates of (star gamma_k)^sharp x theta; A[:, 3] holds theta
-    one = scalar(1, exact=exact)
-    B = np.column_stack([np.array(symbol_D(cpm, KForm(4, 3, {blade: one}).hodge()), dtype=float)
+    B = np.column_stack([np.array(symbol_D(cpm, KForm(4, 3, {blade: 1}).hodge()), dtype=float)
                          @ A[:, 3] for blade in l3])
-    vol4 = KForm.volume(4, exact=exact)
+    vol4 = KForm.volume(4).as_float()
 
     def target_matrix(xi: KForm) -> np.ndarray:
         cols = []
@@ -580,7 +560,7 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
             if k < 3:
                 out = xi.wedge(asd[k].as_float())
             else:
-                out = -1.0 * vol4.as_float().contract(sharp(xi))
+                out = -1.0 * vol4.contract(sharp(xi))
             cols.append([float(out.coeffs.get(b, 0)) for b in l3])
         return np.array(cols).T
 

@@ -52,29 +52,27 @@ def project_vector(v: Vector) -> Vector:
 
 @dataclass(frozen=True)
 class G2Model:
-    """The slice 3-form and its dual 4-form on R^7."""
+    """The slice 3-form and its dual 4-form on R^7, exact coefficients +-1."""
 
     phi3: KForm
     psi4: KForm
-    exact: bool
 
 
-def build_g2(exact: bool = True) -> G2Model:
+def build_g2() -> G2Model:
     """Extract the 3- and 4-form from the model 4-form by slicing.
 
     Verifies ``psi = star_7(phi)`` and ``<phi, phi> = 7``; failure of
     either is an internal error.
     """
-    big = phi0(exact=exact)
-    e1 = Vector.basis(8, 1, exact=exact)
-    phi3 = lower_index_form(big.contract(e1))
-    theta_part = KForm.monomial(8, 1, coeff=scalar(1, exact=exact))
-    psi4 = lower_index_form(big - theta_part.wedge(big.contract(e1)))
-    if not psi4.approx_equal(phi3.hodge()):
+    big = phi0()
+    e1_part = big.contract(Vector.basis(8, 1))
+    phi3 = lower_index_form(e1_part)
+    psi4 = lower_index_form(big - KForm.monomial(8, 1).wedge(e1_part))
+    if psi4 != phi3.hodge():
         raise G2ConsistencyError("psi != star_7(phi)")
-    if not is_zero(phi3.norm_sq() - 7):
+    if phi3.norm_sq() != 7:
         raise G2ConsistencyError("<phi, phi> != 7")
-    return G2Model(phi3=phi3, psi4=psi4, exact=exact)
+    return G2Model(phi3=phi3, psi4=psi4)
 
 
 def cross_g2(m: G2Model, v: Vector, w: Vector) -> Vector:

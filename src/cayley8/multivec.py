@@ -11,7 +11,11 @@ rational.
 This module is also the package's one exact/float scalar policy:
 :func:`is_exact` decides whether values are exact and :func:`scalar` makes
 a constant of the mode's type (``int`` or ``Fraction`` exact, ``float``
-otherwise).
+otherwise).  The package's constant forms are built exact (coefficients
++-1, from factors +-1, 2 and +-1/2); a floating caller converts one once
+with :meth:`KForm.as_float`.  An exact coefficient enters a sum or product
+with a float as ``float(c)``, the value ``as_float`` stores, so an exact
+constant met by float operands gives the floats its converted copy gives.
 
 Every kernel operation reads a fixed blade table, built once per shape
 on first use and never at import: a wedge table per ``(dim, p, q)`` (for
@@ -331,13 +335,14 @@ class KForm:
         return KForm(dim, degree, coeffs)
 
     @staticmethod
-    def monomial(dim: int, *indices: int, coeff=1) -> "KForm":
-        """The basis blade e^{i1...ik} (indices may be unsorted)."""
-        return KForm.from_terms(dim, len(indices), {tuple(indices): coeff})
+    def monomial(dim: int, *indices: int) -> "KForm":
+        """The basis blade e^{i1...ik} (indices may be unsorted), coefficient 1."""
+        return KForm.from_terms(dim, len(indices), {tuple(indices): 1})
 
     @staticmethod
-    def volume(dim: int, exact: bool = True) -> "KForm":
-        return KForm(dim, dim, {tuple(range(1, dim + 1)): scalar(1, exact=exact)})
+    def volume(dim: int) -> "KForm":
+        """The exact volume form e^{1...dim}."""
+        return KForm(dim, dim, {tuple(range(1, dim + 1)): 1})
 
     # -- linear structure ----------------------------------------------------
 
@@ -473,6 +478,7 @@ class KForm:
                               {b: fn(c) for b, c in self.coeffs.items()})
 
     def as_float(self) -> "KForm":
+        """The same form with every coefficient a ``float``."""
         return self.map_coeffs(float)
 
     def __str__(self) -> str:

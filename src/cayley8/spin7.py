@@ -126,9 +126,9 @@ class Frame8:
         return self.vectors[i - 1]
 
 
-def phi0(exact: bool = True) -> KForm:
-    """The model 4-form on R^8 (14 blades, coefficients +-1)."""
-    return KForm(8, 4, {b: scalar(c, exact=exact) for b, c in PHI0_TERMS.items()})
+def phi0() -> KForm:
+    """The model 4-form on R^8 (14 blades, exact coefficients +-1)."""
+    return KForm(8, 4, PHI0_TERMS)
 
 
 @dataclass(frozen=True)
@@ -365,8 +365,10 @@ def build_model(phi: KForm) -> Spin7Model:
 
 
 def standard_model(exact: bool = True) -> Spin7Model:
-    """The model of the 14-term normal form (certified once, see certify)."""
-    return build_model(phi0(exact=exact))
+    """The model of the 14-term normal form (certified once, see certify),
+    built from ``phi0().as_float()`` when ``exact`` is false."""
+    phi = phi0()
+    return build_model(phi if exact else phi.as_float())
 
 
 def unchecked_model(phi: KForm) -> Spin7Model:
@@ -451,7 +453,7 @@ def is_spin7_frame(m: Spin7Model, frame: Frame8):
     Returns (verdict, report) where the report carries the largest
     coefficient deviation.
     """
-    diff = pullback(m.phi, frame.vectors) - phi0(exact=True)
+    diff = pullback(m.phi, frame.vectors) - phi0()
     dev = max((abs(c) for c in diff.coeffs.values()), default=0)
     ok = is_zero(dev, PLANE_TOL)
     return ok, {"max_deviation": dev, "ok": ok}

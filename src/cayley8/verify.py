@@ -44,6 +44,10 @@ class _Suite:
     def vectors(self, count: int):
         return [random_vector(self.rng, 8, exact=self.exact) for _ in range(count)]
 
+    def constant(self, form: KForm) -> KForm:
+        """An exact constant form in the suite's mode."""
+        return form if self.exact else form.as_float()
+
 
 def _check_structure_form(s: _Suite, phi: KForm):
     """Identities that depend only on the candidate structure form."""
@@ -51,7 +55,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
     e = [Vector.basis(8, i, exact=s.exact) for i in range(1, 9)]
 
     s.record("star(phi) == phi", form_residual(phi.hodge() - phi))
-    vol = KForm.volume(8, exact=s.exact)
+    vol = s.constant(KForm.volume(8))
     s.record("phi ^ phi == 14 vol", form_residual(phi.wedge(phi) - 14 * vol))
     s.record("<phi, phi> == 14", _residual(phi.norm_sq() - 14))
 
@@ -206,7 +210,7 @@ def _check_model_level(s: _Suite, trials_light: int):
     s.record("stabilizer algebra annihilates phi", worst,
              "21-summand generators act trivially")
 
-    g2m = g2mod.build_g2(exact=s.exact)
+    g2m = g2mod.build_g2()
     s.record("slice: psi == star7(phi3)", form_residual(g2m.psi4 - g2m.phi3.hodge()))
     e7 = [Vector.basis(7, i, exact=s.exact) for i in range(1, 8)]
     s.record("slice: standard associative/coassociative planes",
@@ -230,12 +234,11 @@ def _check_model_level(s: _Suite, trials_light: int):
     rep = dirac.asd_embedding_report(cpm)
     s.record("plane ASD forms embed conformally opposite E", rep.residual)
 
-    apm = dirac.build_associative_model(g2mod.build_g2(exact=s.exact),
-                                        OrientedPlane(e7[:3]))
+    apm = dirac.build_associative_model(g2m, OrientedPlane(e7[:3]))
     rep = dirac.h_equivariance_check(apm)
     s.record("h intertwines the Clifford actions", rep.residual)
 
-    m_sl = spin7.build_model(calib.sl_model_form(exact=s.exact))
+    m_sl = spin7.build_model(s.constant(calib.sl_model_form()))
     rep = dirac.sl_symbol_intertwine(m_sl, trials=6, seed=7)
     s.record("special Lagrangian symbol intertwining", rep.residual, rep.detail)
     rep = dirac.coassoc_symbol_intertwine(m, trials=6, seed=7)
@@ -254,7 +257,7 @@ def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")
     s = _Suite(exact=exact, seed=seed, trials=trials)
-    phi = form if form is not None else spin7.phi0(exact=exact)
+    phi = form if form is not None else s.constant(spin7.phi0())
     _check_structure_form(s, phi)
     _check_exterior_algebra(s)
     if form is None:

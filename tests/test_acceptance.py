@@ -108,7 +108,7 @@ def test_criterion_4_comass_of_the_four_calibrations():
         calib.builtin_form("spin7", exact=False),
         calib.builtin_form("wirtinger2", exact=False),
         calib.builtin_form("re-omega", exact=False),
-        calib.CalibrationForm(calib.coassoc_model_form(exact=False),
+        calib.CalibrationForm(calib.coassoc_model_form().as_float(),
                               "circle-product"),
     ]
     ok = True
@@ -131,7 +131,7 @@ def test_criterion_5_clifford_and_intertwinings():
     ok = clifford.passed and clifford.residual < 1e-10
 
     apm = dirac.build_associative_model(
-        g2.build_g2(exact=True),
+        g2.build_g2(),
         OrientedPlane([Vector.basis(7, i) for i in (1, 2, 3)]))
     heq = dirac.h_equivariance_check(apm)
     ok &= heq.passed and heq.residual == 0.0  # exact in exact mode

@@ -10,7 +10,8 @@ from hypothesis import assume, given, settings
 
 from cayley8 import calib, dirac, g2, spin7
 from cayley8.multivec import (DegeneratePlaneError, KForm, OrientedPlane,
-                              Vector, pullback_to_plane, random_form)
+                              Vector, pullback, pullback_to_plane, random_form,
+                              sharp)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 E7 = [Vector.basis(7, i) for i in range(1, 8)]
@@ -36,7 +37,7 @@ def test_complex_structure_squares_to_minus_one():
     assert (J(J(v)) + v).norm_sq() < 1e-20
     # omega(u, v) = g(Ju, v)
     u = Vector(rng.standard_normal(8))
-    om = calib.kaehler_form(exact=False)
+    om = calib.kaehler_form().as_float()
     assert abs(om.evaluate(u, v) - J(u).dot(v)) < 1e-12
 
 
@@ -95,7 +96,7 @@ def _random_su4_rotation(rng) -> np.ndarray:
 
 def test_special_lagrangian_planes_are_cayley_plus():
     rng = np.random.default_rng(42)
-    m_sl = spin7.build_model(calib.sl_model_form(exact=False))
+    m_sl = spin7.build_model(calib.sl_model_form().as_float())
     base = SL_PLANE.matrix()
     for _ in range(5):
         R = _random_su4_rotation(rng)
@@ -107,7 +108,7 @@ def test_special_lagrangian_planes_are_cayley_plus():
 
 def test_complex_planes_are_cayley_minus():
     rng = np.random.default_rng(43)
-    m_sl = spin7.build_model(calib.sl_model_form(exact=False))
+    m_sl = spin7.build_model(calib.sl_model_form().as_float())
     J = calib.complex_structure
     for _ in range(5):
         v = Vector(rng.standard_normal(8))
@@ -119,7 +120,7 @@ def test_complex_planes_are_cayley_minus():
 
 
 def test_product_plane_relations():
-    g2m = g2.build_g2(exact=True)
+    g2m = g2.build_g2()
     rng = np.random.default_rng(44)
     theta = E[0]
 
@@ -131,7 +132,7 @@ def test_product_plane_relations():
         u = Vector(rng.standard_normal(7)).normalized()
         w = Vector(rng.standard_normal(7))
         w = (w - u.dot(w) * u).normalized()
-        tri = [u, w, g2.cross_g2(g2.build_g2(exact=False), u, w)]
+        tri = [u, w, g2.cross_g2(g2.build_g2(), u, w)]
         assert g2.is_associative(g2m, OrientedPlane(tri))
         lifted = OrientedPlane([theta] + [g2.lift_vector(v) for v in tri])
         assert calib.cayley_test(MF, lifted).verdict == "cayley+"
@@ -189,7 +190,7 @@ def test_comass_spin7_small():
 
 
 def test_comass_decomposable_form_argmax():
-    c = calib.CalibrationForm(KForm.monomial(8, 1, 2, 3, 4, coeff=1.0), "blade")
+    c = calib.CalibrationForm(KForm.monomial(8, 1, 2, 3, 4).as_float(), "blade")
     res = calib.comass_estimate(c, restarts=8, seed=5)
     assert abs(res.value - 1) < 1e-6
     mat = res.plane.matrix()
@@ -217,19 +218,19 @@ def test_comass_matches_norm_on_decomposable_forms():
     # independent oracle: the comass of a decomposable form is its norm
     rng = np.random.default_rng(47)
     vs = [Vector(x) for x in rng.standard_normal((4, 8))]
-    form = KForm.monomial(8, 1, coeff=1.0)
+    form = KForm.monomial(8, 1).as_float()
     from cayley8.multivec import flat, wedge
     form = wedge(wedge(flat(vs[0]), flat(vs[1])), wedge(flat(vs[2]), flat(vs[3])))
     res = calib.comass_estimate(calib.CalibrationForm(form, "decomposable"),
                                 restarts=12, seed=8)
     assert abs(res.value - float(form.norm())) < 1e-6
-    scaled = calib.CalibrationForm(3.0 * KForm.monomial(8, 1, coeff=1.0), "3dx1")
+    scaled = calib.CalibrationForm(3.0 * KForm.monomial(8, 1), "3dx1")
     res = calib.comass_estimate(scaled, restarts=4, seed=8)
     assert abs(res.value - 3.0) < 1e-6
 
 
 def test_comass_dualized_argmax_is_coassociative():
-    g2m = g2.build_g2(exact=True)
+    g2m = g2.build_g2()
     res = calib.comass_estimate(calib.builtin_form("g2-coassoc", exact=False),
                                 restarts=12, seed=13)
     assert abs(res.value - 1) < 1e-6
@@ -356,8 +357,8 @@ def _numpy_plane(rows):
 
 
 @pytest.mark.parametrize("check", [
-    lambda: g2.is_associative(g2.build_g2(exact=False), _numpy_plane(np.eye(7)[:3])),
-    lambda: g2.is_coassociative(g2.build_g2(exact=False), _numpy_plane(np.eye(7)[3:])),
+    lambda: g2.is_associative(g2.build_g2(), _numpy_plane(np.eye(7)[:3])),
+    lambda: g2.is_coassociative(g2.build_g2(), _numpy_plane(np.eye(7)[3:])),
     lambda: calib.sl_test(_numpy_plane(np.eye(8)[[0, 2, 4, 6]])),
     lambda: calib.complex_test(_numpy_plane(np.eye(8)[:4])),
     lambda: calib.cayley_test(MF, _numpy_plane(np.eye(8)[:4])).criteria_agree,
@@ -368,3 +369,40 @@ def test_predicates_return_bool_on_numpy_components(check):
     # np.float64 components must not leak numpy.bool, which json.dumps rejects
     result = check()
     assert type(result) is bool and result
+
+
+# -- exact constants against their float copies ---------------------------------------
+
+#: The package's exact constant forms; floating callers convert them with ``as_float``.
+EXACT_CONSTANTS = ([calib.builtin_form(name).form for name in calib.BUILTIN_FORMS]
+                   + [calib.sl_model_form(), calib.coassoc_model_form(),
+                      calib.kaehler_form(), calib.im_omega(), KForm.volume(8)]
+                   + dirac.plane_asd_basis())
+
+_ENTRY = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+def _float_vectors(data, count, dim):
+    rows = data.draw(hnp.arrays(np.float64, (count, dim), elements=_ENTRY))
+    return [Vector(row.tolist()) for row in rows]
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_exact_constants_pull_back_like_their_float_copies(data):
+    for form in EXACT_CONSTANTS:
+        vs = _float_vectors(data, data.draw(st.integers(form.degree, form.dim)), form.dim)
+        got, want = pullback(form, vs), pullback(form.as_float(), vs)
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
+        assert all(type(c) is float for c in got.coeffs.values())
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_exact_g2_cross_product_equals_the_float_contraction(data):
+    g2m = g2.build_g2()
+    u, w = _float_vectors(data, 2, 7)
+    got = g2.cross_g2(g2m, u, w)
+    want = sharp(g2m.phi3.as_float().contract(u).contract(w))
+    # sharp reads an absent coefficient as the int 0 in both
+    assert [(type(x), x) for x in got.components] == [(type(x), x) for x in want.components]

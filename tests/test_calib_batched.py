@@ -135,7 +135,7 @@ def test_batched_ascent_matches_serial_per_restart(name, seed, tol):
 
 
 def test_batched_ascent_handles_single_restart_and_degree_one():
-    c = calib.CalibrationForm(calib.KForm.monomial(8, 3, coeff=-2.0), "-2dx3")
+    c = calib.CalibrationForm(-2.0 * calib.KForm.monomial(8, 3), "-2dx3")
     res = calib.comass_estimate(c, restarts=1, seed=4)
     outcomes, best = _serial_comass(c, 1, 4)
     assert best == res.best_restart == 0

@@ -170,7 +170,8 @@ def test_clifford_check_builds_each_symbol_once(monkeypatch):
 
 
 def test_symbol_isometry():
-    assert dirac.symbol_isometry_report(CPM, trials=16, seed=1).passed
+    # Gram(sigma(xi)) = |xi|^2 Id is the xi' = xi case of the Clifford relation
+    assert dirac.clifford_check(CPM, trials=16, seed=1).passed
 
 
 def test_bev_clifford_examples():
@@ -208,7 +209,7 @@ def test_bev_clifford_relation_on_basis_pairs():
                 assert (t1 + t2 + 2 * v.dot(w) * alpha).is_zero()
 
 
-APM = dirac.build_associative_model(g2.build_g2(exact=True),
+APM = dirac.build_associative_model(g2.build_g2(),
                                     OrientedPlane(E7[:3]))
 
 
@@ -232,7 +233,7 @@ def test_h_equivariance_exact_and_random_sections():
     assert report.passed and report.residual == 0.0
     # the identity persists for every unit normal choice of s
     rng = np.random.default_rng(33)
-    g2m = g2.build_g2(exact=False)
+    g2m = g2.build_g2()
     for _ in range(5):
         raw = rng.standard_normal(4)
         raw /= np.linalg.norm(raw)
@@ -311,8 +312,6 @@ def test_symbol_checks_are_exact_at_exact_cayley_planes_off_the_axes(which, nonz
     # trials > 0 adds random covectors, drawn exact in exact mode
     for report in (dirac.clifford_check(cpm, trials=0),
                    dirac.clifford_check(cpm, trials=4, seed=1),
-                   dirac.symbol_isometry_report(cpm, trials=0),
-                   dirac.symbol_isometry_report(cpm, trials=4, seed=1),
                    dirac.asd_embedding_report(cpm)):
         assert report.passed and report.residual == 0.0, report
         assert type(report.residual) is float

@@ -5,6 +5,7 @@ option.  This test walks the syntax tree of every module in
 ``src/cayley8`` and compares each ``(module, function, parameter)`` that
 has a default with the set below, so a new option, or one that goes,
 shows up as an edit of this file.  Methods are named ``Class.method``.
+A second walk checks that every name a module imports is used in it.
 """
 
 import ast
@@ -16,30 +17,19 @@ DEFAULTED = {
     ("_linalg", "nullspace", "tol"),
     ("_linalg", "orthogonalize", "tol"),
     ("_linalg", "orthonormal_columns", "tol"),
-    ("calib", "kaehler_form", "exact"),
-    ("calib", "_omega_parts", "exact"),
-    ("calib", "re_omega", "exact"),
-    ("calib", "im_omega", "exact"),
-    ("calib", "sl_model_form", "exact"),
-    ("calib", "coassoc_model_form", "exact"),
     ("calib", "builtin_form", "exact"),
     ("calib", "comass_estimate", "restarts"),
     ("calib", "comass_estimate", "tol"),
     ("calib", "comass_estimate", "seed"),
     ("calib", "comass_estimate", "jobs"),
     ("cli", "main", "argv"),
-    ("dirac", "plane_asd_basis", "exact"),
-    ("dirac", "plane_sd_basis", "exact"),
     ("dirac", "clifford_check", "trials"),
     ("dirac", "clifford_check", "seed"),
-    ("dirac", "symbol_isometry_report", "trials"),
-    ("dirac", "symbol_isometry_report", "seed"),
     ("dirac", "build_associative_model", "s"),
     ("dirac", "sl_symbol_intertwine", "trials"),
     ("dirac", "sl_symbol_intertwine", "seed"),
     ("dirac", "coassoc_symbol_intertwine", "trials"),
     ("dirac", "coassoc_symbol_intertwine", "seed"),
-    ("g2", "build_g2", "exact"),
     ("index", "read_field", "real"),
     ("index", "read_field", "minimum"),
     ("multivec", "scalar", "den"),
@@ -48,11 +38,8 @@ DEFAULTED = {
     ("multivec", "random_form", "span"),
     ("multivec", "random_vector", "exact"),
     ("multivec", "Vector.basis", "exact"),
-    ("multivec", "KForm.monomial", "coeff"),
-    ("multivec", "KForm.volume", "exact"),
     ("multivec", "KForm.is_zero", "tol"),
     ("multivec", "KForm.approx_equal", "tol"),
-    ("spin7", "phi0", "exact"),
     ("spin7", "standard_model", "exact"),
     ("surgery", "glue", "novikov_ok"),
     ("verify", "run_suite", "exact"),
@@ -88,3 +75,24 @@ def test_defaulted_parameters_are_the_reviewed_set():
         found.extend(_defaulted(ast.parse(path.read_text()), path.stem))
     assert len(found) == len(set(found)), "two parameters share a qualified name"
     assert set(found) == DEFAULTED
+
+
+def _imported(tree):
+    """Yield ``(name, line)`` for each name an import statement under ``tree`` binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield (alias.asname or alias.name.split(".")[0]), node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree)
+                   if name not in used]
+    assert not unused

@@ -289,7 +289,7 @@ def test_certificate_residuals():
     assert bad["norm"].residual == 13.0
     assert bad["lambda2 spectrum"].residual == 1.0
     assert bad["lambda4 dims"].residual == 1.0
-    perturbed = MF.phi + 0.05 * KForm.monomial(8, 1, 2, 3, 5, coeff=1.0)
+    perturbed = MF.phi + 0.05 * KForm.monomial(8, 1, 2, 3, 5)
     sd = spin7.is_spin7_form(perturbed).checks[0]
     assert not sd.passed and abs(sd.residual - 0.05) < 1e-15
     assert spin7.is_spin7_form(spin7.phi0()).as_dict()["checks"][0] == {
@@ -329,7 +329,7 @@ def test_certificate_invariant_under_rotations():
         assert cert.passed, cert.as_dict()
         model = spin7.build_model(pulled)
         assert model.lambda4_dims == (1, 7, 27, 35)
-    perturbed = MF.phi + 0.05 * KForm.monomial(8, 1, 2, 3, 5, coeff=1.0)
+    perturbed = MF.phi + 0.05 * KForm.monomial(8, 1, 2, 3, 5)
     assert not spin7.is_spin7_form(perturbed).passed
 
 
@@ -428,7 +428,7 @@ def test_summand_bases_are_built_once_on_first_read(monkeypatch):
         built[key] = m.bases[key]
         assert not callable(built[key])
     # a second read and a second model of the same form rebuild nothing
-    again = spin7.build_model(spin7.phi0(exact=True))
+    again = spin7.build_model(spin7.phi0())
     for key in SUMMANDS:
         assert len(_read_summand(again, *key)) == key[1]
         assert again.bases[key] is built[key]
@@ -488,7 +488,7 @@ def test_certificate_and_cayley_verdicts_invariant_under_so8(raw):
         want = calib.cayley_test(MF, OrientedPlane([E[i - 1] for i in idx])).verdict
         plane = OrientedPlane([Vector(q[i - 1]) for i in idx])
         assert calib.cayley_test(model, plane).verdict == want
-    perturbed = pulled + 0.05 * KForm.monomial(8, 1, 2, 3, 5, coeff=1.0)
+    perturbed = pulled + 0.05 * KForm.monomial(8, 1, 2, 3, 5)
     assert not spin7.is_spin7_form(perturbed).passed
 
 
@@ -516,7 +516,7 @@ def _lambda2_columns(phi, exact):
 def test_lambda2_matrix_matches_column_build(data, exact):
     phi = _random_form(data, 4, exact)
     if data.draw(st.booleans()):
-        phi = phi + spin7.phi0(exact)
+        phi = phi + (spin7.phi0() if exact else spin7.phi0().as_float())
     got = spin7._lambda2_matrix(phi, exact)
     want = _lambda2_columns(phi, exact)
     if exact:
