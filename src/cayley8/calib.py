@@ -42,6 +42,10 @@ AGREEMENT_TOL = 1e-6
 #: Iteration cap of one comass restart.
 COMASS_MAX_ITER = 500
 
+#: Margin by which a later restart must beat the best value so far to
+#: replace it, so near ties keep the earliest restart.
+COMASS_TIE_MARGIN = 1e-15
+
 BUILTIN_FORMS = ("spin7", "wirtinger2", "re-omega", "g2-assoc", "g2-coassoc")
 
 
@@ -498,7 +502,7 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
 
     best_i = 0
     for i in range(1, restarts):
-        if values[i] > values[best_i] + 1e-15:
+        if values[i] > values[best_i] + COMASS_TIE_MARGIN:
             best_i = i
     X, value = frames[best_i], scale * values[best_i]
 

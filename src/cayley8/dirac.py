@@ -38,8 +38,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _linalg, calib, g2 as g2mod, multivec
-from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, blades,
-                       exact_sqrt, is_exact, is_zero, scalar, sharp)
+from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, _project_out,
+                       blades, exact_sqrt, is_exact, is_zero, scalar, sharp)
 from .spin7 import CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
 
 #: Residual bound of the symbol, intertwining and h-equivariance checks.
@@ -52,26 +52,6 @@ class NonCayleyPlaneError(ValueError):
     def __init__(self, tau_norm):
         self.tau_norm = tau_norm
         super().__init__(f"plane is not Cayley: |tau| = {float(tau_norm):.3e}")
-
-
-def _orthonormal_complement(vectors: Sequence[Vector], dim: int) -> List[Vector]:
-    """Deterministic orthonormal complement: sweep the standard basis in order."""
-    exact = is_exact(c for v in vectors for c in v.components)
-    basis = list(vectors)
-    out = []
-    for i in range(1, dim + 1):
-        w = Vector.basis(dim, i, exact=exact)
-        for u in basis:
-            w = w - u.dot(w) * u
-        nsq = w.norm_sq()
-        if is_zero(nsq, 1e-18):
-            continue
-        w = w * (1 / exact_sqrt(nsq))
-        basis.append(w)
-        out.append(w)
-        if len(basis) == dim:
-            break
-    return out
 
 
 def _two_squares(r: int) -> Optional[Tuple[int, int]]:
@@ -125,32 +105,33 @@ def _four_squares(n: int) -> Tuple[int, int, int, int]:
     raise AssertionError("unreachable: every n >= 0 is a sum of four squares")
 
 
-def _normal_frame(m: Spin7Model, onb: Sequence[Vector]) -> List[Vector]:
+def _normal_frame(m: Spin7Model, plane: OrientedPlane) -> Tuple[Vector, ...]:
     """Orthonormal frame of the normal space of a Cayley 4-plane.
 
-    The standard-basis sweep of :func:`_orthonormal_complement`, unless the
-    model and the plane are exact and the sweep had to take an irrational
-    square root.  Then ``J_k = t_1 x t_k x .`` (k = 2, 3, 4) act on the
-    normal space as the unit imaginary quaternions: for a rational normal
-    ``w`` the vectors ``w, J_2 w, J_3 w, J_4 w`` are orthogonal of length
-    ``|w|``, a rational combination ``n`` of them has length 1 by
+    The plane's :meth:`~cayley8.multivec.OrientedPlane.complement`, unless
+    the model and the plane are exact and the complement had to take an
+    irrational square root.  Then ``J_k = t_1 x t_k x .`` (k = 2, 3, 4) act
+    on the normal space as the unit imaginary quaternions: for the first
+    nonzero projection ``w`` of a standard basis vector off the plane (a
+    rational normal) the vectors ``w, J_2 w, J_3 w, J_4 w`` are orthogonal
+    of length ``|w|``, a rational combination ``n`` of them has length 1 by
     Lagrange's four-square theorem, and ``n, J_2 n, J_3 n, J_4 n`` is an
     exact frame.
     """
-    normal = _orthonormal_complement(onb, 8)
+    onb = plane.orthonormal_basis
+    normal = plane.complement()
     exact_plane = m.exact and is_exact(c for t in onb for c in t.components)
-    if len(normal) != 4 or not exact_plane or is_exact(c for v in normal for c in v.components):
+    if not exact_plane or is_exact(c for v in normal for c in v.components):
         return normal
-    zero = Vector([0] * 8)
-    w = next(w for w in (Vector.basis(8, i) - sum((t[i] * t for t in onb), zero)
-                         for i in range(1, 9)) if w.norm_sq() != 0)
+    w = next(w for w in (_project_out(Vector.basis(8, i), onb) for i in range(1, 9))
+             if w.norm_sq() != 0)
     q = Fraction(w.norm_sq())
     # sum x_k^2 = n_q d_q / n_q^2 = 1 / q
     x = [Fraction(c, q.numerator) for c in _four_squares(q.numerator * q.denominator)]
     t1 = onb[0]
     quaternion = [w] + [cross3(m, t1, t, w) for t in onb[1:]]
-    n = sum((c * v for c, v in zip(x, quaternion)), zero)
-    return [n] + [cross3(m, t1, t, n) for t in onb[1:]]
+    n = sum((c * v for c, v in zip(x, quaternion)), Vector([0] * 8))
+    return (n,) + tuple(cross3(m, t1, t, n) for t in onb[1:])
 
 
 @dataclass(frozen=True)
@@ -206,17 +187,16 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane) -> CayleyPointModel:
     if not is_zero(tnorm, calib.TAU_TOL):
         raise NonCayleyPlaneError(tnorm)
 
-    normal = _normal_frame(m, onb)
-    if len(normal) != 4:
-        raise NonCayleyPlaneError(tnorm)
+    normal = _normal_frame(m, plane)
 
     basis2 = blades(8, 2)
-    if len(_linalg.nullspace(_plane_restriction_rows(m.lambda2_7_forms(), onb), tol=1e-9)) != 4:
+    rows = _plane_restriction_rows(m.lambda2_7_forms(), onb)
+    if len(_linalg.nullspace(rows, tol=PLANE_TOL)) != 4:
         raise NonCayleyPlaneError(tnorm)
 
     gens = [cross2(m, t, n) for t in onb for n in normal]
     ortho = _linalg.orthogonalize([[g.coeffs.get(b, 0) for b in basis2] for g in gens],
-                                  tol=1e-9)
+                                  tol=PLANE_TOL)
     if len(ortho) != 4:
         raise NonCayleyPlaneError(tnorm)
     e_basis = []
@@ -232,8 +212,8 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane) -> CayleyPointModel:
     coords = [[g.inner(ek) for ek in e_basis] for g in gens]
     dtype = object if is_exact(x for c in coords for x in c) else float
     symbols = tuple(np.array(coords[4 * i:4 * i + 4], dtype=dtype).T for i in range(4))
-    return CayleyPointModel(model=m, tangent_frame=tuple(onb),
-                            normal_frame=tuple(normal), e_basis=tuple(e_basis),
+    return CayleyPointModel(model=m, tangent_frame=onb,
+                            normal_frame=normal, e_basis=tuple(e_basis),
                             symbols=symbols)
 
 
@@ -385,7 +365,7 @@ def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane,
     if not is_zero(lam - 1, PLANE_TOL):
         raise ValueError(
             f"plane is not positively associative (phi restricts to {float(lam)})")
-    normal = _orthonormal_complement(onb, 7)
+    normal = plane.complement()
     if s is None:
         s = normal[0]
     else:
@@ -394,8 +374,8 @@ def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane,
         for t in onb:
             if not is_zero(s.dot(t), PLANE_TOL):
                 raise ValueError("s must be normal to the plane")
-    return AssociativePointModel(g2model=g2m, tangent_frame=tuple(onb),
-                                 normal_frame=tuple(normal), s=s)
+    return AssociativePointModel(g2model=g2m, tangent_frame=onb,
+                                 normal_frame=normal, s=s)
 
 
 def h_iso(apm: AssociativePointModel, f, alpha: KForm) -> Vector:
@@ -473,7 +453,7 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0) -> Chec
     (-xi . alpha, (xi ^ alpha + star(xi ^ alpha)) / 2)`` up to one global
     unit scalar fixed at the probe ``xi = e^1``.
     """
-    if not m.phi.approx_equal(calib.sl_model_form(), 1e-9):
+    if not m.phi.approx_equal(calib.sl_model_form()):
         raise ValueError("model must carry the Calabi-Yau structure form")
     exact = m.exact
     e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
@@ -520,7 +500,7 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
     E is matched with the tangent space through the cross product with the
     circle direction; one global unit scalar is fixed at ``xi = e^1``.
     """
-    if not m.phi.approx_equal(phi0(), 1e-9):
+    if not m.phi.approx_equal(phi0()):
         raise ValueError("model must carry the product structure form")
     exact = m.exact
     e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
@@ -529,20 +509,9 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
     plane = OrientedPlane(tangent)
     cpm = build_cayley_model(m, plane)
 
-    g2m = g2mod.build_g2()
-    r7_normals = [g2mod.project_vector(v) for v in (e[1], e[2], e[3])]
     asd = plane_asd_basis()
-    # n_k: the R^8 normal whose phi-contraction restricts to asd[k]
-    restricted = np.array(_plane_restriction_rows(
-        [g2m.phi3.contract(v) for v in r7_normals],
-        [g2mod.project_vector(t) for t in tangent]), dtype=float)
-    amb_for_asd: List[Vector] = []
-    for alpha in asd:
-        target = np.array([float(alpha[pair]) for pair in blades(4, 2)])
-        match = [c for c in range(3) if np.allclose(restricted[:, c], target, atol=1e-9)]
-        if not match:
-            raise RuntimeError("no normal direction matches the ASD form")
-        amb_for_asd.append(e[1 + match[0]])
+    # e_(k+2) is the R^8 normal whose phi-contraction restricts to asd[k]
+    amb_for_asd = [e[1], e[2], e[3]]
 
     nmat_cols = [np.array([float(v.dot(nf)) for nf in cpm.normal_frame])
                  for v in amb_for_asd + [theta]]

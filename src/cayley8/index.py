@@ -105,6 +105,9 @@ FIELDS: Dict[str, Tuple[str, ...]] = {
     name: tuple(dict.fromkeys(f for _, _, combo in terms for f, _ in combo))
     for name, (_, terms) in FORMULAS.items()}
 
+#: a real total within this distance of an integer is that integer
+NEAR_INTEGER_TOL = 1e-9
+
 #: the only fields that may be real; a formula that reads one may return a
 #: non-integer index (with a warning) instead of raising ParityError
 REAL_FIELDS = frozenset({"eta_Dtilde", "eta_Bev"})
@@ -130,7 +133,7 @@ def _evaluate(name: str, fields: dict) -> IndexResult:
         for (label, _, _), v in zip(terms, values))
     if isinstance(total, float):
         near = round(total)
-        if abs(total - near) <= 1e-9:
+        if abs(total - near) <= NEAR_INTEGER_TOL:
             return IndexResult(reported, int(near), rows)
     elif total.denominator == 1:
         return IndexResult(reported, int(total), rows)

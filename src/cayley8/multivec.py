@@ -258,12 +258,6 @@ class Vector:
     def norm(self):
         return exact_sqrt(self.norm_sq())
 
-    def normalized(self) -> "Vector":
-        n = self.norm()
-        if is_zero(n, GRAM_SCHMIDT_TOL):
-            raise DegeneratePlaneError("cannot normalize a (near-)zero vector")
-        return Vector(a / n for a in self.components)
-
     def to_array(self) -> np.ndarray:
         return np.array([float(c) for c in self.components])
 
@@ -534,12 +528,22 @@ def sharp(a: KForm) -> Vector:
     return Vector(a.coeffs.get((i,), 0) for i in range(1, a.dim + 1))
 
 
+def _project_out(w: Vector, basis: Sequence[Vector]) -> Vector:
+    """``w`` less its components along the orthonormal ``basis``, one vector
+    at a time (modified Gram-Schmidt): the package's one projection."""
+    for u in basis:
+        w = w - u.dot(w) * u
+    return w
+
+
 class OrientedPlane:
     """An oriented p-plane in R^n given by spanning vectors.
 
-    The orientation is the order of the spanning vectors.  An orthonormal
-    basis is computed once by modified Gram-Schmidt (pivot tolerance
-    ``GRAM_SCHMIDT_TOL``) and cached.
+    The orientation is the order of the spanning vectors.  Sparse vectors
+    are orthonormalized here and nowhere else: an orthonormal basis is
+    computed once by modified Gram-Schmidt (pivot tolerance
+    ``GRAM_SCHMIDT_TOL``) and cached, and :meth:`complement` extends it to
+    an orthonormal basis of R^n.
     """
 
     def __init__(self, spans: Sequence[Vector]):
@@ -561,9 +565,7 @@ class OrientedPlane:
         if self._onb is None:
             basis = []
             for v in self.spans:
-                w = v
-                for u in basis:
-                    w = w - u.dot(w) * u
+                w = _project_out(v, basis)
                 nsq = w.norm_sq()
                 if isinstance(nsq, float) and not math.isfinite(nsq):
                     raise ValueError(f"span vector {len(basis) + 1} has squared "
@@ -580,10 +582,33 @@ class OrientedPlane:
 
     def contains(self, v: Vector) -> bool:
         """True iff ``v`` lies within distance ``PLANE_TOL`` of the plane."""
-        w = v
-        for u in self.orthonormal_basis:
-            w = w - u.dot(w) * u
-        return is_zero(w.norm_sq(), PLANE_TOL * PLANE_TOL)
+        return is_zero(_project_out(v, self.orthonormal_basis).norm_sq(), PLANE_TOL * PLANE_TOL)
+
+    def complement(self) -> Tuple[Vector, ...]:
+        """Orthonormal basis of the orthogonal complement: ``dim - degree`` vectors.
+
+        Sweeps the exact standard basis ``e_1, ..., e_dim`` in order, each
+        projected off the plane and the vectors kept so far; a residual is
+        kept, normalized, iff its squared length is at least ``1 / (2 dim)``.
+        Squared residuals only shrink as the basis grows, and against a basis
+        that misses ``k`` dimensions they sum to ``k``; so the skipped ones
+        never add up to the 1 that a short sweep would leave, the sweep
+        completes, and no short residual is normalized.  A float plane meets
+        the exact 0 and 1 as ``float(c)``.
+        """
+        basis = list(self.orthonormal_basis)
+        out = []
+        for i in range(1, self.dim + 1):
+            if len(basis) == self.dim:
+                break
+            w = _project_out(Vector.basis(self.dim, i), basis)
+            nsq = w.norm_sq()
+            if 2 * self.dim * nsq < 1:
+                continue
+            w = w * (1 / exact_sqrt(nsq))
+            basis.append(w)
+            out.append(w)
+        return tuple(out)
 
 
 def restrict(a: KForm, plane: OrientedPlane):

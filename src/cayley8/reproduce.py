@@ -35,12 +35,6 @@ class Derivation:
     expected: Dict[str, int]
     description: str
 
-    def as_dict(self) -> dict:
-        return {"example": self.example, "rows": [dict(r) for r in self.rows],
-                "values": dict(self.values), "index": self.index,
-                "matches_expected": self.matches_expected,
-                "expected": dict(self.expected)}
-
 
 def load_fixture(example: int) -> dict:
     if example not in EXAMPLES:

@@ -24,9 +24,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from . import _linalg
-from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, Vector, _hodge_table,
-                       _wedge_table, blades, contract, flat, is_exact, is_zero,
-                       pullback, scalar, sharp)
+from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, OrientedPlane, Vector,
+                       _hodge_table, _wedge_table, blades, contract, flat,
+                       is_exact, is_zero, pullback, scalar, sharp)
 
 #: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
 EIGEN_CLUSTER_TOL = 1e-8
@@ -46,9 +46,6 @@ LAMBDA2_SPECTRUM = {-3: 7, 1: 21}
 
 #: Expected dimensions of the 4-form summands.
 LAMBDA4_DIMS = (1, 7, 27, 35)
-
-#: Random draws ``random_spin7_frame`` makes before giving up.
-FRAME_ATTEMPTS = 100
 
 
 class Spin7StructureError(ValueError):
@@ -493,32 +490,20 @@ def complete_frame(m: Spin7Model, e1: Vector, e2: Vector, e3: Vector,
 
 
 def random_spin7_frame(m: Spin7Model, rng: np.random.Generator) -> Frame8:
-    """A random adapted frame via completion of a random admissible quadruple.
+    """A random adapted frame: the completion of a random admissible quadruple.
 
-    A Gaussian quadruple is admissible with probability one, so a draw is
-    retried only after a rare near-degenerate completion; a model that
-    defeats ``FRAME_ATTEMPTS`` draws in a row is reported, not retried
-    forever.
+    Draws four standard normal vectors in R^8: ``e1, e2, e3`` are the
+    orthonormal basis of the first three, and ``e5`` is the fourth one
+    orthonormalized against ``e1, e2, e3, e1 x e2 x e3``, both by
+    :class:`~cayley8.multivec.OrientedPlane`.  A Gaussian quadruple is
+    admissible with probability one, so there is no retry: a degenerate
+    draw raises ``DegeneratePlaneError`` and a failed completion
+    :class:`FramePreconditionError`.
     """
-    for _ in range(FRAME_ATTEMPTS):
-        raw = [Vector(float(x) for x in rng.standard_normal(8)) for _ in range(4)]
-        try:
-            basis = []
-            for v in raw[:3]:
-                w = v
-                for u in basis:
-                    w = w - u.dot(w) * u
-                basis.append(w.normalized())
-            e1, e2, e3 = basis
-            w = raw[3]
-            for u in (e1, e2, e3, cross3(m, e1, e2, e3)):
-                w = w - (u.dot(w) / u.norm_sq()) * u
-            e5 = w.normalized()
-            return complete_frame(m, e1, e2, e3, e5)
-        except ValueError as exc:  # FramePreconditionError included
-            last = exc
-    raise FramePreconditionError(
-        f"no adapted frame after {FRAME_ATTEMPTS} random draws; last: {last}")
+    raw = [Vector(float(x) for x in rng.standard_normal(8)) for _ in range(4)]
+    e1, e2, e3 = OrientedPlane(raw[:3]).orthonormal_basis
+    e5 = OrientedPlane([e1, e2, e3, cross3(m, e1, e2, e3), raw[3]]).orthonormal_basis[4]
+    return complete_frame(m, e1, e2, e3, e5)
 
 
 def infinitesimal_action(phi: KForm, generator: KForm) -> KForm:

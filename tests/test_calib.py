@@ -129,9 +129,8 @@ def test_product_plane_relations():
 
     # associative 3-planes lift with the circle direction to Cayley planes
     for _ in range(10):
-        u = Vector(rng.standard_normal(7)).normalized()
-        w = Vector(rng.standard_normal(7))
-        w = (w - u.dot(w) * u).normalized()
+        u, w = OrientedPlane([Vector(rng.standard_normal(7)),
+                              Vector(rng.standard_normal(7))]).orthonormal_basis
         tri = [u, w, g2.cross_g2(g2.build_g2(), u, w)]
         assert g2.is_associative(g2m, OrientedPlane(tri))
         lifted = OrientedPlane([theta] + [g2.lift_vector(v) for v in tri])

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cayley8 import calib, dirac, g2, spin7
+from cayley8 import calib, dirac, g2, multivec, spin7
 from cayley8.multivec import KForm, OrientedPlane, Vector, is_exact
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
@@ -264,6 +264,44 @@ def test_coassoc_symbol_intertwine():
     m_sl = spin7.build_model(calib.sl_model_form())
     with pytest.raises(ValueError):
         dirac.coassoc_symbol_intertwine(m_sl)
+
+
+def test_coassoc_normals_restrict_to_the_asd_forms():
+    # the fixed table of coassoc_symbol_intertwine: (e_(k+2) . phi)|_X = asd[k]
+    # at X = span(e5, ..., e8), read in R^7
+    g2m = g2.build_g2()
+    tangent = [g2.project_vector(t) for t in E[4:]]
+    for k, alpha in enumerate(dirac.plane_asd_basis()):
+        normal = g2.project_vector(E[k + 1])
+        assert multivec.pullback(g2m.phi3.contract(normal), tangent) == alpha
+
+
+# -- frames at planes near the axes ---------------------------------------------------
+
+
+def _orthonormality_error(frame):
+    F = np.array([v.to_array() for v in frame])
+    return np.abs(F @ F.T - np.eye(len(frame))).max()
+
+
+@pytest.mark.parametrize("eps", [2e-9, 5e-9, 1e-8])
+def test_near_axis_cayley_plane_gets_an_orthonormal_normal_frame(eps):
+    # tilting e1 toward e5 and e2 toward -e6 keeps the plane Cayley, and
+    # leaves e1 and e2 residuals of length about eps off it
+    ef = [Vector.basis(8, i, exact=False) for i in range(1, 9)]
+    plane = OrientedPlane([ef[0] + eps * ef[4], ef[1] - eps * ef[5], ef[2], ef[3]])
+    assert calib.cayley_test(MF, plane).verdict == "cayley+"
+    cpm = dirac.build_cayley_model(MF, plane)
+    assert _orthonormality_error(cpm.tangent_frame + cpm.normal_frame) <= 1e-12
+
+
+@pytest.mark.parametrize("eps", [2e-9, 1e-8, 1e-7])
+def test_near_axis_associative_plane_gets_an_orthonormal_normal_frame(eps):
+    # tilting e1 toward e4 moves phi's restriction only at second order in eps
+    ef = [Vector.basis(7, i, exact=False) for i in range(1, 8)]
+    plane = OrientedPlane([ef[0] + eps * ef[3], ef[1], ef[2]])
+    apm = dirac.build_associative_model(g2.build_g2(), plane)
+    assert _orthonormality_error(apm.tangent_frame + apm.normal_frame) <= 1e-12
 
 
 # -- exact checks at an exact Cayley plane off the axes ------------------------------

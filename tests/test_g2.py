@@ -75,9 +75,8 @@ def test_random_three_planes_bounded_by_one():
 def test_cross_closed_planes_are_associative():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        u = Vector(rng.standard_normal(7)).normalized()
-        w = Vector(rng.standard_normal(7))
-        w = (w - u.dot(w) * u).normalized()
+        u, w = OrientedPlane([Vector(rng.standard_normal(7)),
+                              Vector(rng.standard_normal(7))]).orthonormal_basis
         plane = OrientedPlane([u, w, g2.cross_g2(M, u, w)])
         assert g2.is_associative(M, plane)
 

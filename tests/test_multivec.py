@@ -228,6 +228,40 @@ def test_from_terms_normalizes_signs():
     assert b.coeffs == {(1, 2, 3): 2, (1, 2, 4): -5}
 
 
+@settings(max_examples=60)
+@given(st.integers(3, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.sampled_from([0.0, 1e-9, 1e-6, 1.0]), st.integers(0, 2**32 - 1))
+def test_complement_completes_an_orthonormal_basis(shape, tilt, seed):
+    # the spans are orthonormal rows, tilt away from the axes by about ``tilt``
+    dim, degree = shape
+    noise = np.random.default_rng(seed).standard_normal((dim, dim))
+    rows, _ = np.linalg.qr(np.eye(dim) + tilt * noise)
+    plane = OrientedPlane([Vector(row.tolist()) for row in rows[:degree]])
+    comp = plane.complement()
+    assert len(comp) == dim - degree
+    F = np.array([v.to_array() for v in plane.orthonormal_basis + comp])
+    assert np.abs(F @ F.T - np.eye(dim)).max() <= 1e-12
+
+
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), min_size=1))))
+def test_complement_of_an_exact_coordinate_plane_is_the_other_axes(case):
+    dim, axes = case
+    comp = OrientedPlane([Vector.basis(dim, i) for i in sorted(axes)]).complement()
+    assert [v.components for v in comp] == [
+        Vector.basis(dim, i).components for i in range(1, dim + 1) if i not in axes]
+    assert is_exact(c for v in comp for c in v.components)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_complement_of_the_hyperplane_orthogonal_to_all_ones(exact):
+    # every standard basis vector leaves the squared residual 1/8 off it
+    e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
+    plane = OrientedPlane([e[i] - e[i + 1] for i in range(7)])
+    (normal,) = plane.complement()
+    assert np.abs(normal.to_array() - 8 ** -0.5).max() <= 1e-12
+
+
 def test_plane_contains_and_pullback():
     from cayley8.multivec import pullback_to_plane
     plane = OrientedPlane([E[0], E[1], E[2], E[3]])

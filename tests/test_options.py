@@ -5,7 +5,8 @@ option.  This test walks the syntax tree of every module in
 ``src/cayley8`` and compares each ``(module, function, parameter)`` that
 has a default with the set below, so a new option, or one that goes,
 shows up as an edit of this file.  Methods are named ``Class.method``.
-A second walk checks that every name a module imports is used in it.
+A second walk checks that every name a module imports is used in it,
+and a third that no function body carries a literal tolerance.
 """
 
 import ast
@@ -96,3 +97,22 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in _imported(tree)
                    if name not in used]
     assert not unused
+
+
+def _small_float_literals(tree):
+    """Yield the line of each float literal in (0, 1e-6) inside a function body."""
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            for node in (n for stmt in body for n in ast.walk(stmt)):
+                if (isinstance(node, ast.Constant) and isinstance(node.value, float)
+                        and 0 < node.value < 1e-6):
+                    yield node.lineno
+
+
+def test_no_literal_tolerance_in_a_function_body():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        lines = set(_small_float_literals(ast.parse(path.read_text())))
+        found += [f"{path.name}:{line}" for line in sorted(lines)]
+    assert not found

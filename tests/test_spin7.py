@@ -252,7 +252,7 @@ def test_complete_frame_random_admissible():
         assert ok, report
 
 
-def test_random_spin7_frame_gives_up_after_bounded_attempts(monkeypatch):
+def test_random_spin7_frame_fails_at_once(monkeypatch):
     calls = []
 
     def refuse(*args):
@@ -260,9 +260,17 @@ def test_random_spin7_frame_gives_up_after_bounded_attempts(monkeypatch):
         raise spin7.FramePreconditionError("e5 is not orthogonal to e1 x e2 x e3")
 
     monkeypatch.setattr(spin7, "complete_frame", refuse)
-    with pytest.raises(spin7.FramePreconditionError, match="no adapted frame after"):
+    with pytest.raises(spin7.FramePreconditionError, match="e1 x e2 x e3"):
         spin7.random_spin7_frame(MF, np.random.default_rng(0))
-    assert len(calls) == spin7.FRAME_ATTEMPTS
+    assert len(calls) == 1
+
+
+def test_random_spin7_frame_draws_four_normal_vectors():
+    rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+    spin7.random_spin7_frame(MF, rng)
+    for _ in range(4):
+        ref.standard_normal(8)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_complete_frame_rejects_bad_e5():
