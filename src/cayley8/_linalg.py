@@ -3,7 +3,12 @@
 The one place that decides how to eliminate in each mode: ``nullspace``
 and ``orthogonalize`` read the mode from their entries with
 :func:`cayley8.multivec.is_exact`, so no caller forks on it.  Exact
-entries run Gaussian elimination and Gram-Schmidt over Fractions; float
+entries are eliminated in integer rows (fraction-free, as in Bareiss's
+integer-preserving Gaussian elimination): each row is scaled by the lcm
+of its denominators, combined with other rows by integer row operations
+and divided by the gcd of its entries, so a row keeps one denominator,
+applied only when a value is read out through
+:func:`cayley8.multivec.divide` (an ``int`` when integral).  Float
 entries run one SVD whose singular values are compared with ``tol``.
 ``orthogonalize`` returns orthogonal rows in both modes (orthonormal in
 float mode).  Matrices are sequences of rows.
@@ -11,38 +16,83 @@ float mode).  Matrices are sequences of rows.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .multivec import is_exact
+from .multivec import divide, is_exact
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Fractions; returns (rref, pivot columns)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
+def _int_row(row: Sequence) -> Tuple[List[int], int]:
+    """An exact row as integers over one denominator: ``(ints, den)``."""
+    den = math.lcm(*(x.denominator for x in row))
+    return [x.numerator * (den // x.denominator) for x in row], den
+
+
+def _primitive(row: List[int]) -> Tuple[List[int], int]:
+    """``row`` divided by the gcd of its entries, and that gcd (0 for a zero row)."""
+    g = math.gcd(*row)
+    return (row if g <= 1 else [x // g for x in row]), g
+
+
+def _nonzeros(row: List[int]) -> List[Tuple[int, int]]:
+    # structure rows are sparse: row operations touch only these entries
+    return [(j, y) for j, y in enumerate(row) if y]
+
+
+def _eliminate(row: List[int], coeff: int, other: List[Tuple[int, int]]) -> List[int]:
+    """``row - coeff * other`` for ``other`` given by its nonzeros."""
+    row = list(row)
+    for j, y in other:
+        row[j] -= coeff * y
+    return row
+
+
+def _echelon(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
+    """Reduced row echelon form in integer rows; returns (rows, pivot columns).
+
+    Row ``r`` is a primitive integer row whose first nonzero is at column
+    ``pivots[r]`` and which is zero in every other pivot column, so the
+    rref row is row ``r`` over that entry.  Rows past the rank are dropped.
+    """
+    mat = [_primitive(_int_row(row)[0])[0] for row in rows]
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
+        pivot = next((i for i in range(r, nrows) if mat[i][c]), None)
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
         pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        prow = _nonzeros(mat[r])
         for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                # structure rows are sparse: skip the zero entries of the pivot row
-                mat[i] = [x - f * y if y else x for x, y in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f:
+                # (pv / g) row_i - (f / g) row_r clears column c in integers
+                g = math.gcd(pv, f)
+                scale = pv // g
+                row = mat[i] if scale == 1 else [scale * x for x in mat[i]]
+                mat[i] = _primitive(_eliminate(row, f // g, prow))[0]
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return mat, pivots
+    return mat[:r], pivots
+
+
+def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Fractions; returns (rref, pivot columns).
+
+    Zero rows follow the pivot rows, as many as the rank leaves.
+    """
+    ech, pivots = _echelon(rows)
+    ncols = len(rows[0]) if len(rows) else 0
+    mat = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(ech, pivots)]
+    return mat + [[Fraction(0)] * ncols for _ in range(len(rows) - len(ech))], pivots
 
 
 def _exact(rows: Sequence[Sequence]) -> bool:
@@ -58,8 +108,9 @@ def _svd(rows: Sequence[Sequence]):
 def nullspace(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
     """Basis of the kernel of the matrix (rows = equations).
 
-    Exact: the free-column basis of the rref, exact entries.  Float: the
-    right singular vectors whose singular values are at most ``tol``
+    Exact: the free-column basis of the rref, exact entries, each read
+    from the integer echelon row through ``divide``.  Float: the right
+    singular vectors whose singular values are at most ``tol``
     (orthonormal numpy rows).
     """
     if len(rows) == 0:
@@ -68,14 +119,17 @@ def nullspace(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
         svals, vh = _svd(rows)
         return list(vh[int((svals > tol).sum()):])
     ncols = len(rows[0])
-    mat, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    ech, pivots = _echelon(rows)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [0] * ncols
+        vec[fc] = 1
+        for row, pc in zip(ech, pivots):
+            if row[fc]:
+                vec[pc] = divide(-row[fc], row[pc])
         basis.append(vec)
     return basis
 
@@ -86,33 +140,42 @@ def independent_rows(rows: Sequence[Sequence]) -> List[int]:
     Each row outside the span of the rows before it, that is, the pivot
     columns of the transpose.
     """
-    return rref([list(col) for col in zip(*rows)])[1]
+    return _echelon([list(col) for col in zip(*rows)])[1]
 
 
 def orthogonalize(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
     """Orthogonal basis of the row span; dependent rows are dropped.
 
-    Exact: Gram-Schmidt without normalization, exact entries.  Float: the
-    right singular vectors whose singular values exceed ``tol``
-    (orthonormal numpy rows).
+    Exact: Gram-Schmidt without normalization, exact entries.  Each
+    residual is kept as a primitive integer row times one rational scale
+    and read out through ``divide``.  Float: the right singular vectors
+    whose singular values exceed ``tol`` (orthonormal numpy rows).
     """
     if len(rows) and not _exact(rows):
         svals, vh = _svd(rows)
         return [vh[i] for i in range(len(svals)) if svals[i] > tol]
-    basis: List[List[Fraction]] = []
-    norms: List[Fraction] = []
+    basis: List[Tuple[List[Tuple[int, int]], int]] = []  # (nonzeros, squared norm)
+    out = []
     for row in rows:
-        vec = [Fraction(x) for x in row]
-        for b, bb in zip(basis, norms):
-            # structure rows are sparse: skip the zero products
-            vb = sum(x * y for x, y in zip(vec, b) if x and y)
-            if vb != 0:
-                ratio = vb / bb
-                vec = [x - ratio * y if y else x for x, y in zip(vec, b)]
-        if any(x != 0 for x in vec):
-            basis.append(vec)
-            norms.append(sum(x * x for x in vec))
-    return basis
+        # the residual is vec * num / den
+        vec, den = _int_row(row)
+        num = 1
+        for b, bb in basis:
+            vb = sum(vec[j] * y for j, y in b)
+            if vb:
+                # vec - (vb / bb) b = ((bb / g) vec - (vb / g) b) / (bb / g)
+                g = math.gcd(bb, vb)
+                scale = bb // g
+                vec, content = _primitive(_eliminate(
+                    vec if scale == 1 else [scale * x for x in vec], vb // g, b))
+                num, den = num * content, den * scale
+        vec, content = _primitive(vec)
+        if content:
+            num *= content
+            nz = _nonzeros(vec)
+            basis.append((nz, sum(y * y for _, y in nz)))
+            out.append([divide(x * num, den) if x else 0 for x in vec])
+    return out
 
 
 def orthonormal_columns(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:

@@ -114,7 +114,7 @@ def complex_structure(v: Vector) -> Vector:
 def sl_model_form() -> KForm:
     """The structure form of a Calabi-Yau 4-fold: -omega^2/2 + Re(Omega)."""
     om = kaehler_form()
-    return -Fraction(1, 2) * om.wedge(om) + re_omega()
+    return -(om.wedge(om) / 2) + re_omega()
 
 
 def coassoc_model_form() -> KForm:
@@ -131,7 +131,7 @@ def builtin_form(name: str, exact: bool = True) -> CalibrationForm:
         form = phi0()
     elif name == "wirtinger2":
         om = kaehler_form()
-        form = Fraction(1, 2) * om.wedge(om)
+        form = om.wedge(om) / 2
     elif name == "re-omega":
         form = re_omega()
     elif name == "g2-assoc":

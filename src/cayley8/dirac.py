@@ -39,7 +39,7 @@ import numpy as np
 
 from . import _linalg, calib, g2 as g2mod, multivec
 from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, _project_out,
-                       blades, exact_sqrt, is_exact, is_zero, scalar, sharp)
+                       blades, divide, exact_sqrt, is_exact, is_zero, scalar, sharp)
 from .spin7 import CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
 
 #: Residual bound of the symbol, intertwining and h-equivariance checks.
@@ -202,7 +202,7 @@ def build_cayley_model(m: Spin7Model, plane: OrientedPlane) -> CayleyPointModel:
     e_basis = []
     for row in ortho:
         nrm = exact_sqrt(sum(x * x for x in row))
-        e_basis.append(KForm(8, 2, {b: c / nrm for b, c in zip(basis2, row) if c != 0}))
+        e_basis.append(KForm(8, 2, {b: divide(c, nrm) for b, c in zip(basis2, row) if c != 0}))
 
     # cross products must land in the kernel of the restriction
     if not all(is_zero(x, PLANE_TOL) for row in _plane_restriction_rows(gens, onb) for x in row):

@@ -10,12 +10,21 @@ rational.
 
 This module is also the package's one exact/float scalar policy:
 :func:`is_exact` decides whether values are exact and :func:`scalar` makes
-a constant of the mode's type (``int`` or ``Fraction`` exact, ``float``
-otherwise).  The package's constant forms are built exact (coefficients
-+-1, from factors +-1, 2 and +-1/2); a floating caller converts one once
-with :meth:`KForm.as_float`.  An exact coefficient enters a sum or product
-with a float as ``float(c)``, the value ``as_float`` stores, so an exact
-constant met by float operands gives the floats its converted copy gives.
+a constant of the mode's type.  An exact value the package makes is an
+``int`` when it is integral and a ``Fraction`` only when it is not
+(integer arithmetic is several times cheaper than ``Fraction``
+arithmetic); floating values are ``float``.  :func:`divide` and
+``KForm / n`` are the exact divisions: the exact quotient of exact
+operands, in that type, and ``a / b`` otherwise, so a float divided by a
+power of two keeps the bits of the product with its reciprocal.
+:func:`exact_sqrt`, the kernel's scalar reductions (``Vector.dot``,
+``KForm.inner``) and the normalization of :class:`OrientedPlane` follow
+the same rule.  The package's constant forms are built exact
+(coefficients +-1, from factors +-1, 2 and +-1/2); a floating caller
+converts one once with :meth:`KForm.as_float`.  An exact coefficient
+enters a sum or product with a float as ``float(c)``, the value
+``as_float`` stores, so an exact constant met by float operands gives the
+floats its converted copy gives.
 
 Every kernel operation reads a fixed blade table, built once per shape
 on first use and never at import: a wedge table per ``(dim, p, q)`` (for
@@ -53,8 +62,16 @@ Blade = Tuple[int, ...]
 #: compare exactly.
 DEFAULT_TOL = 1e-12
 
-#: Pivot tolerance for modified Gram-Schmidt on floating frames.
+#: Relative pivot tolerance for modified Gram-Schmidt on floating frames:
+#: a span vector is dependent when its residual is at most this fraction
+#: of its length.
 GRAM_SCHMIDT_TOL = 1e-10
+
+#: A floating residual whose squared length is below this fraction of its
+#: span vector's is projected a second time: one pass loses orthogonality
+#: in proportion to the cancellation, and a second pass restores it
+#: ("twice is enough", Giraud, Langou and Rozloznik 2005).
+REPROJECT_RATIO = 1e-6
 
 #: Gate of every pointwise plane and frame test: a restriction, a unit
 #: norm or an orthogonality is accepted within it, and plane membership
@@ -74,13 +91,34 @@ def is_exact(values: Iterable) -> bool:
 def scalar(num: int, den: int = 1, *, exact: bool):
     """The constant ``num / den`` of the mode's type.
 
-    Exact constants are ``int`` when ``den == 1`` (integer arithmetic is
-    several times cheaper than ``Fraction`` arithmetic) and ``Fraction``
+    Exact constants are ``int`` when ``den == 1`` and ``Fraction``
     otherwise; floating constants are ``float``.
     """
     if not exact:
         return num / den
     return num if den == 1 else Fraction(num, den)
+
+
+def divide(a, b):
+    """The quotient ``a / b`` under the scalar policy.
+
+    Exact operands give the exact quotient: an ``int`` when it is integral
+    (with two ``int`` operands, when ``b`` divides ``a``), a ``Fraction``
+    otherwise.  Any other operands give ``a / b``.
+    """
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    if isinstance(a, _EXACT_TYPES) and isinstance(b, _EXACT_TYPES):
+        return _integral(Fraction(a) / b)
+    return a / b
+
+
+def _integral(x):
+    """An exact ``x`` as an ``int`` when it is integral; anything else as is."""
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
 
 
 class DimensionError(ValueError):
@@ -98,16 +136,17 @@ class DegeneratePlaneError(ValueError):
 def exact_sqrt(x):
     """Square root that stays exact for perfect-square rationals.
 
-    Returns a Fraction when ``x`` is a rational whose numerator and
-    denominator are perfect squares, otherwise ``math.sqrt(x)``.
+    When ``x`` is exact and its numerator and denominator are perfect
+    squares, returns the root as an ``int`` if it is integral and as a
+    ``Fraction`` otherwise; in every other case ``math.sqrt(x)``.
     """
     if isinstance(x, _EXACT_TYPES):
-        f = Fraction(x)
-        if f < 0:
+        if x < 0:
             raise ValueError("negative radicand")
-        pn, pd = math.isqrt(f.numerator), math.isqrt(f.denominator)
-        if pn * pn == f.numerator and pd * pd == f.denominator:
-            return Fraction(pn, pd)
+        num, den = x.numerator, x.denominator
+        pn, pd = math.isqrt(num), math.isqrt(den)
+        if pn * pn == num and pd * pd == den:
+            return pn if pd == 1 else Fraction(pn, pd)
     return math.sqrt(x)
 
 
@@ -250,7 +289,7 @@ class Vector:
 
     def dot(self, other: "Vector"):
         self._check(other)
-        return sum(a * b for a, b in zip(self.components, other.components))
+        return _integral(sum(a * b for a, b in zip(self.components, other.components)))
 
     def norm_sq(self):
         return self.dot(self)
@@ -359,6 +398,11 @@ class KForm:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, n) -> "KForm":
+        """Every coefficient through :func:`divide`."""
+        return KForm._trusted(self.dim, self.degree,
+                              {b: divide(c, n) for b, c in self.coeffs.items()})
+
     def __getitem__(self, blade: Sequence[int]):
         """The coefficient of ``blade``: a stored blade is read directly, any
         other (permuted, repeated, absent or not a tuple) through ``sort_blade``."""
@@ -430,7 +474,7 @@ class KForm:
         small, large = self.coeffs, other.coeffs
         if len(large) < len(small):
             small, large = large, small
-        return sum(c * large[b] for b, c in small.items() if b in large)
+        return _integral(sum(c * large[b] for b, c in small.items() if b in large))
 
     def norm_sq(self):
         return self.inner(self)
@@ -536,14 +580,26 @@ def _project_out(w: Vector, basis: Sequence[Vector]) -> Vector:
     return w
 
 
+def _unit(w: Vector, nsq) -> Vector:
+    """``w`` over its length ``sqrt(nsq)``: each component through
+    :func:`divide` when the root is exact, else times the reciprocal."""
+    root = exact_sqrt(nsq)
+    if isinstance(root, float):
+        return w * (1 / root)
+    return Vector(divide(c, root) for c in w.components)
+
+
 class OrientedPlane:
     """An oriented p-plane in R^n given by spanning vectors.
 
     The orientation is the order of the spanning vectors.  Sparse vectors
     are orthonormalized here and nowhere else: an orthonormal basis is
-    computed once by modified Gram-Schmidt (pivot tolerance
-    ``GRAM_SCHMIDT_TOL``) and cached, and :meth:`complement` extends it to
-    an orthonormal basis of R^n.
+    computed once by modified Gram-Schmidt and cached, and
+    :meth:`complement` extends it to an orthonormal basis of R^n.  A
+    floating residual is projected again when it is shorter than
+    ``REPROJECT_RATIO`` of its span vector (in squared length), and the
+    span vector is dependent when it is at most ``GRAM_SCHMIDT_TOL`` of
+    that length, so the pivot does not depend on the scale of the spans.
     """
 
     def __init__(self, spans: Sequence[Vector]):
@@ -566,13 +622,23 @@ class OrientedPlane:
             basis = []
             for v in self.spans:
                 w = _project_out(v, basis)
-                nsq = w.norm_sq()
-                if isinstance(nsq, float) and not math.isfinite(nsq):
-                    raise ValueError(f"span vector {len(basis) + 1} has squared "
-                                     f"norm {nsq} outside float range")
-                if is_zero(nsq, GRAM_SCHMIDT_TOL ** 2):
+                nsq, vsq = w.norm_sq(), v.norm_sq()
+                if isinstance(nsq, float):
+                    # a span vector beyond float range would also make the
+                    # relative pivot below infinite
+                    if not math.isfinite(nsq) or vsq == math.inf:
+                        bad = vsq if math.isfinite(nsq) else nsq
+                        raise ValueError(f"span vector {len(basis) + 1} has squared "
+                                         f"norm {bad} outside float range")
+                    if nsq < REPROJECT_RATIO * vsq:
+                        w = _project_out(w, basis)
+                        nsq = w.norm_sq()
+                    degenerate = nsq <= GRAM_SCHMIDT_TOL ** 2 * vsq
+                else:
+                    degenerate = nsq == 0
+                if degenerate:
                     raise DegeneratePlaneError("degenerate plane")
-                basis.append(w * (1 / exact_sqrt(nsq)))
+                basis.append(_unit(w, nsq))
             self._onb = tuple(basis)
         return self._onb
 
@@ -605,7 +671,7 @@ class OrientedPlane:
             nsq = w.norm_sq()
             if 2 * self.dim * nsq < 1:
                 continue
-            w = w * (1 / exact_sqrt(nsq))
+            w = _unit(w, nsq)
             basis.append(w)
             out.append(w)
         return tuple(out)

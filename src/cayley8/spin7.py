@@ -381,21 +381,21 @@ def unchecked_model(phi: KForm) -> Spin7Model:
 # -- projections and cross products ---------------------------------------------
 
 
-def _minus_l(m: Spin7Model, a: KForm, den: int) -> KForm:
-    """``(a - L a) / den``; ``L a`` is summed in full before the subtraction,
-    so every float equals that of ``a - star(a ^ phi)`` bit for bit."""
+def _minus_l(m: Spin7Model, a: KForm) -> KForm:
+    """``a - L a``; ``L a`` is summed in full before the subtraction, so
+    every float equals that of ``a - star(a ^ phi)`` bit for bit.  Callers
+    divide the result once, by 2 or 4."""
     la = {}
     for l, cl in a.coeffs.items():
         # a blade of another degree has no row: then the subtraction raises
         for k, c in m.lambda2_rows.get(l, ()):
             la[k] = la.get(k, 0) + c * cl
-    scale = scalar(1, den, exact=m.exact and is_exact(a.coeffs.values()))
-    return scale * (a - KForm._trusted(8, 2, la))
+    return a - KForm._trusted(8, 2, la)
 
 
 def proj2_7(m: Spin7Model, a: KForm) -> KForm:
     """Projection of a 2-form onto the 7-dimensional summand."""
-    return _minus_l(m, a, 4)
+    return _minus_l(m, a) / 4
 
 
 def proj2_21(m: Spin7Model, a: KForm) -> KForm:
@@ -409,7 +409,12 @@ def cross2(m: Spin7Model, v: Vector, w: Vector) -> KForm:
     ``v x w = (v_flat ^ w_flat - star(v_flat ^ w_flat ^ phi)) / 2``;
     satisfies ``|v x w| = |v ^ w|``.
     """
-    return _minus_l(m, flat(v).wedge(flat(w)), 2)
+    return _doubled_cross2(m, v, w) / 2
+
+
+def _doubled_cross2(m: Spin7Model, v: Vector, w: Vector) -> KForm:
+    """``2 (v x w)``, the 2-fold product before its halving."""
+    return _minus_l(m, flat(v).wedge(flat(w)))
 
 
 def cross3(m: Spin7Model, u: Vector, v: Vector, w: Vector) -> Vector:
@@ -428,17 +433,20 @@ def tau(m: Spin7Model, a: Vector, b: Vector, c: Vector, d: Vector) -> KForm:
     + g(a,d) b x c``, where the first product pairs the vector ``a`` with
     the vector value ``b x c x d`` through the 2-fold cross product (the
     only typing under which the expression closes).  Vanishing of tau on
-    a 4-plane characterizes Cayley planes.
+    a 4-plane characterizes Cayley planes.  The four terms are summed
+    before the halving that each 2-fold product carries, so an exact tau
+    is divided once; halving scales a float exactly outside the subnormal
+    range, where the floats are those of the sum of the four products.
     """
-    result = -1 * cross2(m, a, cross3(m, b, c, d))
+    result = -1 * _doubled_cross2(m, a, cross3(m, b, c, d))
     gab, gac, gad = a.dot(b), a.dot(c), a.dot(d)
     if gab != 0:
-        result = result + gab * cross2(m, c, d)
+        result = result + gab * _doubled_cross2(m, c, d)
     if gac != 0:
-        result = result + gac * cross2(m, d, b)
+        result = result + gac * _doubled_cross2(m, d, b)
     if gad != 0:
-        result = result + gad * cross2(m, b, c)
-    return result
+        result = result + gad * _doubled_cross2(m, b, c)
+    return result / 2
 
 
 # -- frames -----------------------------------------------------------------------

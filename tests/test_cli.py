@@ -228,6 +228,20 @@ def test_plane_near_cayley_plane_exits_0(tmp_path, capsys):
     assert abs(cayley["value"]) > 1 - calib.AGREEMENT_TOL
 
 
+def test_plane_pivot_is_relative_to_the_span_length(tmp_path, capsys):
+    # 1e-150 e1 spans the line of e1: the plane is the coordinate Cayley plane
+    path = tmp_path / "plane.json"
+    vectors = [[float(i == j) for i in range(8)] for j in range(4)]
+    vectors[0][0] = 1e-150
+    path.write_text(json.dumps({"dim": 8, "degree": 4, "vectors": vectors}))
+    code, out = run_cli(capsys, "--output", "json", "plane",
+                        "--form", "builtin:spin7", "--vectors", str(path))
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert abs(results["value"] - 1) <= 1e-15
+    assert results["cayley"]["verdict"] == "cayley+"
+
+
 def test_plane_report_g2(tmp_path, capsys):
     path = tmp_path / "plane7.json"
     path.write_text(json.dumps({

@@ -355,6 +355,34 @@ def test_symbol_checks_are_exact_at_exact_cayley_planes_off_the_axes(which, nonz
         assert type(report.residual) is float
 
 
+@pytest.mark.parametrize("which", [(0, 1, 2, 3, 4, 5), (0, 4, 6)])
+def test_exact_point_model_is_int_when_integral_and_equals_fraction_reference(which):
+    """The E basis and the symbols at an exact plane hold exact values equal
+    to their Gram-Schmidt and inner-product references taken in Fractions
+    alone, each an ``int`` wherever it is integral."""
+    cpm = dirac.build_cayley_model(M, _off_axis_exact_cayley_plane(which))
+    basis2 = multivec.blades(8, 2)
+    gens = [[Fraction(g.coeffs.get(b, 0)) for b in basis2]
+            for g in (spin7.cross2(M, t, n) for t in cpm.tangent_frame
+                      for n in cpm.normal_frame)]
+    ortho = []
+    for vec in gens:
+        for q in ortho:
+            ratio = sum(x * y for x, y in zip(vec, q)) / sum(y * y for y in q)
+            vec = [x - ratio * y for x, y in zip(vec, q)]
+        if any(vec):
+            ortho.append(vec)
+    e_ref = [[x / Fraction(multivec.exact_sqrt(sum(y * y for y in q))) for x in q]
+             for q in ortho]
+    e_got = [[ek.coeffs.get(b, 0) for b in basis2] for ek in cpm.e_basis]
+    assert e_got == e_ref
+    sym_ref = [[[sum(x * y for x, y in zip(gens[4 * i + j], e_ref[k])) for j in range(4)]
+                for k in range(4)] for i in range(4)]
+    assert [s.tolist() for s in cpm.symbols] == sym_ref
+    values = [x for row in e_got for x in row] + [x for s in cpm.symbols for x in s.flat]
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
+
+
 @given(st.integers(0, 10 ** 40))
 def test_four_squares(n):
     squares = dirac._four_squares(n)

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 
 from cayley8 import _linalg
 
-_SMALL = st.integers(-2, 2)
+# integers in [-2, 2] and halves and thirds, so rows carry denominators
+_SMALL = st.one_of(st.integers(-2, 2),
+                   st.builds(Fraction, st.integers(-4, 4), st.sampled_from([2, 3])))
 
 
 @st.composite
@@ -32,6 +34,42 @@ def _rank(rows):
     return len(_linalg.rref(rows)[1]) if rows else 0
 
 
+def _rref(rows):
+    """Gauss-Jordan elimination over Fractions (the reference)."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots, r = [], 0
+    for c in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+    return mat, pivots
+
+
+def _nullspace(rows):
+    """The free-column kernel basis of the reference rref."""
+    mat, pivots = _rref(rows)
+    basis = []
+    for fc in (c for c in range(len(rows[0])) if c not in pivots):
+        vec = [Fraction(int(c == fc)) for c in range(len(rows[0]))]
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def _typed(values):
+    """True iff every value is an ``int`` when integral and a ``Fraction`` otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
+
+
 def _gram_schmidt(rows):
     """Exact Gram-Schmidt over every product, zeros included (the reference)."""
     basis = []
@@ -53,10 +91,15 @@ def test_nullspace_and_orthogonalize_agree_across_modes(planted):
     floats = [[float(x) for x in row] for row in rows]
     mat = np.array(floats)
 
+    echelon = _linalg.rref(rows)
+    assert echelon == _rref(rows)
+    assert all(type(x) is Fraction for row in echelon[0] for x in row)
+
     kernel, fkernel = _linalg.nullspace(rows), _linalg.nullspace(floats)
+    assert kernel == _nullspace(rows)
     assert len(kernel) == len(fkernel) == n - r
     assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows for vec in kernel)
-    assert all(isinstance(x, Fraction) for vec in kernel for x in vec)
+    assert _typed(x for vec in kernel for x in vec)
     if fkernel:
         k = np.array(fkernel)
         assert np.abs(k @ k.T - np.eye(n - r)).max() < 1e-12
@@ -64,6 +107,7 @@ def test_nullspace_and_orthogonalize_agree_across_modes(planted):
 
     span, fspan = _linalg.orthogonalize(rows), _linalg.orthogonalize(floats)
     assert span == _gram_schmidt(rows)
+    assert _typed(x for vec in span for x in vec)
     assert len(span) == len(fspan) == r
     for i, a in enumerate(span):
         assert all(sum(x * y for x, y in zip(a, b)) == 0 for b in span[i + 1:])

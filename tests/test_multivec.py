@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cayley8 import multivec
 from cayley8.multivec import (DegeneratePlaneError, DegreeError,
                               DimensionError, KForm, OrientedPlane, Vector,
-                              blades, contract, exact_sqrt, flat, hodge,
+                              blades, contract, divide, exact_sqrt, flat, hodge,
                               inner, is_exact, merge_blades, random_form,
                               random_vector, restrict, scalar, sharp,
                               sort_blade, wedge)
@@ -307,6 +307,86 @@ def test_scalar_policy():
     assert is_exact(Vector.basis(8, 3).components)
     assert is_exact(KForm.volume(8).coeffs.values())
     assert not is_exact(Vector.basis(8, 3, exact=False).components)
+
+
+def _typed(values):
+    """True iff every value is an ``int`` when integral and a ``Fraction`` otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
+
+
+def test_exact_division_and_roots_are_int_when_integral():
+    assert type(divide(6, 3)) is int and divide(6, 3) == 2
+    assert divide(-1, 2) == Fraction(-1, 2) and type(divide(-1, 2)) is Fraction
+    assert type(divide(Fraction(3, 2), Fraction(1, 2))) is int
+    assert divide(1, 4.0) == 0.25 and divide(1.5, 3) == 0.5
+    assert type(exact_sqrt(4)) is int and type(exact_sqrt(Fraction(16, 4))) is int
+    assert exact_sqrt(Fraction(9, 4)) == Fraction(3, 2)
+    a = KForm(8, 2, {(1, 2): 4, (1, 3): 1, (2, 3): Fraction(2, 3)})
+    assert (a / 2).coeffs == {(1, 2): 2, (1, 3): Fraction(1, 2), (2, 3): Fraction(1, 3)}
+    assert _typed((a / 2).coeffs.values())
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8), st.sampled_from([2, 4]))
+def test_float_division_by_a_power_of_two_is_the_reciprocal_product(values, n):
+    a = KForm(8, 1, {(i,): x for i, x in enumerate(values, 1)})
+    assert list((a / n).coeffs.items()) == list((a * (1 / n)).coeffs.items())
+
+
+@st.composite
+def _pythagorean_frame(draw, dim):
+    """Rows of an exact orthogonal matrix, in Fractions: the identity turned
+    by drawn rotations with cosine and sine 3/5 and 4/5, rows negated at will."""
+    rows = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.permutations(range(dim)))[:2]
+        c, s = draw(st.sampled_from([(Fraction(3, 5), Fraction(4, 5)),
+                                     (Fraction(4, 5), Fraction(3, 5))]))
+        rows[i], rows[j] = ([c * x - s * y for x, y in zip(rows[i], rows[j])],
+                            [s * x + c * y for x, y in zip(rows[i], rows[j])])
+    return [[-x for x in row] if draw(st.booleans()) else row for row in rows]
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(_pythagorean_frame(n), st.integers(1, n))),
+       st.data())
+def test_orthonormal_basis_of_perfect_square_spans_is_exact_and_typed(frame_degree, data):
+    # span k is s_k r_k plus integer multiples of the earlier rows, so the
+    # residuals have squared norms s_k^2 and the basis is sign(s_k) r_k
+    frame, degree = frame_degree
+    scales = data.draw(st.lists(st.integers(1, 4) | st.integers(-4, -1),
+                                min_size=degree, max_size=degree))
+    spans = []
+    for k in range(degree):
+        mix = data.draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        spans.append(Vector(scales[k] * x + sum(c * frame[i][j] for i, c in enumerate(mix))
+                            for j, x in enumerate(frame[k])))
+    onb = OrientedPlane(spans).orthonormal_basis
+    assert [list(u.components) for u in onb] == [
+        [x if s > 0 else -x for x in frame[k]] for k, s in enumerate(scales)]
+    assert _typed(c for u in onb for c in u.components)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8, 1e-9])
+def test_orthonormal_basis_of_nearly_dependent_spans_is_orthonormal(eps):
+    # one modified Gram-Schmidt pass leaves |F F^T - I| near eps^-1 * 1e-16
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(200):
+        a, g = rng.standard_normal((2, 8))
+        F = OrientedPlane([Vector(a.tolist()), Vector((a + eps * g).tolist())]).matrix()
+        worst = max(worst, np.abs(F @ F.T - np.eye(2)).max())
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-100, 1.0, 1e100, 1e150])
+def test_degenerate_pivot_does_not_depend_on_the_scale(scale):
+    e = [Vector.basis(8, i, exact=False) for i in range(1, 9)]
+    F = OrientedPlane([scale * e[0], scale * (e[1] + 2 * e[0])]).matrix()
+    assert np.abs(F - np.eye(8)[:2]).max() <= 1e-15
+    # a residual of 1e-11 of its span vector is dependent at every scale
+    with pytest.raises(DegeneratePlaneError, match="degenerate"):
+        OrientedPlane([scale * e[0], scale * (e[0] + 1e-11 * e[1])]).orthonormal_basis
 
 
 _EXACT_COEFF = st.one_of(st.integers(-9, 9),

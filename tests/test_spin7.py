@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from cayley8 import _linalg, calib, spin7
 from cayley8.multivec import (DegreeError, DimensionError, KForm, OrientedPlane,
                               Vector, blades, contract, flat, is_exact,
-                              pullback, random_form, random_vector, scalar, wedge)
+                              pullback, random_form, random_vector, scalar, sharp,
+                              wedge)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 M = spin7.standard_model(exact=True)
@@ -607,8 +608,7 @@ def _items(form):
 
 def _wedge_hodge_reference(m, a, den):
     """``(a - star(a ^ phi)) / den`` through the kernel's wedge and hodge."""
-    scale = scalar(1, den, exact=m.exact and is_exact(a.coeffs.values()))
-    return scale * (a - a.wedge(m.phi).hodge())
+    return (a - a.wedge(m.phi).hodge()) / den
 
 
 @settings(max_examples=60)
@@ -628,3 +628,73 @@ def test_stored_operator_equals_wedge_hodge_reference(seed, phi_exact, exact, da
                 for _ in range(2))
         vw = flat(v).wedge(flat(w))
         assert _items(spin7.cross2(m, v, w)) == _items(_wedge_hodge_reference(m, vw, 2))
+
+
+def _typed(values):
+    """True iff every value is an ``int`` when integral and a ``Fraction`` otherwise."""
+    return all(type(x) is (int if x.denominator == 1 else Fraction) for x in values)
+
+
+_PHI_Q = spin7.phi0().map_coeffs(Fraction)
+
+
+def _fractions(v):
+    return Vector(Fraction(c) for c in v.components)
+
+
+def _half_minus_l_reference(a, den):
+    """``(a - star(a ^ phi)) / den`` with every coefficient a ``Fraction``."""
+    a = a.map_coeffs(Fraction)
+    return (a - a.wedge(_PHI_Q).hodge()) * Fraction(1, den)
+
+
+def _cross2_reference(v, w):
+    return _half_minus_l_reference(flat(_fractions(v)).wedge(flat(_fractions(w))), 2)
+
+
+def _cross3_reference(u, v, w):
+    return sharp(contract(_fractions(u), contract(_fractions(v),
+                                                  contract(_fractions(w), _PHI_Q))))
+
+
+def _tau_reference(a, b, c, d):
+    """The defining sum of :func:`spin7.tau` over Fraction-only products."""
+    def g(x, y):
+        return sum(Fraction(p) * q for p, q in zip(x.components, y.components))
+    return (-1 * _cross2_reference(a, _cross3_reference(b, c, d))
+            + g(a, b) * _cross2_reference(c, d) + g(a, c) * _cross2_reference(d, b)
+            + g(a, d) * _cross2_reference(b, c))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_exact_products_are_int_when_integral_and_equal_fraction_references(data):
+    """On integer inputs every Spin(7) product is exact, equals its reference
+    computed in Fractions alone, and holds an ``int`` wherever it is integral."""
+    vector = st.lists(st.integers(-3, 3), min_size=8, max_size=8).map(Vector)
+    a, b, c, d = (data.draw(vector) for _ in range(4))
+    form = KForm(8, 2, data.draw(st.dictionaries(st.sampled_from(blades(8, 2)),
+                                                 st.integers(-3, 3), max_size=28)))
+    p7 = _half_minus_l_reference(form, 4)
+    pairs = [(spin7.cross2(M, a, b), _cross2_reference(a, b)),
+             (spin7.tau(M, a, b, c, d), _tau_reference(a, b, c, d)),
+             (spin7.proj2_7(M, form), p7),
+             (spin7.proj2_21(M, form), form - p7)]
+    for got, want in pairs:
+        assert got.coeffs == want.coeffs
+        assert _typed(got.coeffs.values())
+    c3 = spin7.cross3(M, a, b, c)
+    assert c3.components == _cross3_reference(a, b, c).components
+    assert _typed(c3.components)
+
+
+def test_float_tau_equals_the_sum_of_halved_products_bit_for_bit():
+    """tau halves once after the sum; halving scales a float exactly, so it
+    equals the sum of the four 2-fold products in every bit."""
+    rng = np.random.default_rng(40)
+    for _ in range(50):
+        a, b, c, d = (random_vector(rng, 8) for _ in range(4))
+        want = (-1 * spin7.cross2(MF, a, spin7.cross3(MF, b, c, d))
+                + a.dot(b) * spin7.cross2(MF, c, d) + a.dot(c) * spin7.cross2(MF, d, b)
+                + a.dot(d) * spin7.cross2(MF, b, c))
+        assert list(spin7.tau(MF, a, b, c, d).coeffs.items()) == list(want.coeffs.items())
