@@ -399,9 +399,11 @@ class KForm:
     __rmul__ = __mul__
 
     def __truediv__(self, n) -> "KForm":
-        """Every coefficient through :func:`divide`."""
+        """Every coefficient through :func:`divide` (a float one divided in place,
+        as ``divide`` would, without the call)."""
         return KForm._trusted(self.dim, self.degree,
-                              {b: divide(c, n) for b, c in self.coeffs.items()})
+                              {b: c / n if type(c) is float else divide(c, n)
+                               for b, c in self.coeffs.items()})
 
     def __getitem__(self, blade: Sequence[int]):
         """The coefficient of ``blade``: a stored blade is read directly, any

@@ -642,14 +642,14 @@ def _fractions(v):
     return Vector(Fraction(c) for c in v.components)
 
 
-def _half_minus_l_reference(a, den):
+def _minus_l_reference(a, den):
     """``(a - star(a ^ phi)) / den`` with every coefficient a ``Fraction``."""
     a = a.map_coeffs(Fraction)
     return (a - a.wedge(_PHI_Q).hodge()) * Fraction(1, den)
 
 
 def _cross2_reference(v, w):
-    return _half_minus_l_reference(flat(_fractions(v)).wedge(flat(_fractions(w))), 2)
+    return _minus_l_reference(flat(_fractions(v)).wedge(flat(_fractions(w))), 2)
 
 
 def _cross3_reference(u, v, w):
@@ -675,7 +675,7 @@ def test_exact_products_are_int_when_integral_and_equal_fraction_references(data
     a, b, c, d = (data.draw(vector) for _ in range(4))
     form = KForm(8, 2, data.draw(st.dictionaries(st.sampled_from(blades(8, 2)),
                                                  st.integers(-3, 3), max_size=28)))
-    p7 = _half_minus_l_reference(form, 4)
+    p7 = _minus_l_reference(form, 4)
     pairs = [(spin7.cross2(M, a, b), _cross2_reference(a, b)),
              (spin7.tau(M, a, b, c, d), _tau_reference(a, b, c, d)),
              (spin7.proj2_7(M, form), p7),
