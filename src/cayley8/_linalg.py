@@ -17,12 +17,14 @@ float mode).  Matrices are sequences of rows.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .multivec import divide, is_exact
+
+#: the default rank gate of the float SVD: a singular value at most this is zero
+SINGULAR_TOL = 1e-10
 
 
 def _int_row(row: Sequence) -> Tuple[List[int], int]:
@@ -84,17 +86,6 @@ def _echelon(rows: Sequence[Sequence]) -> Tuple[List[List[int]], List[int]]:
     return mat[:r], pivots
 
 
-def rref(rows: Sequence[Sequence]) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Fractions; returns (rref, pivot columns).
-
-    Zero rows follow the pivot rows, as many as the rank leaves.
-    """
-    ech, pivots = _echelon(rows)
-    ncols = len(rows[0]) if len(rows) else 0
-    mat = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(ech, pivots)]
-    return mat + [[Fraction(0)] * ncols for _ in range(len(rows) - len(ech))], pivots
-
-
 def _exact(rows: Sequence[Sequence]) -> bool:
     return is_exact(x for row in rows for x in row)
 
@@ -105,7 +96,7 @@ def _svd(rows: Sequence[Sequence]):
     return svals, vh
 
 
-def nullspace(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
+def nullspace(rows: Sequence[Sequence], tol: float = SINGULAR_TOL) -> list:
     """Basis of the kernel of the matrix (rows = equations).
 
     Exact: the free-column basis of the rref, exact entries, each read
@@ -143,7 +134,7 @@ def independent_rows(rows: Sequence[Sequence]) -> List[int]:
     return _echelon([list(col) for col in zip(*rows)])[1]
 
 
-def orthogonalize(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
+def orthogonalize(rows: Sequence[Sequence], tol: float = SINGULAR_TOL) -> list:
     """Orthogonal basis of the row span; dependent rows are dropped.
 
     Exact: Gram-Schmidt without normalization, exact entries.  Each
@@ -178,7 +169,7 @@ def orthogonalize(rows: Sequence[Sequence], tol: float = 1e-10) -> list:
     return out
 
 
-def orthonormal_columns(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def orthonormal_columns(mat: np.ndarray, tol: float = SINGULAR_TOL) -> np.ndarray:
     """Orthonormal basis of the column span (floating, rank-revealing SVD).
 
     Keeps the left singular vectors whose singular values exceed ``tol``,

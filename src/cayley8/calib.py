@@ -573,8 +573,9 @@ def load_form(obj: dict) -> CalibrationForm:
     """Form input: {"dim": n, "degree": k, "terms": [{"blade": [...], "coeff": ...}]}.
 
     Raises ValueError on a non-integer dim, degree or blade index, a
-    non-finite coefficient, or a blade that repeats an index (such a blade
-    is zero, so it would silently vanish).
+    non-finite coefficient or sum of the coefficients on one blade, or a
+    blade that repeats an index (such a blade is zero, so it would silently
+    vanish).
     """
     dim, degree, terms = _read_header(obj, "form", "terms")
     coeffs: dict = {}
@@ -588,6 +589,10 @@ def load_form(obj: dict) -> CalibrationForm:
             raise ValueError(f"blade {list(blade)} repeats an index")
         coeffs[blade] = coeffs.get(blade, 0) + coeff
     form = KForm.from_terms(dim, degree, coeffs)
+    for blade, c in form.coeffs.items():
+        # finite terms on one blade can sum out of float range
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"blade {list(blade)}: coefficient sum {c!r} is not finite")
     return CalibrationForm(form, str(obj.get("name", "custom")))
 
 

@@ -149,13 +149,6 @@ class CayleyPointModel:
     e_basis: Tuple[KForm, ...]
     symbols: Tuple[np.ndarray, ...] = field(compare=False)
 
-    def tangent_vector(self, xi: KForm) -> Vector:
-        """Raise an intrinsic tangent covector to an ambient vector."""
-        _check_covector(xi)
-        zero = Vector([0] * 8)
-        return sum((xi.coeffs.get((i + 1,), 0) * t
-                    for i, t in enumerate(self.tangent_frame)), zero)
-
     def e_coords(self, form: KForm):
         return [form.inner(ek) for ek in self.e_basis]
 

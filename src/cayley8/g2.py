@@ -45,11 +45,6 @@ def lift_vector(v: Vector) -> Vector:
     return Vector((scalar(0, exact=is_exact(v.components)),) + v.components)
 
 
-def project_vector(v: Vector) -> Vector:
-    """Drop slot 1 of an R^8 vector, the inverse of :func:`lift_vector`."""
-    return Vector(v.components[1:])
-
-
 @dataclass(frozen=True)
 class G2Model:
     """The slice 3-form and its dual 4-form on R^7, exact coefficients +-1."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
 from typing import Dict, Optional, Tuple
 
 
@@ -50,8 +49,7 @@ _MINUS_DIMH0 = ("-dimH0/2", 2, (("dimH0", -1),))
 
 #: CLI formula name -> (reported name, ordered terms).  A term is a
 #: derivation row (label, divisor, ((field, integer coefficient), ...)) whose
-#: value is the integer combination of the fields over the divisor.  The
-#: order of first appearance of the fields is the positional argument order.
+#: value is the integer combination of the fields over the divisor.
 FORMULAS: Dict[str, Tuple[str, tuple]] = {
     # closed calibrated 4-manifold
     "closed": ("closed", (_CHI, _MINUS_SIGMA,
@@ -161,19 +159,6 @@ def read_field(owner: str, field: str, value, *, real: bool = False,
     if minimum is not None and value < minimum:
         raise ValueError(f"{owner}: field {field!r} must be >= {minimum}, got {value!r}")
     return value
-
-
-def _positional(name: str, *args) -> IndexResult:
-    return _evaluate(name, dict(zip(FIELDS[name], args, strict=True)))
-
-
-index_closed = partial(_positional, "closed")
-index_eta = partial(_positional, "eta")
-index_spectral_flow = partial(_positional, "spectral_flow")
-index_parallel_section = partial(_positional, "parallel_section")
-index_parallel_section_lift = partial(_positional, "parallel_section_lift")
-index_complex = partial(_positional, "complex_cross_section")
-index_combined_example = partial(_positional, "combined_example")
 
 
 def evaluate_index(payload: dict) -> IndexResult:

@@ -416,8 +416,8 @@ class KForm:
     def is_zero(self, tol: float = DEFAULT_TOL) -> bool:
         return all(is_zero(c, tol) for c in self.coeffs.values())
 
-    def approx_equal(self, other: "KForm", tol: float = DEFAULT_TOL) -> bool:
-        return (self - other).is_zero(tol)
+    def approx_equal(self, other: "KForm") -> bool:
+        return (self - other).is_zero()
 
     # -- products and duality ------------------------------------------------
 
@@ -509,9 +509,6 @@ class KForm:
         return T
 
     # -- misc ------------------------------------------------------------------
-
-    def blade_count(self) -> int:
-        return len(self.coeffs)
 
     def map_coeffs(self, fn) -> "KForm":
         return KForm._trusted(self.dim, self.degree,

@@ -117,6 +117,7 @@ def run_example(example: int) -> Derivation:
     chi_x4, chi_x5 = _half_pieces(rows, values)
     chi_s = values["chi_S"]
     chi_z = values["chi_Z"]
+    x13 = _null_cobordism(fix, values)
 
     if example == 1:
         chi_x1 = chi_x4 + chi_x5 - chi_s
@@ -125,22 +126,14 @@ def run_example(example: int) -> Derivation:
         rows.append({"step": "sigma(X1) (orientation-reversing diffeomorphism)",
                      "value": sigma_x1})
         values["chi_X1"] = chi_x1
-        x13 = _null_cobordism(fix, values)
         chi_bar = chi_x1 + 2 * x13.chi
         sigma_bar = sigma_x1 + 2 * x13.sigma
-        for piece in fix["closed_pieces"]:
-            corr = piece.get("chi_correction", 0)
-            chi_bar += piece["count"] * (piece["chi"] + corr)
-            sigma_bar += piece["count"] * piece["sigma"]
-        rows.append({"step": "chi of the compactification Xbar", "value": chi_bar})
-        rows.append({"step": "sigma(Xbar) by Novikov additivity", "value": sigma_bar})
         euler_piece = 2 * chi_x1
         euler_normal = euler_piece // 2 + fix["euler_normal"]["self_intersection"]
-        rows.append({"step": "relative Euler number of the double-cover component",
-                     "value": euler_piece})
-        rows.append({"step": "Euler number of the normal bundle", "value": euler_normal})
+        euler_rows = [
+            {"step": "relative Euler number of the double-cover component",
+             "value": euler_piece}]
     elif example == 2:
-        x13 = _null_cobordism(fix, values)
         chi_glued = 2 * chi_x5 - chi_s
         sigma_glued = fix["glued_halves"]["sigma"]
         rows.append({"step": "chi(X5 u X5) glued along S", "value": chi_glued})
@@ -152,16 +145,19 @@ def run_example(example: int) -> Derivation:
         rows.append({"step": "sigma of the complex surface piece", "value": sigma_v})
         chi_bar = chi_glued + 2 * x13.chi + chi_v
         sigma_bar = sigma_glued + sigma_v
-        for piece in fix["closed_pieces"]:
-            corr = piece.get("chi_correction", 0)
-            chi_bar += piece["count"] * (piece["chi"] + corr)
-            sigma_bar += piece["count"] * piece["sigma"]
-        rows.append({"step": "chi of the compactification Xbar", "value": chi_bar})
-        rows.append({"step": "sigma(Xbar) by Novikov additivity", "value": sigma_bar})
         euler_normal = chi_glued + fix["euler_normal"]["self_intersection"]
-        rows.append({"step": "Euler number of the normal bundle", "value": euler_normal})
+        euler_rows = []
     else:  # pragma: no cover - guarded by load_fixture
         raise UnknownExampleError(str(example))
+
+    for piece in fix["closed_pieces"]:
+        corr = piece.get("chi_correction", 0)
+        chi_bar += piece["count"] * (piece["chi"] + corr)
+        sigma_bar += piece["count"] * piece["sigma"]
+    rows.append({"step": "chi of the compactification Xbar", "value": chi_bar})
+    rows.append({"step": "sigma(Xbar) by Novikov additivity", "value": sigma_bar})
+    rows.extend(euler_rows)
+    rows.append({"step": "Euler number of the normal bundle", "value": euler_normal})
 
     model = _closed_model(fix, rows)
     if (model.chi, model.sigma) != (chi_bar, sigma_bar):

@@ -97,13 +97,6 @@ class Spin7Certificate:
     passed: bool
     checks: Tuple[CheckResult, ...]
 
-    def failing(self) -> Tuple[CheckResult, ...]:
-        return tuple(c for c in self.checks if not c.passed)
-
-    def as_dict(self) -> dict:
-        return {"passed": self.passed,
-                "checks": [c.as_dict() for c in self.checks]}
-
 
 @dataclass(frozen=True)
 class Frame8:

@@ -50,14 +50,13 @@ class TopInvariants:
 
 @dataclass(frozen=True)
 class Graph:
-    """A finite graph carrying only the counts that matter for chi."""
+    """A finite connected graph carrying only the counts that matter for chi."""
 
     vertices: int
     edges: int
-    connected: bool = True
 
     def __post_init__(self):
-        if self.connected and self.vertices < 1:
+        if self.vertices < 1:
             raise SurgeryError("a connected graph needs at least one vertex")
 
     @property
@@ -65,8 +64,8 @@ class Graph:
         return self.vertices - self.edges
 
     @property
-    def b1(self) -> Optional[int]:
-        return 1 - self.chi if self.connected else None
+    def b1(self) -> int:
+        return 1 - self.chi
 
 
 def glue(a: TopInvariants, b: TopInvariants, along: TopInvariants,
@@ -138,8 +137,7 @@ def graph_quotient(g: Graph, group_order: int) -> Graph:
         raise SurgeryError("group order must be positive")
     if g.vertices % group_order or g.edges % group_order:
         raise SurgeryError("action cannot be free: counts not divisible")
-    return Graph(vertices=g.vertices // group_order,
-                 edges=g.edges // group_order, connected=g.connected)
+    return Graph(vertices=g.vertices // group_order, edges=g.edges // group_order)
 
 
 def product_with_circle(a: TopInvariants) -> TopInvariants:

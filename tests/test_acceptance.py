@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from cayley8 import calib, dirac, g2, index, reproduce, spin7
+from cayley8 import calib, dirac, g2, reproduce, spin7
 from cayley8.index import evaluate_index
 from cayley8.multivec import (KForm, OrientedPlane, Vector, contract, flat,
                               random_vector)
@@ -199,8 +199,11 @@ def test_criterion_8_formula_consistency_web():
         b0, b1 = abs(b0), abs(b1)
         chi = 2 * int(rng.integers(-30, 31)) + (sigma + b0 + b1) % 2
         eta = float(rng.integers(-9, 10))
-        lhs = index.index_eta(chi, sigma, e, b0 + b1, eta, eta).index
-        rhs = index.index_parallel_section(chi, sigma, e, b0, b1).index
+        lhs = evaluate_index({"formula": "eta", "fields": {
+            "chi": chi, "sigma": sigma, "euler_normal": e, "dim_ker_Dtilde": b0 + b1,
+            "eta_Dtilde": eta, "eta_Bev": eta}}).index
+        rhs = evaluate_index({"formula": "parallel_section", "fields": {
+            "chi": chi, "sigma": sigma, "rel_euler": e, "b0_Y": b0, "b1_Y": b1}}).index
         failures += lhs != rhs
     for _ in range(1000):
         chi_bar, sigma_bar, self_int, chi_c = (

@@ -184,6 +184,28 @@ def test_comass_rejects_non_finite_coefficient(tmp_path, capsys):
     assert "not finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["comass", "plane", "verify"])
+@pytest.mark.parametrize("second", [[1, 2, 3, 4], [2, 1, 4, 3]])
+def test_form_whose_summed_coefficient_leaves_float_range_exit_2(tmp_path, capfd,
+                                                                command, second):
+    # each coefficient is finite; their sum on e^1234 is not.  capfd, not
+    # capsys: LAPACK writes its DLASCL complaints straight to file descriptor 1
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"dim": 8, "degree": 4, "terms": [
+        {"blade": [1, 2, 3, 4], "coeff": 1e308}, {"blade": second, "coeff": 1e308}]}))
+    argv = [command, "--form", str(form)]
+    if command == "plane":
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps({"dim": 8, "degree": 4, "vectors": [
+            [int(i == j) for i in range(8)] for j in range(4)]}))
+        argv += ["--vectors", str(plane)]
+    code = cli.main(argv)
+    captured = capfd.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "blade [1, 2, 3, 4]" in captured.err and "not finite" in captured.err
+    assert "DLASCL" not in captured.out + captured.err
+
+
 def test_comass_rejects_repeated_index_blade(tmp_path, capsys):
     path = tmp_path / "repeated.json"
     path.write_text(json.dumps({

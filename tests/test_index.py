@@ -10,76 +10,94 @@ from cayley8 import index
 from cayley8.index import ParityError, evaluate_index
 
 
+def _index(formula, **fields):
+    return evaluate_index({"formula": formula, "fields": fields})
+
+
+def _zeros(formula, **fields):
+    """``formula`` on ``fields``, with every field not given set to 0."""
+    return _index(formula, **dict(dict.fromkeys(index.FIELDS[formula], 0), **fields))
+
+
 def test_index_closed():
-    assert index.index_closed(0, 0, 0).index == 0
-    assert index.index_closed(24, -16, 9).index == 11
-    assert index.index_closed(3, 1, 0).index == 1
+    assert _zeros("closed").index == 0
+    assert _index("closed", chi=24, sigma=-16, self_intersection=9).index == 11
+    assert _zeros("closed", chi=3, sigma=1).index == 1
     with pytest.raises(ParityError):
-        index.index_closed(3, 0, 0)
+        _zeros("closed", chi=3)
 
 
 def test_index_eta():
-    assert index.index_eta(0, 0, 0, 0, 0.0, 0.0).index == 0
-    assert index.index_eta(48, -16, 24, 0, 0.0, 0.0).index == 8
-    res = index.index_eta(1, 0, 0, 0, 1.0, 0.0)
+    assert _zeros("eta", eta_Dtilde=0.0, eta_Bev=0.0).index == 0
+    assert _zeros("eta", chi=48, sigma=-16, euler_normal=24,
+                  eta_Dtilde=0.0, eta_Bev=0.0).index == 8
+    res = _zeros("eta", chi=1, eta_Dtilde=1.0, eta_Bev=0.0)
     assert res.warning is None and res.index == 1  # eta terms restore integrality
-    res = index.index_eta(1, 0, 0, 0, 0.3, 0.0)
+    res = _zeros("eta", chi=1, eta_Dtilde=0.3, eta_Bev=0.0)
     assert res.warning is not None
 
 
 def test_index_spectral_flow():
-    assert index.index_spectral_flow(0, 0, 0, 5, 0).index == 5
+    assert _zeros("spectral_flow", SF=5).index == 5
     # moving the section changes rel_euler and SF together, not the output
-    base = index.index_spectral_flow(24, -16, 3, 2, 0).index
-    shifted = index.index_spectral_flow(24, -16, 3 + 7, 2 + 7, 0).index
+    base = _zeros("spectral_flow", chi=24, sigma=-16, rel_euler=3, SF=2).index
+    shifted = _zeros("spectral_flow", chi=24, sigma=-16, rel_euler=3 + 7, SF=2 + 7).index
     assert base == shifted
     with pytest.raises(ParityError):
-        index.index_spectral_flow(1, 0, 0, 0, 0)
+        _zeros("spectral_flow", chi=1)
+
+
+def _parallel(chi, sigma, rel_euler, b0, b1):
+    return _index("parallel_section", chi=chi, sigma=sigma, rel_euler=rel_euler,
+                  b0_Y=b0, b1_Y=b1).index
 
 
 def test_index_parallel_section():
-    assert index.index_parallel_section(4, 0, 0, 1, 3).index == 0
+    assert _parallel(4, 0, 0, 1, 3) == 0
     # special Lagrangian specialization: rel_euler = chi
     chi, sigma, b0, b1 = 6, 2, 1, 3
-    sl = index.index_parallel_section(chi, sigma, chi, b0, b1).index
+    sl = _parallel(chi, sigma, chi, b0, b1)
     assert sl == -chi // 2 - sigma // 2 - (b0 + b1) // 2
     # coassociative specialization: rel_euler = 0
-    co = index.index_parallel_section(chi, sigma, 0, b0, b1).index
+    co = _parallel(chi, sigma, 0, b0, b1)
     assert co == chi // 2 - sigma // 2 - (b0 + b1) // 2
 
 
 def test_index_parallel_section_lift():
-    assert index.index_parallel_section_lift(0, 0, 0, 0, 0, 0, 0, 0).index == 0
-    assert index.index_parallel_section_lift(48, 0, 0, 96, 14, 0, 26, 0).index == -30
+    def lift(**fields):
+        return _zeros("parallel_section_lift", **fields).index
+
+    assert lift() == 0
+    assert lift(chi=48, rel_euler_lift=96, b0_Y=14, b0_Ytilde=26) == -30
     # the sigma pair contributes (sigma_X - sigma_Xt)/2; zero pair drops out
-    a = index.index_parallel_section_lift(10, 0, 0, 4, 2, 0, 2, 0).index
-    b = index.index_parallel_section_lift(10, 2, 4, 4, 2, 0, 2, 0).index
+    a = lift(chi=10, rel_euler_lift=4, b0_Y=2, b0_Ytilde=2)
+    b = lift(chi=10, sigma_X=2, sigma_Xtilde=4, rel_euler_lift=4, b0_Y=2, b0_Ytilde=2)
     assert a - b == -(2 - 4) // 2
 
 
 def test_index_complex():
-    assert index.index_complex(4, 0, 0, 2).index == 1
+    assert _zeros("complex_cross_section", chi=4, dimH0=2).index == 1
 
 
 def test_index_combined_example_rows():
-    assert index.index_combined_example(48, -16, 24, 0, 0, 1, 13, 1, 25, 4).index == -22
-    assert index.index_combined_example(0, 0, 0, 0, 0, 0, 0, 0, 0, 0).index == 0
+    example_1 = {"chi": 48, "sigma": -16, "euler_normal": 24, "b0_Y": 1, "b1_Y": 13,
+                 "b0_Ytilde": 1, "b1_Ytilde": 25, "dimH0": 4}
+    assert _zeros("combined_example", **example_1).index == -22
+    assert _zeros("combined_example").index == 0
     # the formula value on the second worked row; the source text displays
     # these operands yet claims -28, which they do not sum to (ledgered)
-    assert index.index_combined_example(72, -16, 48, 0, 0, 1, 13, 1, 25, 4).index == -34
+    example_2 = dict(example_1, chi=72, euler_normal=48)
+    assert _zeros("combined_example", **example_2).index == -34
 
 
 def test_index_special_variants():
-    def special(formula, **fields):
-        return evaluate_index({"formula": formula, "fields": fields})
-
-    assert special("associative", dimH0=4).index == -2
-    assert special("special_lagrangian", chi=2, sigma=0, b0_Y=1, b1_Y=1).index == -2
-    assert special("coassociative", chi=2, sigma=0, b0_Y=1, b1_Y=1).index == 0
+    assert _index("associative", dimH0=4).index == -2
+    assert _index("special_lagrangian", chi=2, sigma=0, b0_Y=1, b1_Y=1).index == -2
+    assert _index("coassociative", chi=2, sigma=0, b0_Y=1, b1_Y=1).index == 0
     with pytest.raises(ParityError, match="even"):
-        special("associative", dimH0=3)
+        _index("associative", dimH0=3)
     with pytest.raises(ValueError):
-        special("nope")
+        _index("nope")
 
 
 def test_consistency_eta_vs_parallel_section():
@@ -89,9 +107,9 @@ def test_consistency_eta_vs_parallel_section():
         b0, b1 = abs(b0), abs(b1)
         chi = int(rng.integers(-20, 21)) * 2 + (sigma + b0 + b1) % 2
         eta = float(rng.integers(-5, 6))
-        lhs = index.index_eta(chi, sigma, e, b0 + b1, eta, eta).index
-        rhs = index.index_parallel_section(chi, sigma, e, b0, b1).index
-        assert lhs == rhs
+        lhs = _index("eta", chi=chi, sigma=sigma, euler_normal=e, dim_ker_Dtilde=b0 + b1,
+                     eta_Dtilde=eta, eta_Bev=eta).index
+        assert lhs == _parallel(chi, sigma, e, b0, b1)
 
 
 def test_consistency_complex_vs_complex_surface():

@@ -89,7 +89,7 @@ def test_contract_basics():
 
 def test_contract_phi0_seven_unit_blades():
     c = contract(E[0], phi0())
-    assert c.blade_count() == 7
+    assert len(c.coeffs) == 7
     assert all(abs(v) == 1 for v in c.coeffs.values())
 
 
