@@ -169,13 +169,13 @@ def orthogonalize(rows: Sequence[Sequence], tol: float = SINGULAR_TOL) -> list:
     return out
 
 
-def orthonormal_columns(mat: np.ndarray, tol: float = SINGULAR_TOL) -> np.ndarray:
+def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column span (floating, rank-revealing SVD).
 
-    Keeps the left singular vectors whose singular values exceed ``tol``,
+    Keeps the left singular vectors whose singular values exceed ``SINGULAR_TOL``,
     so a column that repeats an earlier one never hides a later one.
     """
     if mat.size == 0:
         return mat
     u, svals, _ = np.linalg.svd(mat, full_matrices=False)
-    return u[:, svals > tol]
+    return u[:, svals > SINGULAR_TOL]

@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, blades,
+from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, blades, divide,
                        is_zero, pullback_to_plane, restrict)
 from .index import read_field
 from .spin7 import Spin7Model, phi0, tau
@@ -537,17 +537,17 @@ def _complement_frame(X: np.ndarray) -> np.ndarray:
 
 
 def _parse_scalar(x):
-    """A JSON coefficient: a finite number, or a string read as a Fraction."""
+    """A JSON coefficient: a finite number, or a string read as an exact rational."""
     if isinstance(x, str):
         try:
-            return Fraction(x)
+            return divide(*Fraction(x).as_integer_ratio())
         except ZeroDivisionError as exc:
             raise ValueError(f"coefficient {x!r} divides by zero") from exc
     if isinstance(x, bool):
         raise ValueError("boolean is not a coefficient")
     if not isinstance(x, (int, float)):
         raise ValueError(f"coefficient {x!r} is not a number")
-    if not math.isfinite(x):
+    if isinstance(x, float) and not math.isfinite(x):
         raise ValueError(f"coefficient {x!r} is not finite")
     return x
 
@@ -573,9 +573,9 @@ def load_form(obj: dict) -> CalibrationForm:
     """Form input: {"dim": n, "degree": k, "terms": [{"blade": [...], "coeff": ...}]}.
 
     Raises ValueError on a non-integer dim, degree or blade index, a
-    non-finite coefficient or sum of the coefficients on one blade, or a
-    blade that repeats an index (such a blade is zero, so it would silently
-    vanish).
+    non-finite coefficient, a sum of the coefficients on one blade that is
+    not finite or does not fit a float, or a blade that repeats an index
+    (such a blade is zero, so it would silently vanish).
     """
     dim, degree, terms = _read_header(obj, "form", "terms")
     coeffs: dict = {}
@@ -590,8 +590,12 @@ def load_form(obj: dict) -> CalibrationForm:
         coeffs[blade] = coeffs.get(blade, 0) + coeff
     form = KForm.from_terms(dim, degree, coeffs)
     for blade, c in form.coeffs.items():
-        # finite terms on one blade can sum out of float range
-        if isinstance(c, float) and not math.isfinite(c):
+        # finite terms can sum out of float range, and an exact sum can lie beyond it
+        try:
+            finite = math.isfinite(c)
+        except OverflowError:
+            raise ValueError(f"blade {list(blade)}: coefficient is beyond float range") from None
+        if not finite:
             raise ValueError(f"blade {list(blade)}: coefficient sum {c!r} is not finite")
     return CalibrationForm(form, str(obj.get("name", "custom")))
 

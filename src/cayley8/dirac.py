@@ -31,7 +31,7 @@ exactly, then fixed):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,10 +40,7 @@ import numpy as np
 from . import _linalg, calib, g2 as g2mod, multivec
 from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, _project_out,
                        blades, divide, exact_sqrt, is_exact, is_zero, scalar, sharp)
-from .spin7 import CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
-
-#: Residual bound of the symbol, intertwining and h-equivariance checks.
-CHECK_TOL = 1e-10
+from .spin7 import CHECK_TOL, CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
 
 
 class NonCayleyPlaneError(ValueError):
@@ -153,6 +150,11 @@ class CayleyPointModel:
         return [form.inner(ek) for ek in self.e_basis]
 
 
+def _exact_symbols(cpm: CayleyPointModel) -> bool:
+    """The mode of a check at the point: exact iff the stored symbols are."""
+    return is_exact(x for s in cpm.symbols for x in s.flat)
+
+
 def _check_covector(xi: KForm) -> None:
     if xi.dim != 4 or xi.degree != 1:
         raise ValueError("xi must be a 1-form on the 4-dimensional tangent plane")
@@ -240,23 +242,20 @@ def asd_embedding_report(cpm: CayleyPointModel) -> CheckResult:
 
     The image lies in the 7-dimensional summand, orthogonal to E, scales
     the Gram matrix by the fixed factor 2 (a sqrt(2)-conformal embedding),
-    and restricts back to the original form on the plane; it passes when
-    the worst deviation is at most ``PLANE_TOL``.
+    and restricts back to the original form on the plane; the residual is
+    the worst deviation.
     """
     m = cpm.model
     asd = plane_asd_basis()
     images = [2 * proj2_7(m, embed_plane_form(cpm, alpha)) for alpha in asd]
-    worst = max(abs(float(img.inner(ek))) for img in images for ek in cpm.e_basis)
+    worst = max(abs(img.inner(ek)) for img in images for ek in cpm.e_basis)
     for row, pair in zip(_plane_restriction_rows(images, cpm.tangent_frame), blades(4, 2)):
-        worst = max(worst, max(abs(float(x - alpha[pair])) for x, alpha in zip(row, asd)))
+        worst = max(worst, max(abs(x - alpha[pair]) for x, alpha in zip(row, asd)))
     for i, ai in enumerate(asd):
         for j, aj in enumerate(asd):
-            gram_img = images[i].inner(images[j])
-            gram_src = ai.inner(aj)
-            worst = max(worst, abs(float(gram_img - 2 * gram_src)))
-    passed = worst <= PLANE_TOL
-    return CheckResult("asd-embedding", passed, worst,
-                       "2 pi7 is a sqrt(2)-conformal embedding orthogonal to E")
+            worst = max(worst, abs(images[i].inner(images[j]) - 2 * ai.inner(aj)))
+    return CheckResult.judge("asd-embedding", worst, _exact_symbols(cpm),
+                             "2 pi7 is a sqrt(2)-conformal embedding orthogonal to E")
 
 
 # -- principal symbol --------------------------------------------------------------
@@ -298,10 +297,11 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
     """Verify the Clifford relation of the symbol on basis and random covectors.
 
     ``sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2 <xi, xi'> Id``,
-    on exact object arrays over an exact model.
+    on exact object arrays at an exact point model.
     """
-    covs = _covector_set(trials, seed, cpm.model.exact)
-    dtype = object if cpm.model.exact else float
+    exact = _exact_symbols(cpm)
+    covs = _covector_set(trials, seed, exact)
+    dtype = object if exact else float
     symbols = [np.array(symbol_D(cpm, a), dtype=dtype) for a in covs]
     eye = np.eye(4, dtype=dtype)
     worst = 0.0
@@ -310,9 +310,8 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
             lhs = sa.T @ sb + sb.T @ sa
             rhs = 2 * a.inner(b) * eye
             worst = max(worst, abs(lhs - rhs).max())
-    worst = float(worst)
-    return CheckResult("clifford", worst <= CHECK_TOL, worst,
-                       "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
+    return CheckResult.judge("clifford", worst, exact,
+                             "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
 
 
 # -- even-form Clifford module on a 3-manifold ---------------------------------------
@@ -348,9 +347,8 @@ class AssociativePointModel:
         return sum((v[i + 1] * t for i, t in enumerate(self.tangent_frame)), zero)
 
 
-def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane,
-                            s: Optional[Vector] = None) -> AssociativePointModel:
-    """Frames at an associative plane; ``s`` defaults to the first normal."""
+def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane) -> AssociativePointModel:
+    """Frames at an associative plane; ``s`` is the first normal."""
     if plane.degree != 3 or plane.dim != 7:
         raise ValueError("expected a 3-plane in R^7")
     onb = plane.orthonormal_basis
@@ -359,16 +357,8 @@ def build_associative_model(g2m: g2mod.G2Model, plane: OrientedPlane,
         raise ValueError(
             f"plane is not positively associative (phi restricts to {float(lam)})")
     normal = plane.complement()
-    if s is None:
-        s = normal[0]
-    else:
-        if not is_zero(s.norm_sq() - 1, PLANE_TOL):
-            raise ValueError("s must be a unit vector")
-        for t in onb:
-            if not is_zero(s.dot(t), PLANE_TOL):
-                raise ValueError("s must be normal to the plane")
     return AssociativePointModel(g2model=g2m, tangent_frame=onb,
-                                 normal_frame=normal, s=s)
+                                 normal_frame=normal, s=normal[0])
 
 
 def h_iso(apm: AssociativePointModel, f, alpha: KForm) -> Vector:
@@ -386,12 +376,12 @@ def h_iso(apm: AssociativePointModel, f, alpha: KForm) -> Vector:
 def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
     """``h(v . (f, alpha)) = v x h(f, alpha)`` over the full basis sweep.
 
-    The tangent frame alone sets the mode (the G2 forms are exact): an
-    exact frame gives an exact sweep (residual 0); with a floating one, 8
-    random vectors and sections, drawn from seed 0, extend the sweep.
+    The tangent frame and ``s`` set the mode (the G2 forms are exact):
+    exact ones give an exact sweep (residual 0); otherwise 8 random vectors
+    and sections, drawn from seed 0, extend the sweep.
     """
     g2m = apm.g2model
-    exact = is_exact(c for v in apm.tangent_frame for c in v.components)
+    exact = is_exact(c for v in apm.tangent_frame + (apm.s,) for c in v.components)
     one = scalar(1, exact=exact)
     pairs = [(one, KForm.zero(3, 2))]
     for blade in ((1, 2), (1, 3), (2, 3)):
@@ -411,20 +401,20 @@ def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
             f_v, alpha_v = bev_clifford(v, f, alpha)
             lhs = h_iso(apm, f_v, alpha_v)
             rhs = g2mod.cross_g2(g2m, v_amb, h_iso(apm, f, alpha))
-            worst = max(worst, float(max(abs(x) for x in (lhs - rhs).components)))
-    return CheckResult("h-equivariance", worst <= CHECK_TOL, float(worst),
-                       "h(v.(f,alpha)) = v x h(f,alpha)")
+            worst = max(worst, max(abs(x) for x in (lhs - rhs).components))
+    return CheckResult.judge("h-equivariance", worst, exact, "h(v.(f,alpha)) = v x h(f,alpha)")
 
 
 # -- symbol intertwinings ----------------------------------------------------------------
 
 
-def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int) -> CheckResult:
+def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int, exact: bool) -> CheckResult:
     """Compare two symbol maps ``xi -> matrix`` up to one global scalar.
 
     The scalar c minimizing ``|lhs - c rhs|`` (Frobenius) is fixed at the
     probe ``xi = e^1``; the check passes when both maps agree under it on
-    the basis and ``trials`` random covectors and ``|c| = 1``.
+    the basis and ``trials`` random covectors, judged in the mode of the
+    point model the maps read (``exact``), and ``|c| = 1``.
     """
     covs = _covector_set(trials, seed, exact=False)
     probe_lhs, probe_rhs = lhs(covs[0]), rhs(covs[0])
@@ -433,8 +423,8 @@ def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int) -> CheckResu
         raise ValueError("degenerate probe: target symbol vanishes")
     ratio = float((probe_lhs * probe_rhs).sum()) / denom
     worst = max(float(abs(lhs(xi) - ratio * rhs(xi)).max()) for xi in covs)
-    passed = worst <= CHECK_TOL and abs(abs(ratio) - 1) <= CHECK_TOL
-    return CheckResult(name, passed, worst, f"global scalar {ratio:+.6f}")
+    report = CheckResult.judge(name, worst, exact, f"global scalar {ratio:+.6f}")
+    return report if abs(abs(ratio) - 1) <= CHECK_TOL else replace(report, passed=False)
 
 
 def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0) -> CheckResult:
@@ -480,7 +470,7 @@ def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0) -> Chec
 
     return _intertwine_report(
         "sl-intertwine", lambda xi: np.array(symbol_D(cpm, xi), dtype=float) @ jmat.T,
-        lambda xi: B @ target_matrix(xi), trials, seed)
+        lambda xi: B @ target_matrix(xi), trials, seed, _exact_symbols(cpm))
 
 
 def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
@@ -528,4 +518,4 @@ def coassoc_symbol_intertwine(m: Spin7Model, trials: int = 16,
 
     return _intertwine_report(
         "coassoc-intertwine", lambda xi: np.array(symbol_D(cpm, xi), dtype=float) @ A,
-        lambda xi: B @ target_matrix(xi), trials, seed)
+        lambda xi: B @ target_matrix(xi), trials, seed, _exact_symbols(cpm))

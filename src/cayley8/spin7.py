@@ -31,6 +31,9 @@ from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, OrientedPlane, Vector,
 #: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
 EIGEN_CLUSTER_TOL = 1e-8
 
+#: Residual bound of every floating check judged by ``CheckResult.judge``.
+CHECK_TOL = 1e-10
+
 #: The 14 blades of the model form with their signs.
 PHI0_TERMS: Dict[Tuple[int, ...], int] = {
     (1, 2, 3, 4): 1, (1, 2, 5, 6): 1, (1, 2, 7, 8): -1,
@@ -67,13 +70,20 @@ class CheckResult:
 
     The package's only check record: the structure certificate, the
     operator checks of :mod:`cayley8.dirac` and the ``verify`` suite all
-    report through it.
+    report through it; the operator and suite checks are judged by :meth:`judge`.
     """
 
     name: str
     passed: bool
     residual: float
     detail: str = ""
+
+    @classmethod
+    def judge(cls, name: str, residual, exact: bool, detail: str) -> "CheckResult":
+        """The one verdict rule: an exact check passes only at residual 0, a
+        floating one at ``CHECK_TOL`` or below; the record keeps a float residual."""
+        passed = residual == 0 if exact else float(residual) <= CHECK_TOL
+        return cls(name, passed, float(residual), detail)
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
@@ -125,13 +135,13 @@ def phi0() -> KForm:
 class Spin7Model:
     """A validated structure form with cached derived operators.
 
-    ``lambda2_op`` is the matrix of ``a -> star(a ^ phi)`` on the 28
-    lexicographic 2-blades.  ``bases`` maps ``(degree, dim)`` to the basis
-    of that summand of the 2- or 4-forms: orthogonal coefficient rows over
-    the lexicographic blade basis in both modes, exact scalars in exact
-    mode.  Each basis is built on its first read; until then the map holds
-    the function that builds it.  Every model of forms with the same
-    coefficients shares the map (see :func:`certify`).
+    ``lambda2_op`` is the dense view of ``lambda2_rows``, the matrix of
+    ``a -> star(a ^ phi)`` on the 28 lexicographic 2-blades.  ``bases`` maps
+    ``(degree, dim)`` to the basis of that summand of the 2- or 4-forms:
+    orthogonal coefficient rows over the lexicographic blade basis in both
+    modes, exact scalars in exact mode.  Each basis is built on its first
+    read; until then the map holds the function that builds it.  Every model
+    of forms with the same coefficients shares the map (see :func:`certify`).
     """
 
     phi: KForm
@@ -148,13 +158,8 @@ class Spin7Model:
 
     @cached_property
     def lambda2_rows(self) -> Dict[Tuple[int, int], tuple]:
-        """``L`` sparsely, ``l -> ((k, c), ...)`` with ``star(e^l ^ phi) = sum c e^k``,
-        from the kernel tables over ``phi``'s blades in ``KForm.wedge``'s order."""
-        wedge, star = _wedge_table(8, 2, 4), _hodge_table(8, 6)
-        return {l: tuple((star[merged][0], star[merged][1] * sign * c)
-                         for b, c in self.phi.coeffs.items() if b in wedge[l]
-                         for merged, sign in [wedge[l][b]])
-                for l in blades(8, 2)}
+        """``L`` sparsely, built from this model's own ``phi`` (see :func:`_lambda2_rows`)."""
+        return _lambda2_rows(self.phi)
 
     def lambda2_eigenvalues(self) -> Dict[float, int]:
         return {float(lam): len(self._basis(2, dim)) for lam, dim in LAMBDA2_SPECTRUM.items()}
@@ -178,17 +183,23 @@ def _rows_to_forms(rows, dim: int, degree: int) -> List[KForm]:
     return forms
 
 
-def _lambda2_matrix(phi: KForm, exact: bool):
-    """Matrix of a -> star(a ^ phi) over the lexicographic 2-blades.
+def _lambda2_rows(phi: KForm) -> Dict[Tuple[int, int], tuple]:
+    """``L``, the map ``a -> star(a ^ phi)``, sparsely: ``l -> ((k, c), ...)``
+    with ``star(e^l ^ phi) = sum c e^k``, from the kernel tables over
+    ``phi``'s blades in ``KForm.wedge``'s order."""
+    wedge, star = _wedge_table(8, 2, 4), _hodge_table(8, 6)
+    return {l: tuple((star[merged][0], star[merged][1] * sign * c)
+                     for b, c in phi.coeffs.items() if b in wedge[l]
+                     for merged, sign in [wedge[l][b]])
+            for l in blades(8, 2)}
 
-    Entry (k, l) is ``<e^k, star(e^l ^ phi)>``, and ``<e^k, star(e^l ^
-    phi)> vol = e^k ^ e^l ^ phi``, which is the coefficient
-    ``star(phi)[k + l]`` of the concatenated blade.
-    """
-    star_phi = phi.hodge()
-    basis2 = blades(8, 2)
-    rows = [[star_phi[k + l] for l in basis2] for k in basis2]
-    return rows if exact else np.array(rows, dtype=float)
+
+def _lambda2_dense(rows: Dict[Tuple[int, int], tuple], exact: bool):
+    """The dense view of :func:`_lambda2_rows` over the lexicographic 2-blades:
+    entry (k, l) is the coefficient of ``e^k`` in ``star(e^l ^ phi)``."""
+    cols = [dict(rows[l]) for l in blades(8, 2)]
+    op = [[col.get(k, 0) for col in cols] for k in blades(8, 2)]
+    return op if exact else np.array(op, dtype=float)
 
 
 def _check_lambda2_spectrum(op):
@@ -316,7 +327,7 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool):
     nrm_ok = is_zero(nrm - 14, 100 * DEFAULT_TOL)
     checks.append(CheckResult("norm", nrm_ok, float(abs(nrm - 14)), f"<phi, phi> = {nrm}"))
 
-    op = _lambda2_matrix(phi, exact)
+    op = _lambda2_dense(_lambda2_rows(phi), exact)
     spec_ok, detail, bases = _check_lambda2_spectrum(op)
     checks.append(CheckResult("lambda2 spectrum", spec_ok, 0.0 if spec_ok else 1.0, detail))
 

@@ -1,14 +1,17 @@
 """The runnable identity suite behind ``cayley8 verify``.
 
 Each check records a :class:`cayley8.spin7.CheckResult` with its worst
-residual; exact inputs give residual 0 on pass.  With an injected structure
-form, only the form-dependent checks run (a corrupted form then fails with
-the violated identity named); otherwise the model-level checks (splittings,
-slices, symbols, intertwinings) run as well.
+residual, judged once by ``CheckResult.judge`` (exact inputs pass only at
+residual 0); the suite keeps the verdicts of :mod:`cayley8.dirac`'s checks,
+judged where they run.  With an injected structure form, only the
+form-dependent checks run (a corrupted form then fails with the violated
+identity named); otherwise the model-level checks (splittings, slices,
+symbols, intertwinings) run as well.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -18,28 +21,23 @@ from .multivec import (KForm, OrientedPlane, Vector, contract, flat,
                        random_form, random_vector, restrict, sharp)
 from .spin7 import CheckResult, form_residual
 
-#: Residual bound for floating-mode checks.
-FLOAT_TOL = 1e-10
-
-
-def _residual(value) -> float:
-    return float(abs(value))
-
 
 class _Suite:
     def __init__(self, exact: bool, seed: int, trials: int):
         self.exact = exact
         self.rng = np.random.default_rng(seed)
         self.trials = trials
-        self.tol = 0.0 if exact else FLOAT_TOL
         self.outcomes: List[CheckResult] = []
 
     def record(self, name: str, residual, detail: str = "",
                floating: bool = False):
-        """Record an outcome; ``floating`` checks always use the float bound."""
-        residual = float(residual)
-        bound = FLOAT_TOL if floating else self.tol
-        self.outcomes.append(CheckResult(name, residual <= bound, residual, detail))
+        """Record an outcome; ``floating`` checks are judged as floating in both modes."""
+        self.outcomes.append(
+            CheckResult.judge(name, residual, self.exact and not floating, detail))
+
+    def keep(self, report: CheckResult, name: str, detail: str):
+        """Record a check judged where it ran, under the suite's name and detail."""
+        self.outcomes.append(replace(report, name=name, detail=detail))
 
     def vectors(self, count: int):
         return [random_vector(self.rng, 8, exact=self.exact) for _ in range(count)]
@@ -57,7 +55,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
     s.record("star(phi) == phi", form_residual(phi.hodge() - phi))
     vol = s.constant(KForm.volume(8))
     s.record("phi ^ phi == 14 vol", form_residual(phi.wedge(phi) - 14 * vol))
-    s.record("<phi, phi> == 14", _residual(phi.norm_sq() - 14))
+    s.record("<phi, phi> == 14", abs(phi.norm_sq() - 14))
 
     completion = [
         ("e4 == -e1 x e2 x e3", e[3], -1, (e[0], e[1], e[2])),
@@ -85,7 +83,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
             worst = max(worst, form_residual(lead - sign * other))
             # e_i x e_j = +-e_k x e_l iff phi(e_i,e_j,e_k,e_l) = -+1
             val = phi.evaluate(e[i - 1], e[j - 1], e[k - 1], e[l - 1])
-            rule_worst = max(rule_worst, _residual(val + sign))
+            rule_worst = max(rule_worst, abs(val + sign))
     s.record("cross-product table (12 equalities)", worst)
     s.record("table sign rule phi(ei,ej,ek,el) == -sign", rule_worst)
 
@@ -94,7 +92,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
         a, b, c, d = s.vectors(4)
         lhs = spin7.cross2(raw, a, b).inner(spin7.cross2(raw, c, d))
         rhs = -phi.evaluate(a, b, c, d) + a.dot(c) * b.dot(d) - a.dot(d) * b.dot(c)
-        worst = max(worst, _residual(lhs - rhs))
+        worst = max(worst, abs(lhs - rhs))
     s.record("inner-cross-2", worst, f"{s.trials} random quadruples")
 
     worst = 0.0
@@ -103,17 +101,17 @@ def _check_structure_form(s: _Suite, phi: KForm):
         lhs = spin7.tau(raw, a, b, c, d).inner(spin7.cross2(raw, v, w))
         rhs = (flat(w).wedge(contract(v, phi))
                - flat(v).wedge(contract(w, phi))).evaluate(a, b, c, d)
-        worst = max(worst, _residual(lhs - rhs))
+        worst = max(worst, abs(lhs - rhs))
     s.record("inner-tau", worst, f"{max(3, s.trials // 4)} random inputs")
 
     worst = 0.0
     for _ in range(s.trials):
         u, v, w = s.vectors(3)
         c2 = spin7.cross2(raw, v, w)
-        worst = max(worst, _residual(c2.norm_sq() - flat(v).wedge(flat(w)).norm_sq()))
+        worst = max(worst, abs(c2.norm_sq() - flat(v).wedge(flat(w)).norm_sq()))
         c3 = spin7.cross3(raw, u, v, w)
         triple = flat(u).wedge(flat(v)).wedge(flat(w))
-        worst = max(worst, _residual(c3.norm_sq() - triple.norm_sq()))
+        worst = max(worst, abs(c3.norm_sq() - triple.norm_sq()))
     s.record("|vxw| == |v^w| and |uxvxw| == |u^v^w|", worst)
 
     cert = spin7.is_spin7_form(phi)
@@ -141,7 +139,7 @@ def _check_exterior_algebra(s: _Suite):
     for _ in range(s.trials):
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 3, exact=s.exact)
-        worst = max(worst, _residual(a.hodge().inner(b.hodge()) - a.inner(b)))
+        worst = max(worst, abs(a.hodge().inner(b.hodge()) - a.inner(b)))
         worst = max(worst, form_residual(a.hodge().hodge() - (-1) ** (3 * 5) * a))
     s.record("hodge isometry and involution sign", worst)
 
@@ -150,8 +148,7 @@ def _check_exterior_algebra(s: _Suite):
         v = random_vector(s.rng, 8, exact=s.exact)
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 2, exact=s.exact)
-        worst = max(worst, _residual(
-            contract(v, a).inner(b) - a.inner(flat(v).wedge(b))))
+        worst = max(worst, abs(contract(v, a).inner(b) - a.inner(flat(v).wedge(b))))
     s.record("contraction adjoint to wedge", worst)
 
     worst = 0.0
@@ -167,7 +164,7 @@ def _check_exterior_algebra(s: _Suite):
         try:
             p1 = OrientedPlane(vs)
             p2 = OrientedPlane([vs[1], vs[0], vs[2], vs[3]])
-            worst = max(worst, _residual(restrict(a, p1) + restrict(a, p2)))
+            worst = max(worst, abs(restrict(a, p1) + restrict(a, p2)))
         except ValueError:
             continue
     s.record("restrict orientation equivariance", worst,
@@ -190,7 +187,7 @@ def _check_model_level(s: _Suite, trials_light: int):
         p21 = spin7.proj2_21(m, a)
         worst = max(worst, form_residual(spin7.proj2_7(m, p7) - p7))
         worst = max(worst, form_residual(p7 + p21 - a))
-        worst = max(worst, _residual(p7.inner(p21)))
+        worst = max(worst, abs(p7.inner(p21)))
     s.record("projections idempotent, orthogonal, resolve identity", worst)
 
     worst = 0.0
@@ -229,20 +226,18 @@ def _check_model_level(s: _Suite, trials_light: int):
     cpm = dirac.build_cayley_model(m, OrientedPlane(e[:4]))
     rep = dirac.clifford_check(cpm, trials=0 if s.exact else 8,
                                seed=int(s.rng.integers(2**31)))
-    s.record("clifford relation of the symbol", rep.residual,
-             "basis covectors only" if s.exact else "basis and random covectors")
-    rep = dirac.asd_embedding_report(cpm)
-    s.record("plane ASD forms embed conformally opposite E", rep.residual)
+    s.keep(rep, "clifford relation of the symbol",
+           "basis covectors only" if s.exact else "basis and random covectors")
+    s.keep(dirac.asd_embedding_report(cpm), "plane ASD forms embed conformally opposite E", "")
 
     apm = dirac.build_associative_model(g2m, OrientedPlane(e7[:3]))
-    rep = dirac.h_equivariance_check(apm)
-    s.record("h intertwines the Clifford actions", rep.residual)
+    s.keep(dirac.h_equivariance_check(apm), "h intertwines the Clifford actions", "")
 
     m_sl = spin7.build_model(s.constant(calib.sl_model_form()))
     rep = dirac.sl_symbol_intertwine(m_sl, trials=6, seed=7)
-    s.record("special Lagrangian symbol intertwining", rep.residual, rep.detail)
+    s.keep(rep, "special Lagrangian symbol intertwining", rep.detail)
     rep = dirac.coassoc_symbol_intertwine(m, trials=6, seed=7)
-    s.record("coassociative symbol intertwining", rep.residual, rep.detail)
+    s.keep(rep, "coassociative symbol intertwining", rep.detail)
 
 
 def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,
@@ -252,7 +247,7 @@ def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,
     ``form``: run the form-dependent identities against this candidate
     instead of the model form (the model-level checks are skipped).
     ``trials`` must be >= 0.  Exact checks pass at residual 0, floating
-    ones at residual at most ``FLOAT_TOL``.
+    ones at residual at most ``spin7.CHECK_TOL``.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")

@@ -303,6 +303,16 @@ def test_plane_and_form_json_roundtrip():
         calib.load_plane({"dim": 8, "degree": 1, "vectors": [[None] * 8]})
 
 
+def test_rational_strings_follow_the_scalar_policy():
+    # an exact value is an int when it is integral, a Fraction otherwise
+    form = calib.load_form({"dim": 8, "degree": 4, "terms": [
+        {"blade": [1, 2, 3, 4], "coeff": "2"}, {"blade": [1, 2, 3, 5], "coeff": "4/2"},
+        {"blade": [1, 2, 3, 6], "coeff": "-1/3"}]}).form
+    assert {b: type(c) for b, c in form.coeffs.items()} == {
+        (1, 2, 3, 4): int, (1, 2, 3, 5): int, (1, 2, 3, 6): Fraction}
+    assert form[(1, 2, 3, 5)] == 2 and form[(1, 2, 3, 6)] == Fraction(-1, 3)
+
+
 def _near_cayley_plane(eps):
     """A random Cayley plane's frame moved by ``eps`` along a fixed direction."""
     rng = np.random.default_rng(5)

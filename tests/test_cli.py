@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from cayley8 import calib, cli, reproduce, spin7, verify
+from cayley8 import calib, cli, dirac, reproduce, spin7, verify
 from cayley8.spin7 import PHI0_TERMS
 
 
@@ -204,6 +204,42 @@ def test_form_whose_summed_coefficient_leaves_float_range_exit_2(tmp_path, capfd
     assert code == 2 and captured.out == ""
     assert "blade [1, 2, 3, 4]" in captured.err and "not finite" in captured.err
     assert "DLASCL" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("argv", [["comass"], ["plane"], ["verify"], ["--exact", "verify"]])
+@pytest.mark.parametrize("coeff", [10 ** 400, "1e400"], ids=["int", "string"])
+def test_form_coefficient_beyond_float_range_exit_2(tmp_path, capsys, argv, coeff):
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"dim": 8, "degree": 4, "terms": [
+        {"blade": [1, 2, 3, 4], "coeff": coeff}]}))
+    argv = argv + ["--form", str(form)]
+    if "plane" in argv:
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps({"dim": 8, "degree": 4, "vectors": [
+            [int(i == j) for i in range(8)] for j in range(4)]}))
+        argv += ["--vectors", str(plane)]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "blade [1, 2, 3, 4]: coefficient is beyond float range" in captured.err
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+def test_verify_fails_a_wrong_intertwining_normalization(monkeypatch, capsys, mode):
+    # one side of the special Lagrangian intertwining doubled: the residual
+    # under the fitted scalar 2 is 0, and the unit-scalar condition fails
+    report = dirac._intertwine_report
+
+    def doubled(name, lhs, *rest):
+        if name == "sl-intertwine":
+            return report(name, lambda xi: 2 * lhs(xi), *rest)
+        return report(name, lhs, *rest)
+
+    monkeypatch.setattr(dirac, "_intertwine_report", doubled)
+    code, out = run_cli(capsys, *mode, "--output", "json", "verify", "--trials", "2")
+    assert code == 1
+    summary = json.loads(out)["results"]["summary"]
+    assert summary["failed_names"] == ["special Lagrangian symbol intertwining"]
 
 
 def test_comass_rejects_repeated_index_blade(tmp_path, capsys):

@@ -10,7 +10,9 @@ and a third that no function body or argument default carries a literal
 tolerance.  A fourth walk checks that every public function and method
 is named somewhere in ``src`` beyond its own definition, or sits on the
 reviewed list ``UNCALLED`` with the reason it stays, so an entry point
-that only tests reach shows up too.
+that only tests reach shows up too.  A fifth walk checks that only
+``spin7`` builds a ``CheckResult`` directly, so every other check is
+judged by ``CheckResult.judge``.
 """
 
 import ast
@@ -21,7 +23,6 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cayley8"
 DEFAULTED = {
     ("_linalg", "nullspace", "tol"),
     ("_linalg", "orthogonalize", "tol"),
-    ("_linalg", "orthonormal_columns", "tol"),
     ("calib", "builtin_form", "exact"),
     ("calib", "comass_estimate", "restarts"),
     ("calib", "comass_estimate", "tol"),
@@ -30,7 +31,6 @@ DEFAULTED = {
     ("cli", "main", "argv"),
     ("dirac", "clifford_check", "trials"),
     ("dirac", "clifford_check", "seed"),
-    ("dirac", "build_associative_model", "s"),
     ("dirac", "sl_symbol_intertwine", "trials"),
     ("dirac", "sl_symbol_intertwine", "seed"),
     ("dirac", "coassoc_symbol_intertwine", "trials"),
@@ -163,3 +163,17 @@ def test_every_public_function_has_a_caller_in_src():
     uncalled = {(module, qualified) for module, qualified, name in definitions
                 if name not in named}
     assert uncalled == set(UNCALLED)
+
+
+def test_only_spin7_constructs_a_check_result():
+    direct = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "spin7":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "CheckResult":
+                    direct.append(f"{path.name}:{node.lineno}")
+    assert not direct

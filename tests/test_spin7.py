@@ -303,6 +303,18 @@ def test_certificate_residuals():
         "detail": "star(phi) == phi"}
 
 
+@pytest.mark.parametrize("residual, exact, passed", [
+    (0, True, True), (0.0, True, True),
+    (Fraction(1, 10 ** 20), True, False),   # an exact check passes only at 0
+    (1e-11, False, True), (1e-10, False, True), (1e-9, False, False),
+    (float("nan"), False, False), (float("nan"), True, False),
+])
+def test_judge_is_the_one_verdict_rule(residual, exact, passed):
+    report = spin7.CheckResult.judge("check", residual, exact, "detail")
+    assert report.passed is passed and type(report.residual) is float
+    assert (report.name, report.detail) == ("check", "detail")
+
+
 @pytest.mark.parametrize("a, b", [
     (np.eye(8)[0], np.eye(8)[1]),                 # unpivoted QR keeps 1 column
     (np.arange(1.0, 9.0), np.eye(8)[3]),          # ... or 2 that miss b
@@ -523,7 +535,7 @@ def test_lambda2_matrix_matches_column_build(data, exact):
     phi = _random_form(data, 4, exact)
     if data.draw(st.booleans()):
         phi = phi + (spin7.phi0() if exact else spin7.phi0().as_float())
-    got = spin7._lambda2_matrix(phi, exact)
+    got = spin7._lambda2_dense(spin7._lambda2_rows(phi), exact)
     want = _lambda2_columns(phi, exact)
     if exact:
         assert got == want
