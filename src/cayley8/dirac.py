@@ -161,8 +161,9 @@ def _check_covector(xi: KForm) -> None:
 
 
 def _plane_restriction_rows(forms: Sequence[KForm], onb: Sequence[Vector]):
-    """Row per 2-blade ``(a, b)`` of the plane: each form evaluated on ``(t_a, t_b)``."""
-    return [[f.evaluate(onb[a - 1], onb[b - 1]) for f in forms] for a, b in blades(4, 2)]
+    """Row per 2-blade ``(a, b)`` of the plane: each form on ``(t_a, t_b)``, from its pull-back."""
+    pulled = [multivec.pullback(f, onb) for f in forms]
+    return [[p.coeffs.get(pair, 0) for p in pulled] for pair in blades(4, 2)]
 
 
 def build_cayley_model(m: Spin7Model, plane: OrientedPlane) -> CayleyPointModel:
@@ -395,12 +396,13 @@ def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
                       KForm(3, 2, {b: float(c) for b, c in
                                    zip(((1, 2), (1, 3), (2, 3)), rng.standard_normal(3))})))
     worst = 0
+    hs = [h_iso(apm, f, alpha) for f, alpha in pairs]
     for v in vs:
         v_amb = apm.tangent_ambient(v)
-        for f, alpha in pairs:
+        for (f, alpha), h in zip(pairs, hs):
             f_v, alpha_v = bev_clifford(v, f, alpha)
             lhs = h_iso(apm, f_v, alpha_v)
-            rhs = g2mod.cross_g2(g2m, v_amb, h_iso(apm, f, alpha))
+            rhs = g2mod.cross_g2(g2m, v_amb, h)
             worst = max(worst, max(abs(x) for x in (lhs - rhs).components))
     return CheckResult.judge("h-equivariance", worst, exact, "h(v.(f,alpha)) = v x h(f,alpha)")
 

@@ -206,16 +206,13 @@ def blades(dim: int, degree: int) -> Tuple[Blade, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _wedge_table(dim: int, p: int, q: int) -> Dict[Blade, Dict[Blade, Tuple[Blade, int]]]:
-    """``a -> {b: (merged, sign)}`` over the pairs with ``e^a ^ e^b != 0``."""
-    table = {}
-    for a in blades(dim, p):
-        row = {}
-        for b in blades(dim, q):
-            merged, sign = merge_blades(a, b)
-            if sign:
-                row[b] = (merged, sign)
-        table[a] = row
-    return table
+    """``a -> {b: (merged, sign)}`` over the pairs with ``e^a ^ e^b != 0``.
+
+    Row ``a`` lists the degree-``q`` blades of ``a``'s complement, in
+    lexicographic order, so only disjoint pairs are merged."""
+    return {a: {b: merge_blades(a, b) for b in
+                itertools.combinations([i for i in range(1, dim + 1) if i not in a], q)}
+            for a in blades(dim, p)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -342,12 +339,14 @@ class KForm:
 
     @classmethod
     def _trusted(cls, dim: int, degree: int, coeffs: Dict[Blade, object]) -> "KForm":
-        """A form over blades the kernel built itself: drops zero
-        coefficients and skips the checks of ``__post_init__``."""
+        """A form over blades the kernel built, from a dict built for it: drops zero
+        coefficients (copying only when there is one) and skips ``__post_init__``."""
+        if 0 in coeffs.values():
+            coeffs = {b: c for b, c in coeffs.items() if c != 0}
         form = object.__new__(cls)
         object.__setattr__(form, "dim", dim)
         object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "coeffs", {b: c for b, c in coeffs.items() if c != 0})
+        object.__setattr__(form, "coeffs", coeffs)
         return form
 
     # -- construction helpers ------------------------------------------------
@@ -387,7 +386,12 @@ class KForm:
         return KForm._trusted(self.dim, self.degree, coeffs)
 
     def __sub__(self, other: "KForm") -> "KForm":
-        return self + (-other)
+        """``self + (-other)`` without building ``-other`` (``x - c`` is ``x + (-c)``)."""
+        self._check_same_space(other)
+        coeffs = dict(self.coeffs)
+        for blade, c in other.coeffs.items():
+            coeffs[blade] = coeffs.get(blade, 0) - c
+        return KForm._trusted(self.dim, self.degree, coeffs)
 
     def __neg__(self) -> "KForm":
         return KForm._trusted(self.dim, self.degree, {b: -c for b, c in self.coeffs.items()})
@@ -429,15 +433,16 @@ class KForm:
                 f"wedge degree overflow: {self.degree} + {other.degree} > dim {self.dim}")
         table = _wedge_table(self.dim, self.degree, other.degree)
         coeffs: Dict[Blade, object] = {}
-        # walk other.coeffs, not the table row: the sums then keep their order
+        get, others = coeffs.get, other.coeffs.items()
+        # walk other.coeffs, not the table row: the sums then keep their order;
+        # (-ca) * cb is sign * ca * cb bit for bit at sign -1
         for ba, ca in self.coeffs.items():
-            row = table[ba]
-            for bb, cb in other.coeffs.items():
-                hit = row.get(bb)
-                if hit is None:
-                    continue
-                merged, sign = hit
-                coeffs[merged] = coeffs.get(merged, 0) + sign * ca * cb
+            row, neg = table[ba].get, -ca
+            for bb, cb in others:
+                hit = row(bb)
+                if hit is not None:
+                    merged, sign = hit
+                    coeffs[merged] = get(merged, 0) + (ca if sign > 0 else neg) * cb
         return KForm._trusted(self.dim, self.degree + other.degree, coeffs)
 
     def hodge(self) -> "KForm":
@@ -462,12 +467,12 @@ class KForm:
         table = _contract_table(self.dim, self.degree)
         comps = v.components
         coeffs: Dict[Blade, object] = {}
+        get = coeffs.get
         for blade, c in self.coeffs.items():
             for slot, rest, sign in table[blade]:
                 vi = comps[slot]
-                if vi == 0:
-                    continue
-                coeffs[rest] = coeffs.get(rest, 0) + sign * vi * c
+                if vi != 0:
+                    coeffs[rest] = get(rest, 0) + sign * vi * c
         return KForm._trusted(self.dim, self.degree - 1, coeffs)
 
     def inner(self, other: "KForm"):

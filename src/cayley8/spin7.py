@@ -17,6 +17,8 @@ together with the first-slot interior product of :mod:`cayley8.multivec`.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from typing import Dict, List, Tuple
@@ -81,18 +83,31 @@ class CheckResult:
     @classmethod
     def judge(cls, name: str, residual, exact: bool, detail: str) -> "CheckResult":
         """The one verdict rule: an exact check passes only at residual 0, a
-        floating one at ``CHECK_TOL`` or below; the record keeps a float residual."""
-        passed = residual == 0 if exact else float(residual) <= CHECK_TOL
-        return cls(name, passed, float(residual), detail)
+        floating one at ``CHECK_TOL`` or below; the record keeps a float residual.
+        A residual that is not finite as a float (nan, or beyond float range)
+        fails, recorded as the largest float with the reason in its detail."""
+        value = _as_float(residual)
+        if math.isfinite(value):
+            return cls(name, residual == 0 if exact else value <= CHECK_TOL, value, detail)
+        reason = f"residual not finite as a float ({value})"
+        return cls(name, False, sys.float_info.max, f"{reason}; {detail}" if detail else reason)
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
                 "residual": self.residual, "detail": self.detail}
 
 
+def _as_float(x) -> float:
+    """``float(x)`` of a residual (never negative), or ``math.inf`` beyond float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf
+
+
 def form_residual(a: KForm) -> float:
     """Residual of the form identity ``a == 0``: the largest coefficient size."""
-    return max((float(abs(c)) for c in a.coeffs.values()), default=0.0)
+    return max((_as_float(abs(c)) for c in a.coeffs.values()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -225,8 +240,9 @@ def _lambda4_7_generators(phi: KForm) -> List[KForm]:
     """Spanning set ``w_flat ^ (v . phi) - v_flat ^ (w . phi)`` over the 28 basis pairs."""
     exact = is_exact(phi.coeffs.values())
     e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
-    return [flat(w).wedge(contract(v, phi)) - flat(v).wedge(contract(w, phi))
-            for i, v in enumerate(e) for w in e[i + 1:]]
+    flats, contracted = [flat(v) for v in e], [contract(v, phi) for v in e]
+    return [flats[j].wedge(contracted[i]) - flats[i].wedge(contracted[j])
+            for i in range(8) for j in range(i + 1, 8)]
 
 
 @lru_cache(maxsize=1)
@@ -325,7 +341,7 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool):
                               "star(phi) == phi" if sd_ok else "star(phi) != phi"))
     nrm = phi.norm_sq()
     nrm_ok = is_zero(nrm - 14, 100 * DEFAULT_TOL)
-    checks.append(CheckResult("norm", nrm_ok, float(abs(nrm - 14)), f"<phi, phi> = {nrm}"))
+    checks.append(CheckResult("norm", nrm_ok, _as_float(abs(nrm - 14)), f"<phi, phi> = {nrm}"))
 
     op = _lambda2_dense(_lambda2_rows(phi), exact)
     spec_ok, detail, bases = _check_lambda2_spectrum(op)

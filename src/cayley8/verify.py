@@ -127,9 +127,10 @@ def _check_exterior_algebra(s: _Suite):
         a = random_form(s.rng, 8, 2, exact=s.exact)
         b = random_form(s.rng, 8, 1, exact=s.exact)
         c = random_form(s.rng, 8, 1, exact=s.exact)
-        assoc = (a.wedge(b)).wedge(c) - a.wedge(b.wedge(c))
-        anti = a.wedge(b) - b.wedge(a)  # even-odd degrees commute
-        grade = b.wedge(c) + c.wedge(b)  # odd-odd anticommute
+        ab, bc = a.wedge(b), b.wedge(c)
+        assoc = ab.wedge(c) - a.wedge(bc)
+        anti = ab - b.wedge(a)  # even-odd degrees commute
+        grade = bc + c.wedge(b)  # odd-odd anticommute
         worst = max(worst, form_residual(assoc), form_residual(anti),
                     form_residual(grade))
     s.record("wedge associative and graded-anticommutative", worst,
@@ -139,8 +140,9 @@ def _check_exterior_algebra(s: _Suite):
     for _ in range(s.trials):
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 3, exact=s.exact)
-        worst = max(worst, abs(a.hodge().inner(b.hodge()) - a.inner(b)))
-        worst = max(worst, form_residual(a.hodge().hodge() - (-1) ** (3 * 5) * a))
+        star_a = a.hodge()
+        worst = max(worst, abs(star_a.inner(b.hodge()) - a.inner(b)))
+        worst = max(worst, form_residual(star_a.hodge() - (-1) ** (3 * 5) * a))
     s.record("hodge isometry and involution sign", worst)
 
     worst = 0.0
@@ -214,8 +216,7 @@ def _check_model_level(s: _Suite, trials_light: int):
              0.0 if (g2mod.is_associative(g2m, OrientedPlane(e7[:3]))
                      and g2mod.is_coassociative(g2m, OrientedPlane(e7[3:]))) else 1.0)
 
-    mf = spin7.standard_model(exact=False)
-    sweep = calib.CayleySweep(mf)
+    sweep = calib.CayleySweep(m)
     frames = calib.random_orthonormal_frames(s.rng, 2000, 4, 8)
     tn, vals = sweep(frames)
     disagree = int((np.abs(vals * vals + tn * tn - 1) > calib.AGREEMENT_TOL).sum())

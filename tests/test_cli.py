@@ -224,6 +224,27 @@ def test_form_coefficient_beyond_float_range_exit_2(tmp_path, capsys, argv, coef
     assert "blade [1, 2, 3, 4]: coefficient is beyond float range" in captured.err
 
 
+def _no_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name}")
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+@pytest.mark.parametrize("coeff", [10 ** 200, 1e200], ids=["int", "float"])
+def test_verify_residual_beyond_float_range_fails_its_row(tmp_path, capsys, mode, coeff):
+    # the coefficient fits a float but <phi, phi> = 1e400 does not: the row
+    # fails under its own name, and the payload holds no NaN or Infinity
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"dim": 8, "degree": 4, "terms": [
+        {"blade": [1, 2, 3, 4], "coeff": coeff}]}))
+    code, out = run_cli(capsys, *mode, "--output", "json", "verify", "--form", str(form))
+    assert code == 1
+    results = json.loads(out, parse_constant=_no_constant)["results"]
+    assert "<phi, phi> == 14" in results["summary"]["failed_names"]
+    row = next(c for c in results["checks"] if c["name"] == "<phi, phi> == 14")
+    assert not row["passed"] and row["residual"] == sys.float_info.max
+    assert row["detail"] == "residual not finite as a float (inf)"
+
+
 @pytest.mark.parametrize("mode", [[], ["--exact"]])
 def test_verify_fails_a_wrong_intertwining_normalization(monkeypatch, capsys, mode):
     # one side of the special Lagrangian intertwining doubled: the residual

@@ -552,6 +552,58 @@ def test_table_ops_equal_merge_blades_references(data):
         assert KForm(result.dim, result.degree, dict(result.coeffs)) == result
 
 
+def test_wedge_table_equals_the_all_pairs_table():
+    """Rows built from each blade's complement are the all-pairs
+    ``merge_blades`` table less its overlapping pairs: the same rows, key
+    order and ``(merged, sign)`` values, for every shape up to R^8."""
+    for dim in range(1, 9):
+        for p in range(dim + 1):
+            for q in range(dim - p + 1):
+                ref = []
+                for a in blades(dim, p):
+                    merges = ((b, merge_blades(a, b)) for b in blades(dim, q))
+                    ref.append((a, [(b, hit) for b, hit in merges if hit[1]]))
+                got = multivec._wedge_table(dim, p, q)
+                assert [(a, list(row.items())) for a, row in got.items()] == ref
+
+
+# zeros of both signs, +-1 for cancelling sums, and products that underflow
+# to signed zeros or overflow to infinities (whose sums give nan)
+_BIT_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1e200, -1e200]),
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _bits(form):
+    """Items in key order, each float as its ``float.hex``."""
+    return [(b, c.hex() if type(c) is float else c, type(c)) for b, c in form.coeffs.items()]
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_sub_and_wedge_keep_every_bit(data):
+    """``a - b`` is ``a + (-b)`` and ``a.wedge(b)`` is the pair walk of
+    ``_ref_wedge`` coefficient by coefficient, in type, bits and key order,
+    for float forms (with cancelling pairs) and exact ones."""
+    exact = data.draw(st.booleans())
+    coeff = _EXACT_COEFF if exact else _BIT_FLOAT
+    dim = data.draw(st.integers(1, 8))
+    p = data.draw(st.integers(0, dim))
+    q = data.draw(st.integers(0, dim - p))
+
+    def form(degree, like=None):
+        coeffs = {}
+        for b in data.draw(st.lists(st.sampled_from(blades(dim, degree)), unique=True,
+                                    max_size=24)):
+            cancel = like is not None and b in like.coeffs and data.draw(st.booleans())
+            coeffs[b] = like.coeffs[b] if cancel else data.draw(coeff)
+        return KForm(dim, degree, coeffs)
+
+    a, b = form(p), form(q)
+    c = form(p, like=a)
+    assert _bits(a - c) == _bits(a + (-c))
+    assert _bits(a.wedge(b)) == _bits(_ref_wedge(a, b))
+
+
 @settings(max_examples=100)
 @given(st.data())
 def test_getitem_equals_sort_blade_reference(data):

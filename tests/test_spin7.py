@@ -1,5 +1,6 @@
 """Structure form, cross products, splittings, frames, certificate."""
 
+import sys
 from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
@@ -308,11 +309,21 @@ def test_certificate_residuals():
     (Fraction(1, 10 ** 20), True, False),   # an exact check passes only at 0
     (1e-11, False, True), (1e-10, False, True), (1e-9, False, False),
     (float("nan"), False, False), (float("nan"), True, False),
+    pytest.param(10 ** 400, True, False, id="int-beyond-float-True-False"),
+    pytest.param(Fraction(10 ** 400, 3), False, False, id="fraction-beyond-float-False-False"),
+    (float("inf"), False, False),
 ])
 def test_judge_is_the_one_verdict_rule(residual, exact, passed):
     report = spin7.CheckResult.judge("check", residual, exact, "detail")
     assert report.passed is passed and type(report.residual) is float
-    assert (report.name, report.detail) == ("check", "detail")
+    assert report.name == "check"
+    # nan, or beyond float range: recorded as the largest float, with the reason
+    if residual != residual or residual > sys.float_info.max:
+        word = "nan" if residual != residual else "inf"
+        assert report.residual == sys.float_info.max
+        assert report.detail == f"residual not finite as a float ({word}); detail"
+    else:
+        assert report.detail == "detail"
 
 
 @pytest.mark.parametrize("a, b", [
@@ -382,13 +393,23 @@ def _count_exact_certifications(monkeypatch):
     return calls
 
 
-def test_exact_suite_certifies_each_form_once(monkeypatch):
-    # phi0 (certificate row, standard_model(True)) and the SL form
+def _suite_certify_misses(exact: bool) -> int:
+    """Certify-cache misses of one fresh suite that passes."""
     from cayley8 import verify
-    calls = _count_exact_certifications(monkeypatch)
-    outcomes, summary = verify.run_suite(exact=True, seed=0, trials=2)
+    spin7._certify.cache_clear()
+    outcomes, summary = verify.run_suite(exact=exact, seed=0, trials=2)
     assert summary["failed"] == 0
-    assert len(calls) == 2
+    return spin7._certify.cache_info().misses
+
+
+def test_exact_suite_certifies_each_form_once():
+    # phi0 and the SL form: the sweep row reads the suite's exact model, so
+    # no float copy of phi0 is certified
+    assert _suite_certify_misses(exact=True) == 2
+
+
+def test_float_suite_certifies_each_form_once():
+    assert _suite_certify_misses(exact=False) == 2
 
 
 def test_certify_cache_keys_on_coefficients(monkeypatch):
