@@ -427,6 +427,95 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float):
     return X, value, iters, converged
 
 
+#: The constants of numpy's ``SeedSequence``: its pool of four 32-bit
+#: words, the entropy hash (``INIT_A``/``MULT_A``), the pool mix
+#: (``MIX_MULT_L``/``MIX_MULT_R``) and the output hash (``INIT_B``/``MULT_B``).
+_SEED_POOL = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+
+
+def _hash_constants(init: int, mult: int, count: int):
+    """The xor and multiplier constants of ``count`` steps of one SeedSequence hash.
+
+    The hash constant starts at ``init`` and is multiplied by ``mult`` at
+    every step; a step xors with the constant before the multiplication
+    and multiplies by the one after it.  The constants depend on the step
+    alone, never on the data, so every row of a batch shares them.
+    """
+    c = [init]
+    for _ in range(count):
+        c.append(c[-1] * mult & 0xFFFFFFFF)
+    c = np.array(c, dtype=np.uint32)
+    return c[:-1], c[1:]
+
+
+def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    value = (value ^ xor) * mult
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _seed_words(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of ``entropy``.
+
+    ``entropy``: (rows, width) uint32.  Follows ``SeedSequence``'s mixing
+    step for step in wrapping uint32 arithmetic, one column of the batch
+    at a time: each of the first four entropy words (zero past the width)
+    is hashed into the pool, every pool word is mixed into every other,
+    words past the pool are mixed into all four, and the output hash
+    cycles the pool over eight 32-bit words, read as four little-endian
+    64-bit ones.  Returns (rows, 4) uint64.
+    """
+    rows, width = entropy.shape
+    # a hash step per pool word, per ordered pair of distinct pool words and per
+    # pool word for each entropy word past the pool
+    xa, ma = _hash_constants(_INIT_A, _MULT_A, _SEED_POOL * max(width, _SEED_POOL))
+    xb, mb = _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_POOL)
+    pool = np.zeros((rows, _SEED_POOL), dtype=np.uint32)
+    pool[:, :min(width, _SEED_POOL)] = entropy[:, :_SEED_POOL]
+    with np.errstate(over="ignore"):
+        pool = _hashmix(pool, xa[:_SEED_POOL], ma[:_SEED_POOL])
+        k = _SEED_POOL
+        for src in range(_SEED_POOL):
+            # pool[src] stays fixed while it is mixed into the other words,
+            # so the three steps run as one
+            dst = [d for d in range(_SEED_POOL) if d != src]
+            step = slice(k, k + len(dst))
+            pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], xa[step], ma[step]))
+            k += len(dst)
+        for src in range(_SEED_POOL, width):
+            step = slice(k, k + _SEED_POOL)
+            pool = _mix(pool, _hashmix(entropy[:, src, None], xa[step], ma[step]))
+            k += _SEED_POOL
+        state = _hashmix(np.tile(pool, 2), xb, mb)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _Words:
+    """The seed words of one bit generator, computed beforehand by ``_seed_words``.
+
+    A ``numpy.random.bit_generator.ISeedSequence``: ``_start_frames``
+    registers it as one, so that importing this module does not import
+    ``numpy.random``.  ``PCG64(words)`` asks it for ``generate_state(4,
+    np.uint64)`` and seeds itself from the answer, as it does from a
+    ``SeedSequence``.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype):
+        return self.words
+
+
 def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     """(restarts, p, n) random starts, restart i drawn from substream [seed, i].
 
@@ -437,10 +526,12 @@ def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     ``_retract`` give a single frame.  BLAS may sum a contraction in an
     order that depends on the stride of a frame row, so with this layout a
     restart reaches bit for bit the values it reaches when ascended alone.
-    Substream i is seeded from a uint32 array: the little-endian 32-bit
-    words of ``seed`` (at least one), then i.  ``SeedSequence`` reduces the
-    list ``[seed, i]`` to the same words, so the draws are the same, and the
-    array skips its per-call conversion of Python ints.
+    Substream i is seeded from the uint32 words ``SeedSequence`` reduces
+    the list ``[seed, i]`` to: the little-endian 32-bit words of ``seed``
+    (at least one), then i.  ``_seed_words`` hashes every restart's words
+    in one batch, and each restart's ``PCG64`` takes its seed words from
+    that batch, so the draws are those of ``default_rng([seed, i])``
+    without a ``SeedSequence`` per restart.
     """
     seed = operator.index(seed)
     if seed < 0:
@@ -449,7 +540,9 @@ def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     entropy = np.empty((restarts, words + 1), dtype=np.uint32)
     entropy[:, :words] = np.frombuffer(seed.to_bytes(4 * words, "little"), dtype="<u4")
     entropy[:, words] = np.arange(restarts)
-    raw = np.stack([np.random.default_rng(e).standard_normal((n, p)) for e in entropy])
+    np.random.bit_generator.ISeedSequence.register(_Words)
+    raw = np.stack([np.random.Generator(np.random.PCG64(_Words(w))).standard_normal((n, p))
+                    for w in _seed_words(entropy)])
     return _retract(np.swapaxes(raw, 1, 2))
 
 

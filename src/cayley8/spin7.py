@@ -105,9 +105,27 @@ def _as_float(x) -> float:
         return math.inf
 
 
-def form_residual(a: KForm) -> float:
-    """Residual of the form identity ``a == 0``: the largest coefficient size."""
-    return max((_as_float(abs(c)) for c in a.coeffs.values()), default=0.0)
+def worst_residual(*residuals):
+    """The largest of ``residuals``, or a nan among them.
+
+    ``max`` keeps an earlier value over a later nan (``max(0.0, nan)`` is
+    0.0), so a fold by ``max`` would hide a nan from ``CheckResult.judge``.
+    Otherwise the result is the value ``max`` returns, unconverted.
+    """
+    out = residuals[0]
+    for x in residuals[1:]:
+        if x > out or x != x:
+            out = x
+    return out
+
+
+def form_residual(a: KForm):
+    """Residual of the form identity ``a == 0``: the largest coefficient size.
+
+    Exact for exact coefficients, so that ``CheckResult.judge`` sees a
+    nonzero residual below float range; 0.0 for the zero form.
+    """
+    return worst_residual(0.0, *(abs(c) for c in a.coeffs.values()))
 
 
 @dataclass(frozen=True)
@@ -337,7 +355,7 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool):
 
     sd_diff = phi.hodge() - phi
     sd_ok = sd_diff.is_zero(DEFAULT_TOL)
-    checks.append(CheckResult("self-dual", sd_ok, form_residual(sd_diff),
+    checks.append(CheckResult("self-dual", sd_ok, _as_float(form_residual(sd_diff)),
                               "star(phi) == phi" if sd_ok else "star(phi) != phi"))
     nrm = phi.norm_sq()
     nrm_ok = is_zero(nrm - 14, 100 * DEFAULT_TOL)

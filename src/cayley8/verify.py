@@ -19,7 +19,7 @@ import numpy as np
 from . import calib, dirac, g2 as g2mod, spin7
 from .multivec import (KForm, OrientedPlane, Vector, contract, flat,
                        random_form, random_vector, restrict, sharp)
-from .spin7 import CheckResult, form_residual
+from .spin7 import CheckResult, form_residual, worst_residual
 
 
 class _Suite:
@@ -65,7 +65,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
     ]
     for name, target, sign, triple in completion:
         got = sign * spin7.cross3(raw, *triple)
-        s.record(name, max(abs(x) for x in (got - target).components))
+        s.record(name, worst_residual(*(abs(x) for x in (got - target).components)))
 
     # the 12 equalities of the cross-product table, with the sign rule
     table = [
@@ -80,10 +80,10 @@ def _check_structure_form(s: _Suite, phi: KForm):
         lead = spin7.cross2(raw, e[i - 1], e[j - 1])
         for sign, (k, l) in rhs:
             other = spin7.cross2(raw, e[k - 1], e[l - 1])
-            worst = max(worst, form_residual(lead - sign * other))
+            worst = worst_residual(worst, form_residual(lead - sign * other))
             # e_i x e_j = +-e_k x e_l iff phi(e_i,e_j,e_k,e_l) = -+1
             val = phi.evaluate(e[i - 1], e[j - 1], e[k - 1], e[l - 1])
-            rule_worst = max(rule_worst, abs(val + sign))
+            rule_worst = worst_residual(rule_worst, abs(val + sign))
     s.record("cross-product table (12 equalities)", worst)
     s.record("table sign rule phi(ei,ej,ek,el) == -sign", rule_worst)
 
@@ -92,7 +92,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
         a, b, c, d = s.vectors(4)
         lhs = spin7.cross2(raw, a, b).inner(spin7.cross2(raw, c, d))
         rhs = -phi.evaluate(a, b, c, d) + a.dot(c) * b.dot(d) - a.dot(d) * b.dot(c)
-        worst = max(worst, abs(lhs - rhs))
+        worst = worst_residual(worst, abs(lhs - rhs))
     s.record("inner-cross-2", worst, f"{s.trials} random quadruples")
 
     worst = 0.0
@@ -101,17 +101,17 @@ def _check_structure_form(s: _Suite, phi: KForm):
         lhs = spin7.tau(raw, a, b, c, d).inner(spin7.cross2(raw, v, w))
         rhs = (flat(w).wedge(contract(v, phi))
                - flat(v).wedge(contract(w, phi))).evaluate(a, b, c, d)
-        worst = max(worst, abs(lhs - rhs))
+        worst = worst_residual(worst, abs(lhs - rhs))
     s.record("inner-tau", worst, f"{max(3, s.trials // 4)} random inputs")
 
     worst = 0.0
     for _ in range(s.trials):
         u, v, w = s.vectors(3)
         c2 = spin7.cross2(raw, v, w)
-        worst = max(worst, abs(c2.norm_sq() - flat(v).wedge(flat(w)).norm_sq()))
+        worst = worst_residual(worst, abs(c2.norm_sq() - flat(v).wedge(flat(w)).norm_sq()))
         c3 = spin7.cross3(raw, u, v, w)
         triple = flat(u).wedge(flat(v)).wedge(flat(w))
-        worst = max(worst, abs(c3.norm_sq() - triple.norm_sq()))
+        worst = worst_residual(worst, abs(c3.norm_sq() - triple.norm_sq()))
     s.record("|vxw| == |v^w| and |uxvxw| == |u^v^w|", worst)
 
     cert = spin7.is_spin7_form(phi)
@@ -131,8 +131,8 @@ def _check_exterior_algebra(s: _Suite):
         assoc = ab.wedge(c) - a.wedge(bc)
         anti = ab - b.wedge(a)  # even-odd degrees commute
         grade = bc + c.wedge(b)  # odd-odd anticommute
-        worst = max(worst, form_residual(assoc), form_residual(anti),
-                    form_residual(grade))
+        worst = worst_residual(worst, form_residual(assoc), form_residual(anti),
+                               form_residual(grade))
     s.record("wedge associative and graded-anticommutative", worst,
              f"{s.trials} random triples")
 
@@ -141,8 +141,8 @@ def _check_exterior_algebra(s: _Suite):
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 3, exact=s.exact)
         star_a = a.hodge()
-        worst = max(worst, abs(star_a.inner(b.hodge()) - a.inner(b)))
-        worst = max(worst, form_residual(star_a.hodge() - (-1) ** (3 * 5) * a))
+        worst = worst_residual(worst, abs(star_a.inner(b.hodge()) - a.inner(b)))
+        worst = worst_residual(worst, form_residual(star_a.hodge() - (-1) ** (3 * 5) * a))
     s.record("hodge isometry and involution sign", worst)
 
     worst = 0.0
@@ -150,13 +150,13 @@ def _check_exterior_algebra(s: _Suite):
         v = random_vector(s.rng, 8, exact=s.exact)
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 2, exact=s.exact)
-        worst = max(worst, abs(contract(v, a).inner(b) - a.inner(flat(v).wedge(b))))
+        worst = worst_residual(worst, abs(contract(v, a).inner(b) - a.inner(flat(v).wedge(b))))
     s.record("contraction adjoint to wedge", worst)
 
     worst = 0.0
     for _ in range(s.trials):
         v = random_vector(s.rng, 8, exact=s.exact)
-        worst = max(worst, max(abs(x) for x in (sharp(flat(v)) - v).components))
+        worst = worst_residual(worst, *(abs(x) for x in (sharp(flat(v)) - v).components))
     s.record("sharp(flat(v)) == v", worst)
 
     worst = 0.0
@@ -166,7 +166,7 @@ def _check_exterior_algebra(s: _Suite):
         try:
             p1 = OrientedPlane(vs)
             p2 = OrientedPlane([vs[1], vs[0], vs[2], vs[3]])
-            worst = max(worst, abs(restrict(a, p1) + restrict(a, p2)))
+            worst = worst_residual(worst, abs(restrict(a, p1) + restrict(a, p2)))
         except ValueError:
             continue
     s.record("restrict orientation equivariance", worst,
@@ -187,25 +187,25 @@ def _check_model_level(s: _Suite, trials_light: int):
         a = random_form(s.rng, 8, 2, exact=s.exact)
         p7 = spin7.proj2_7(m, a)
         p21 = spin7.proj2_21(m, a)
-        worst = max(worst, form_residual(spin7.proj2_7(m, p7) - p7))
-        worst = max(worst, form_residual(p7 + p21 - a))
-        worst = max(worst, abs(p7.inner(p21)))
+        worst = worst_residual(worst, form_residual(spin7.proj2_7(m, p7) - p7))
+        worst = worst_residual(worst, form_residual(p7 + p21 - a))
+        worst = worst_residual(worst, abs(p7.inner(p21)))
     s.record("projections idempotent, orthogonal, resolve identity", worst)
 
     worst = 0.0
     for _ in range(trials_light):
         v, w = s.vectors(2)
-        worst = max(worst, form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w))))
+        worst = worst_residual(worst, form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w))))
     s.record("cross2 image has zero 21-component", worst)
 
     worst = 0.0
     for gen in m.lambda4_forms(7):
-        worst = max(worst, form_residual(gen.hodge() - gen))
+        worst = worst_residual(worst, form_residual(gen.hodge() - gen))
     s.record("7-summand generators are self-dual", worst)
 
     worst = 0.0
     for beta in m.lambda2_21_forms()[:7]:
-        worst = max(worst, form_residual(spin7.infinitesimal_action(m.phi, beta)))
+        worst = worst_residual(worst, form_residual(spin7.infinitesimal_action(m.phi, beta)))
     s.record("stabilizer algebra annihilates phi", worst,
              "21-summand generators act trivially")
 

@@ -7,8 +7,11 @@ kept here as references: the batched code reorders no sums the tolerances
 below do not allow for.
 """
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from cayley8 import calib, spin7
 from cayley8.multivec import OrientedPlane, Vector, blades
@@ -169,14 +172,41 @@ def test_sweep_empty_batch():
     assert tau_norms.shape == values.shape == (0,)
 
 
-@pytest.mark.parametrize("seed", [0, 3, 2026, 2 ** 32, 2 ** 64 + 1])
-@pytest.mark.parametrize("restarts, p, n", [(200, 4, 8), (50, 3, 7), (7, 2, 8), (1, 1, 8)])
-def test_start_frames_match_per_restart_frames(restarts, p, n, seed):
-    # one stacked QR gives each restart the frame its own substream gives,
-    # bit for bit and in the same column-major layout
-    ref = np.swapaxes(np.stack([
+def _reference_start_frames(seed, restarts, p, n):
+    return np.swapaxes(np.stack([
         calib.random_orthonormal_frames(np.random.default_rng([seed, i]), 1, p, n)[0].T
         for i in range(restarts)]), 1, 2)
+
+
+# 2**96 + 7 and 2**200 + 3 make entropy wider than SeedSequence's 4-word pool
+@pytest.mark.parametrize("seed", [0, 3, 2026, 2 ** 32, 2 ** 64 + 1, 2 ** 96 + 7, 2 ** 200 + 3])
+@pytest.mark.parametrize("restarts, p, n", [(200, 4, 8), (50, 3, 7), (7, 2, 8), (1, 1, 8)])
+def test_start_frames_match_per_restart_frames(restarts, p, n, seed):
+    # one batched hash and one stacked QR give each restart the frame its
+    # own substream gives, bit for bit and in the same column-major layout
+    ref = _reference_start_frames(seed, restarts, p, n)
     got = calib._start_frames(seed, restarts, p, n)
     assert got.shape == ref.shape and got.strides == ref.strides
-    assert np.array_equal(got, ref)
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 8).flatmap(lambda width: hnp.arrays(
+    np.uint32, st.tuples(st.integers(1, 5), st.just(width)),
+    elements=st.one_of(st.just(0), st.integers(0, 2 ** 32 - 1)))))
+def test_seed_words_equal_seed_sequence(entropy):
+    ref = np.stack([np.random.SeedSequence(row).generate_state(4, np.uint64)
+                    for row in entropy])
+    got = calib._seed_words(entropy)
+    assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def test_start_frames_seed_no_seed_sequence(monkeypatch):
+    ref = _reference_start_frames(0, 200, 4, 8)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_start_frames seeded through numpy's SeedSequence")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    assert calib._start_frames(0, 200, 4, 8).tobytes() == ref.tobytes()

@@ -16,7 +16,7 @@ import pytest
 
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
-GEOMETRY = ("numpy", "cayley8.multivec", "cayley8.spin7", "cayley8.calib",
+GEOMETRY = ("numpy", "numpy.random", "cayley8.multivec", "cayley8.spin7", "cayley8.calib",
             "cayley8.g2", "cayley8.dirac", "cayley8.verify")
 
 _PROBE = """
@@ -84,6 +84,22 @@ def test_plane_and_comass_load_neither_dirac_nor_verify(inputs, argv):
     assert code == 0
     assert "cayley8.calib" in loaded
     assert "cayley8.dirac" not in loaded and "cayley8.verify" not in loaded
+
+
+def test_calib_and_plane_leave_numpy_random_unloaded(inputs):
+    """numpy imports ``numpy.random`` on first use, and calib uses it only
+    to seed comass restarts, so neither importing calib nor ``plane`` pays
+    for that import."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = "import sys, cayley8.calib; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+    code, loaded = _loaded_after(["plane", "--form", "builtin:spin7",
+                                  "--vectors", inputs["plane"]])
+    assert code == 0 and "cayley8.calib" in loaded
+    assert "numpy.random" not in loaded
 
 
 def test_python_m_cayley8_runs_the_cli_without_numpy(inputs):

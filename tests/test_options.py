@@ -135,6 +135,7 @@ UNCALLED = {
     ("calib", "coassoc_model_form"): "the coassociative construction of the model form, "
                                       "an independent reference for phi0",
     ("multivec", "OrientedPlane.matrix"): "the float view of a plane's orthonormal basis",
+    ("calib", "_Words.generate_state"): "numpy's PCG64 calls it through ISeedSequence",
 }
 
 

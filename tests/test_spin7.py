@@ -326,6 +326,47 @@ def test_judge_is_the_one_verdict_rule(residual, exact, passed):
         assert report.detail == "detail"
 
 
+_RESIDUAL = st.one_of(st.floats(min_value=0, allow_nan=False),
+                      st.fractions(min_value=0), st.integers(0, 10 ** 400))
+
+
+@settings(max_examples=100)
+@given(st.lists(_RESIDUAL, min_size=1, max_size=6), st.data())
+def test_worst_residual_is_max_unless_a_nan_comes(residuals, data):
+    # the very object max returns, so a fold keeps every float bit
+    assert spin7.worst_residual(*residuals) is max(residuals)
+    at = data.draw(st.integers(0, len(residuals)))
+    with_nan = residuals[:at] + [float("nan")] + residuals[at:]
+    worst = spin7.worst_residual(*with_nan)
+    assert worst != worst
+
+
+def test_a_nan_residual_fails_its_verify_row():
+    # 1e200 fits a float, but inner-tau's first left side is inf - inf = nan,
+    # which max(worst, nan) used to drop before CheckResult.judge saw it
+    from cayley8 import verify
+    outcomes, summary = verify.run_suite(exact=True, trials=0,
+                                         form=KForm(8, 4, {(1, 2, 3, 4): 1e200}))
+    row = next(o for o in outcomes if o.name == "inner-tau")
+    assert not row.passed and row.residual == sys.float_info.max
+    assert row.detail.startswith("residual not finite as a float (nan)")
+    assert "inner-tau" in summary["failed_names"]
+
+
+def test_an_exact_residual_below_float_range_fails_its_row():
+    tiny = Fraction(1, 10 ** 400)
+    assert spin7.form_residual(KForm(8, 4, {(1, 2, 3, 5): -tiny})) == tiny
+    assert spin7.form_residual(KForm.zero(8, 4)) == 0
+    from cayley8 import verify
+    form = spin7.phi0() + KForm(8, 4, {(1, 2, 3, 5): tiny})
+    outcomes, _ = verify.run_suite(exact=True, trials=0, form=form)
+    row = next(o for o in outcomes if o.name == "star(phi) == phi")
+    # judged on the exact residual; the record holds its float, 0.0
+    assert not row.passed and row.residual == 0.0
+    self_dual = spin7.is_spin7_form(form).checks[0]
+    assert not self_dual.passed and type(self_dual.residual) is float
+
+
 @pytest.mark.parametrize("a, b", [
     (np.eye(8)[0], np.eye(8)[1]),                 # unpivoted QR keeps 1 column
     (np.arange(1.0, 9.0), np.eye(8)[3]),          # ... or 2 that miss b
