@@ -225,7 +225,7 @@ class CayleySweep:
 
     def __init__(self, model: Spin7Model):
         self.p7 = 0.25 * (np.eye(28) - np.array(model.lambda2_op, dtype=float))
-        self.T4 = model.phi.as_float().to_dense()
+        self.T4 = model.phi.to_dense()
         self.T64 = self.T4.reshape(64, 64)
         # column k: the 2-blade e^k as a dense 8x8 tensor, so x outer y -> x ^ y
         wedge64 = np.stack([KForm(8, 2, {b: 1.0}).to_dense().reshape(64)
@@ -427,73 +427,53 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float):
     return X, value, iters, converged
 
 
-#: The constants of numpy's ``SeedSequence``: its pool of four 32-bit
-#: words, the entropy hash (``INIT_A``/``MULT_A``), the pool mix
-#: (``MIX_MULT_L``/``MIX_MULT_R``) and the output hash (``INIT_B``/``MULT_B``).
+#: The constants of numpy's ``SeedSequence``: its pool size in 32-bit words,
+#: the entropy hash (``INIT_A``/``MULT_A``), the output hash and the pool mix.
 _SEED_POOL = 4
 _INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
 _INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
 _MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
 
 
-def _hash_constants(init: int, mult: int, count: int):
-    """The xor and multiplier constants of ``count`` steps of one SeedSequence hash.
-
-    The hash constant starts at ``init`` and is multiplied by ``mult`` at
-    every step; a step xors with the constant before the multiplication
-    and multiplies by the one after it.  The constants depend on the step
-    alone, never on the data, so every row of a batch shares them.
-    """
-    c = [init]
-    for _ in range(count):
-        c.append(c[-1] * mult & 0xFFFFFFFF)
-    c = np.array(c, dtype=np.uint32)
-    return c[:-1], c[1:]
-
-
-def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = (value ^ xor) * mult
-    return value ^ (value >> 16)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = x * _MIX_MULT_L - y * _MIX_MULT_R
-    return r ^ (r >> 16)
-
-
 def _seed_words(entropy: np.ndarray) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of ``entropy``.
 
-    ``entropy``: (rows, width) uint32.  Follows ``SeedSequence``'s mixing
-    step for step in wrapping uint32 arithmetic, one column of the batch
-    at a time: each of the first four entropy words (zero past the width)
-    is hashed into the pool, every pool word is mixed into every other,
-    words past the pool are mixed into all four, and the output hash
-    cycles the pool over eight 32-bit words, read as four little-endian
-    64-bit ones.  Returns (rows, 4) uint64.
+    ``entropy``: (rows, width) uint32.  A line-for-line port of numpy's
+    ``SeedSequence.mix_entropy`` and ``generate_state`` (``bit_generator.pyx``)
+    on uint32 columns: the hash constant depends on the step alone, so every
+    row shares it.  Returns (rows, 4) uint64.
     """
     rows, width = entropy.shape
-    # a hash step per pool word, per ordered pair of distinct pool words and per
-    # pool word for each entropy word past the pool
-    xa, ma = _hash_constants(_INIT_A, _MULT_A, _SEED_POOL * max(width, _SEED_POOL))
-    xb, mb = _hash_constants(_INIT_B, _MULT_B, 2 * _SEED_POOL)
-    pool = np.zeros((rows, _SEED_POOL), dtype=np.uint32)
-    pool[:, :min(width, _SEED_POOL)] = entropy[:, :_SEED_POOL]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & 0xFFFFFFFF
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ (result >> 16)
+
+    zero = np.zeros(rows, dtype=np.uint32)
     with np.errstate(over="ignore"):
-        pool = _hashmix(pool, xa[:_SEED_POOL], ma[:_SEED_POOL])
-        k = _SEED_POOL
-        for src in range(_SEED_POOL):
-            # pool[src] stays fixed while it is mixed into the other words,
-            # so the three steps run as one
-            dst = [d for d in range(_SEED_POOL) if d != src]
-            step = slice(k, k + len(dst))
-            pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], xa[step], ma[step]))
-            k += len(dst)
-        for src in range(_SEED_POOL, width):
-            step = slice(k, k + _SEED_POOL)
-            pool = _mix(pool, _hashmix(entropy[:, src, None], xa[step], ma[step]))
-            k += _SEED_POOL
-        state = _hashmix(np.tile(pool, 2), xb, mb)
+        mixer = [hashmix(entropy[:, i] if i < width else zero) for i in range(_SEED_POOL)]
+        for i_src in range(_SEED_POOL):
+            for i_dst in range(_SEED_POOL):
+                if i_src != i_dst:
+                    mixer[i_dst] = mix(mixer[i_dst], hashmix(mixer[i_src]))
+        for i_src in range(_SEED_POOL, width):
+            for i_dst in range(_SEED_POOL):
+                mixer[i_dst] = mix(mixer[i_dst], hashmix(entropy[:, i_src]))
+        hash_const = _INIT_B
+        state = np.zeros((rows, 8), dtype=np.uint32)  # 4 uint64 words are 8 uint32 ones
+        for i_dst in range(8):
+            data_val = mixer[i_dst % _SEED_POOL] ^ hash_const
+            hash_const = hash_const * _MULT_B & 0xFFFFFFFF
+            data_val = data_val * hash_const
+            state[:, i_dst] = data_val ^ (data_val >> 16)
     return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
@@ -585,7 +565,7 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
                             converged=True)
     dualized = form.degree > form.dim - form.degree
     work = form.hodge() if dualized else form
-    T = work.as_float().to_dense()
+    T = work.to_dense()
     p, n = work.degree, work.dim
     # comass is homogeneous: ascend on the tensor scaled to largest |entry| 1
     scale = float(np.abs(T).max()) or 1.0

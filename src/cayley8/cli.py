@@ -199,10 +199,9 @@ def cmd_reproduce(args) -> Report:
         "index": derivation.index,
         "matches_expected": derivation.matches_expected,
     }
-    mismatches = [k for k, v in derivation.expected.items()
-                  if derivation.values.get(k) != v]
+    mismatches = derivation.mismatched_fields
     if mismatches:
-        results["mismatched_fields"] = mismatches
+        results["mismatched_fields"] = list(mismatches)
     return (_digest(f"example={args.example}"), results,
             len(derivation.expected) - len(mismatches), len(mismatches))
 

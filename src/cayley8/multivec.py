@@ -604,6 +604,9 @@ class OrientedPlane:
     ``REPROJECT_RATIO`` of its span vector (in squared length), and the
     span vector is dependent when it is at most ``GRAM_SCHMIDT_TOL`` of
     that length, so the pivot does not depend on the scale of the spans.
+    A floating span vector is first scaled by the power of two that brings
+    its largest |component| into [1/2, 1): that keeps every bit, so the
+    basis is the same at any scale and no square leaves float range.
     """
 
     def __init__(self, spans: Sequence[Vector]):
@@ -625,15 +628,15 @@ class OrientedPlane:
         if self._onb is None:
             basis = []
             for v in self.spans:
+                if not is_exact(v.components):
+                    e = math.frexp(max(map(abs, v.components)))[1]
+                    v = Vector(math.ldexp(c, -e) for c in v.components)
                 w = _project_out(v, basis)
                 nsq, vsq = w.norm_sq(), v.norm_sq()
                 if isinstance(nsq, float):
-                    # a span vector beyond float range would also make the
-                    # relative pivot below infinite
-                    if not math.isfinite(nsq) or vsq == math.inf:
-                        bad = vsq if math.isfinite(nsq) else nsq
-                        raise ValueError(f"span vector {len(basis) + 1} has squared "
-                                         f"norm {bad} outside float range")
+                    if not math.isfinite(nsq):
+                        raise ValueError(f"span vector {len(basis) + 1} has a "
+                                         f"component that is not finite")
                     if nsq < REPROJECT_RATIO * vsq:
                         w = _project_out(w, basis)
                         nsq = w.norm_sq()

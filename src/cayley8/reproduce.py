@@ -25,15 +25,20 @@ class UnknownExampleError(ValueError):
 
 @dataclass(frozen=True)
 class Derivation:
-    """One worked example's derivation; ``description`` is the fixture's."""
+    """One worked example's derivation; ``description`` is the fixture's, and
+    ``mismatched_fields`` names the expected values it does not reproduce."""
 
     example: int
     rows: Tuple[dict, ...]
     values: Dict[str, int]
     index: int
-    matches_expected: bool
     expected: Dict[str, int]
+    mismatched_fields: Tuple[str, ...]
     description: str
+
+    @property
+    def matches_expected(self) -> bool:
+        return not self.mismatched_fields
 
 
 def load_fixture(example: int) -> dict:
@@ -189,7 +194,8 @@ def run_example(example: int) -> Derivation:
                    "chi_X": chi_x, "sigma_X": sigma_x,
                    "euler_normal": euler_normal, "index": result.index})
     expected = fix["expected"]
-    matches = all(values.get(k) == v for k, v in expected.items())
     return Derivation(example=example, rows=tuple(rows), values=values,
-                      index=result.index, matches_expected=matches,
-                      expected=expected, description=fix["description"])
+                      index=result.index, expected=expected,
+                      mismatched_fields=tuple(k for k, v in expected.items()
+                                              if values.get(k) != v),
+                      description=fix["description"])

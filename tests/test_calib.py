@@ -1,5 +1,6 @@
 """Calibration values, Cayley verdicts, comass optimization, C^4 structures."""
 
+import math
 from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
@@ -359,6 +360,38 @@ def test_cayley_identity_on_random_float_planes(raw):
     assert abs(verdict.value ** 2 + verdict.tau_norm ** 2 - 1) <= 1e-12
     tau_norms, values = calib.CayleySweep(MF)(frame[None])
     assert abs(values[0] ** 2 + tau_norms[0] ** 2 - 1) <= 1e-12
+
+
+def _outcome(check, *args):
+    """``repr`` of what ``check`` returns or of the ValueError it raises:
+    equal reprs are equal bits, signed zeros included."""
+    try:
+        return repr(check(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_float_plane_tests_give_the_same_bits_at_every_scale(data):
+    normal = st.floats(-1, 1, allow_subnormal=False)
+    rows8 = data.draw(hnp.arrays(np.float64, (4, 8), elements=normal)).tolist()
+    rows7 = data.draw(hnp.arrays(np.float64, (3, 7), elements=normal)).tolist()
+    exponents = [math.frexp(x)[1] for row in rows8 + rows7 for x in row if x]
+    assume(exponents)
+    # the scales 2^k that keep every nonzero component normal
+    k = data.draw(st.integers(-1021 - min(exponents), 1024 - max(exponents)))
+    form = calib.builtin_form("spin7", exact=False)
+    g2m = g2.build_g2()
+
+    def outcomes(k):
+        p8, p7 = (OrientedPlane([Vector(math.ldexp(x, k) for x in row) for row in rows])
+                  for rows in (rows8, rows7))
+        return [_outcome(calib.cayley_test, MF, p8), _outcome(calib.calibration_value, form, p8),
+                _outcome(calib.sl_test, p8), _outcome(calib.complex_test, p8),
+                _outcome(g2.is_associative, g2m, p7)]
+
+    assert outcomes(k) == outcomes(0)
 
 
 def _numpy_plane(rows):

@@ -51,7 +51,6 @@ DEFAULTED = {
     ("verify", "run_suite", "trials"),
     ("verify", "run_suite", "form"),
     ("verify", "_Suite.record", "detail"),
-    ("verify", "_Suite.record", "floating"),
 }
 
 
