@@ -629,16 +629,22 @@ def load_plane(obj: dict) -> OrientedPlane:
     """Plane input: {"dim": n, "degree": p, "vectors": [[...], ...]}.
 
     Raises ValueError on a non-integer dim or degree, a missing key, or a
-    non-finite or non-numeric component.
+    non-finite, non-numeric or beyond-float-range component.
     """
     dim, degree, vectors = _read_header(obj, "plane", "vectors")
     if len(vectors) != degree:
         raise ValueError(f"expected {degree} vectors, got {len(vectors)}")
     rows = []
-    for row in vectors:
+    for i, row in enumerate(vectors, 1):
         if not isinstance(row, list) or len(row) != dim:
             raise ValueError(f"vector {row!r} is not a list of {dim} numbers")
-        rows.append(Vector(_parse_scalar(x) for x in row))
+        entries = [_parse_scalar(x) for x in row]
+        for j, x in enumerate(entries, 1):
+            try:
+                math.isfinite(x)  # raises for an int or a rational beyond float range
+            except OverflowError:
+                raise ValueError(f"vector {i}: entry {j} is beyond float range") from None
+        rows.append(Vector(entries))
     return OrientedPlane(rows)
 
 

@@ -13,28 +13,32 @@ the payload counts a failure (a verification, assertion or parity
 failure, or a comass estimate that did not converge), 2 for any rejected
 input, reported as ``input error: ...`` on stderr with nothing on stdout:
 every ``ValueError`` a command raises, including a result that leaves
-float range; 0 otherwise.  JSON output is byte-identical for identical
+float range, and a ``comass --restarts`` count whose arrays numpy cannot
+allocate; 0 otherwise.  JSON output is byte-identical for identical
 inputs and seeds.  Wall time goes to stderr so it never perturbs the
 payload.  A reader that closes stdout early does not change the exit code.
 
-Only the arithmetic modules (``index``, ``surgery``, ``reproduce``) are
-imported with this module; ``verify``, ``comass`` and ``plane`` import
-the geometry stack (numpy and up) inside their handlers, so the
-arithmetic commands start without it.
+Importing this module loads no other module of the package: each
+handler imports what its command runs.  ``index`` loads ``index`` alone
+(not even ``dataclasses`` or ``fractions``), ``surgery`` loads
+``surgery`` and ``index``, and ``reproduce`` loads those two and
+``reproduce``; none of the three loads numpy.  ``verify``, ``comass``
+and ``plane`` load the geometry stack (numpy and up).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
 import time
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from . import index as index_mod, reproduce, surgery
-from .index import ParityError
+try:  # the interpreter's own SHA-256; hashlib would load OpenSSL at every cold start
+    from _sha256 import sha256
+except ImportError:  # not built, or renamed (Python 3.12 calls it _sha2)
+    from hashlib import sha256
 
 if TYPE_CHECKING:
     from .calib import CalibrationForm
@@ -52,7 +56,7 @@ class InputError(ValueError):
 
 
 def _digest(*parts: str) -> str:
-    h = hashlib.sha256()
+    h = sha256()
     for p in parts:
         h.update(p.encode())
         h.update(b"\x00")
@@ -125,8 +129,12 @@ def cmd_comass(args) -> Report:
     from . import calib
     tol = calib.COMASS_TOL if args.tol is None else args.tol
     c = _resolve_form(args.form, exact=False)
-    result = calib.comass_estimate(c, restarts=args.restarts, tol=tol,
-                                   seed=args.seed, jobs=args.jobs)
+    try:
+        result = calib.comass_estimate(c, restarts=args.restarts, tol=tol,
+                                       seed=args.seed, jobs=args.jobs)
+    except MemoryError as exc:  # numpy refused the arrays that hold every restart
+        raise InputError(f"--restarts {args.restarts}: too many restarts to hold "
+                         f"in memory ({exc})") from exc
     rounded = {
         "form": c.name,
         "degree": c.degree,
@@ -174,15 +182,17 @@ def cmd_plane(args) -> Report:
 
 
 def cmd_index(args) -> Report:
+    from . import index
     obj = _load_json_file(args.input)
     digest = _digest(json.dumps(obj, sort_keys=True))
     try:
-        return digest, index_mod.evaluate_index(obj).as_dict(), 1, 0
-    except ParityError as exc:
+        return digest, index.evaluate_index(obj).as_dict(), 1, 0
+    except index.ParityError as exc:
         return digest, {"error": str(exc)}, 0, 1
 
 
 def cmd_surgery(args) -> Report:
+    from . import surgery
     obj = _load_json_file(args.input)
     root, rows = surgery.evaluate_surgery(obj)
     results = {"result": root.as_dict(), "derivation": rows}
@@ -190,6 +200,7 @@ def cmd_surgery(args) -> Report:
 
 
 def cmd_reproduce(args) -> Report:
+    from . import reproduce
     derivation = reproduce.run_example(args.example)
     results = {
         "description": derivation.description,

@@ -17,17 +17,14 @@ orientation "standard".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 
 class ParityError(ValueError):
     """The formula value is not an integer for the given inputs."""
 
 
-@dataclass(frozen=True)
-class IndexResult:
+class IndexResult(NamedTuple):
     formula: str
     index: object  # int, or float for the eta variant with real inputs
     derivation: Tuple[dict, ...]
@@ -49,7 +46,7 @@ _MINUS_DIMH0 = ("-dimH0/2", 2, (("dimH0", -1),))
 
 #: CLI formula name -> (reported name, ordered terms).  A term is a
 #: derivation row (label, divisor, ((field, integer coefficient), ...)) whose
-#: value is the integer combination of the fields over the divisor.
+#: value is the integer combination of the fields over the divisor, 1 or 2.
 FORMULAS: Dict[str, Tuple[str, tuple]] = {
     # closed calibrated 4-manifold
     "closed": ("closed", (_CHI, _MINUS_SIGMA,
@@ -115,7 +112,12 @@ _SIGMA_FIELDS = ("sigma", "sigma_bar")
 
 
 def _evaluate(name: str, fields: dict) -> IndexResult:
-    """Evaluate formula ``name`` on ``fields`` (every field present)."""
+    """Evaluate formula ``name`` on ``fields`` (every field present).
+
+    Every divisor is 1 or 2, so an integer term is held exactly as its
+    count of halves.  A term that reads a real field is a float, and from
+    the first one on the total is the float sum of the terms in order.
+    """
     reported, terms = FORMULAS[name]
     values = []
     for _, divisor, combo in terms:
@@ -123,22 +125,31 @@ def _evaluate(name: str, fields: dict) -> IndexResult:
         # no int 0 start: 0 + -0.0 would lose the sign of a -0.0 eta term
         value = sum(parts[1:], parts[0])
         values.append(value / divisor if isinstance(value, float)
-                      else Fraction(value, divisor))
-    total = sum(values)
+                      else value * (2 // divisor))
+    halves, total = 0, None
+    for v in values:
+        if isinstance(v, float):
+            total = (halves / 2 if total is None else total) + v
+        elif total is None:
+            halves += v
+        else:
+            total += v / 2
     rows = tuple(
         {"term": label,
-         "value": float(v) if isinstance(v, float) or v.denominator != 1 else int(v)}
+         "value": v if isinstance(v, float) else v // 2 if v % 2 == 0 else v / 2}
         for (label, _, _), v in zip(terms, values))
-    if isinstance(total, float):
+    if total is not None:
         near = round(total)
         if abs(total - near) <= NEAR_INTEGER_TOL:
             return IndexResult(reported, int(near), rows)
-    elif total.denominator == 1:
-        return IndexResult(reported, int(total), rows)
+    elif halves % 2 == 0:
+        return IndexResult(reported, halves // 2, rows)
     elif not REAL_FIELDS.intersection(FIELDS[name]):
-        raise ParityError(f"{reported}: non-integer index {total} "
+        raise ParityError(f"{reported}: non-integer index {halves}/2 "
                           "(the halved terms must have an even sum)")
-    return IndexResult(reported, float(total), rows,
+    else:
+        total = halves / 2
+    return IndexResult(reported, total, rows,
                        "non-integer value (eta terms are external reals)")
 
 
@@ -200,5 +211,5 @@ def evaluate_index(payload: dict) -> IndexResult:
         raise ValueError(f"{name}: index out of float range ({exc})") from exc
     if flipped:
         row = {"term": f"orientation complex: negate {', '.join(flipped)}", "value": 0}
-        result = replace(result, derivation=(row,) + result.derivation)
+        result = result._replace(derivation=(row,) + result.derivation)
     return result

@@ -224,6 +224,40 @@ def test_form_coefficient_beyond_float_range_exit_2(tmp_path, capsys, argv, coef
     assert "blade [1, 2, 3, 4]: coefficient is beyond float range" in captured.err
 
 
+def _plane_with(vector, entry, value, float_first=False):
+    """The plane of e1..e4 with ``value`` at (``vector``, ``entry``), 1-based."""
+    rows = [[int(i == j) for i in range(8)] for j in range(4)]
+    if float_first:
+        rows[0][0] = 1e300
+    rows[vector - 1][entry - 1] = value
+    return {"dim": 8, "degree": 4, "vectors": rows}
+
+
+@pytest.mark.parametrize("mode", [[], ["--exact"]])
+@pytest.mark.parametrize("plane, named", [
+    (_plane_with(1, 2, 10 ** 400, float_first=True), "vector 1: entry 2"),
+    (_plane_with(3, 4, 10 ** 400), "vector 3: entry 4"),
+    (_plane_with(2, 8, "-1e400"), "vector 2: entry 8"),
+], ids=["float-plane", "integer-plane", "rational-string"])
+def test_plane_entry_beyond_float_range_exit_2(tmp_path, capsys, mode, plane, named):
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps(plane))
+    code = cli.main(mode + ["plane", "--form", "builtin:spin7", "--vectors", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"input error: {named} is beyond float range" in captured.err
+
+
+def test_comass_restarts_beyond_memory_exit_2(capsys):
+    # 10**15 restarts need 7 PiB of seed words, more than a process can
+    # address, so numpy refuses the allocation at once.  Never try a count
+    # whose arrays could fit: filling them would exhaust the machine.
+    code = cli.main(["comass", "--form", "builtin:spin7", "--restarts", str(10 ** 15)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"input error: --restarts {10 ** 15}: too many restarts" in captured.err
+
+
 def _no_constant(name):
     raise AssertionError(f"non-standard JSON constant {name}")
 

@@ -1,12 +1,18 @@
-"""The arithmetic commands never import the geometry stack.
+"""A cold command imports only what it runs.
 
-``cayley8.cli`` imports only ``index``, ``surgery`` and ``reproduce`` with
-itself; ``verify``, ``comass`` and ``plane`` import what they need inside
-their handlers.  Each case runs in a fresh interpreter, because the test
-process has long since imported everything, and lists which of the
-geometry modules the command left in ``sys.modules``.
+Importing ``cayley8.cli`` loads no other module of the package, nor
+``dataclasses``: each handler imports what its command needs.  The
+arithmetic commands (``index``, ``surgery``, ``reproduce``) never load
+the geometry stack, ``index`` loads neither ``dataclasses`` nor the other
+two arithmetic modules, and ``verify``, ``comass`` and ``plane`` import
+numpy and up inside their handlers.  Each case runs in a fresh
+interpreter, because the test process has long since imported
+everything, and lists which of the watched modules the probe added to
+``sys.modules`` after start-up, so a module that a ``site`` hook preloads
+never counts.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -19,8 +25,12 @@ SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 GEOMETRY = ("numpy", "numpy.random", "cayley8.multivec", "cayley8.spin7", "cayley8.calib",
             "cayley8.g2", "cayley8.dirac", "cayley8.verify")
 
+#: what a cold ``index`` call leaves unloaded
+LEAN = ("dataclasses", "fractions", "cayley8.surgery", "cayley8.reproduce")
+
 _PROBE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from cayley8 import cli
 argv = json.loads(sys.argv[1])
 if argv:
@@ -28,18 +38,19 @@ if argv:
         code = cli.main(argv)
 else:
     code = 0
-print(json.dumps([code, [m for m in json.loads(sys.argv[2]) if m in sys.modules]]))
+added = [m for m in json.loads(sys.argv[2]) if m in sys.modules and m not in before]
+print(json.dumps([code, added]))
 """
 
 
-def _loaded_after(argv):
-    """Exit code of ``cli.main(argv)`` and the geometry modules loaded by then.
+def _loaded_after(argv, watched=GEOMETRY):
+    """Exit code of ``cli.main(argv)`` and the ``watched`` modules it loaded.
 
     An empty ``argv`` only imports ``cayley8.cli``.
     """
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(GEOMETRY)],
+        [sys.executable, "-c", _PROBE, json.dumps(argv), json.dumps(watched)],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return tuple(json.loads(proc.stdout))
@@ -62,6 +73,18 @@ def inputs(tmp_path):
 
 def test_importing_the_cli_loads_no_geometry_module():
     assert _loaded_after([]) == (0, [])
+
+
+@pytest.mark.parametrize("argv, runs, absent", [
+    ([], None, ("cayley8.index",) + LEAN),
+    (["index", "--input", "{index}"], "cayley8.index", LEAN),
+    (["surgery", "--input", "{tree}"], "cayley8.surgery", ("cayley8.reproduce",)),
+], ids=["import", "index", "surgery"])
+def test_a_cold_command_loads_only_what_it_runs(inputs, argv, runs, absent):
+    watched = absent + ((runs,) if runs else ())
+    code, loaded = _loaded_after([a.format(**inputs) for a in argv], watched)
+    assert code == 0
+    assert loaded == ([runs] if runs else [])
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -112,7 +135,14 @@ def test_python_m_cayley8_runs_the_cli_without_numpy(inputs):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["command"] == "index"
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
+    imported = [line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")]
+    # a module is listed once its own imports are done, so whatever ``site``
+    # (and any hook it runs) imported comes before it
+    if "site" in imported:
+        imported = imported[imported.index("site") + 1:]
     assert "cayley8.cli" in imported
-    assert not {"numpy", "cayley8.multivec"} & imported
+    unused = {"numpy", "cayley8.multivec", "inspect", *LEAN}
+    if importlib.util.find_spec("_sha256"):  # the inputs digest needs no OpenSSL
+        unused.add("_hashlib")
+    assert not unused & set(imported)

@@ -1,10 +1,11 @@
 """Index formulas: worked values, parity gates, consistency web, coefficients."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cayley8 import index
 from cayley8.index import ParityError, evaluate_index
@@ -213,3 +214,62 @@ def test_evaluate_index_orientation_flip():
                           "orientation": "complex"})
     assert res.index == 5 + 2  # sigma negated before the formula
     assert "negate sigma" in res.derivation[0]["term"]
+
+
+def _fraction_reference(name, fields):
+    """``index._evaluate`` with every integer term a ``Fraction``, added by
+    ``sum`` in term order: (index, row values, warning)."""
+    reported, terms = index.FORMULAS[name]
+    values = []
+    for _, divisor, combo in terms:
+        parts = [coeff * fields[field] for field, coeff in combo]
+        value = sum(parts[1:], parts[0])
+        values.append(value / divisor if isinstance(value, float)
+                      else Fraction(value, divisor))
+    total = sum(values)
+    rows = [float(v) if isinstance(v, float) or v.denominator != 1 else int(v)
+            for v in values]
+    if isinstance(total, float):
+        near = round(total)
+        if abs(total - near) <= index.NEAR_INTEGER_TOL:
+            return int(near), rows, None
+    elif total.denominator == 1:
+        return int(total), rows, None
+    elif not index.REAL_FIELDS.intersection(index.FIELDS[name]):
+        raise ParityError(f"{reported}: non-integer index {total} "
+                          "(the halved terms must have an even sum)")
+    return float(total), rows, "non-integer value (eta terms are external reals)"
+
+
+def _outcome(evaluate):
+    """The repr of what ``evaluate()`` returns, or the type and text of its error."""
+    try:
+        return repr(evaluate())
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+INTEGERS = st.one_of(st.integers(-10**6, 10**6),
+                     st.sampled_from([10**400, -10**400, 2**53 + 1, 3 * 2**1023]))
+
+
+REALS = st.one_of(INTEGERS, st.floats(-1e3, 1e3),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(sorted(index.FORMULAS)), st.booleans(), st.data())
+def test_halves_evaluator_matches_a_fraction_reference(name, reverse, data):
+    # the same values, types and signed zeros, and the same error text on
+    # a sum beyond float range, as exact Fraction terms give; reversed
+    # terms put the real eta term ahead of the integer ones
+    fields = {f: data.draw(REALS if f in index.REAL_FIELDS else INTEGERS, label=f)
+              for f in index.FIELDS[name]}
+    reported, terms = index.FORMULAS[name]
+
+    def evaluate():
+        res = index._evaluate(name, fields)
+        return res.index, [row["value"] for row in res.derivation], res.warning
+
+    with mock.patch.dict(index.FORMULAS, {name: (reported, terms[::-1] if reverse else terms)}):
+        assert _outcome(evaluate) == _outcome(lambda: _fraction_reference(name, fields))
