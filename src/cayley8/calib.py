@@ -517,7 +517,10 @@ def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = max(1, -(-seed.bit_length() // 32))
-    entropy = np.empty((restarts, words + 1), dtype=np.uint32)
+    try:
+        entropy = np.empty((restarts, words + 1), dtype=np.uint32)
+    except ValueError as exc:  # a shape beyond the address space, refused unallocated
+        raise MemoryError(str(exc)) from exc
     entropy[:, :words] = np.frombuffer(seed.to_bytes(4 * words, "little"), dtype="<u4")
     entropy[:, words] = np.arange(restarts)
     np.random.bit_generator.ISeedSequence.register(_Words)

@@ -96,6 +96,11 @@ def _load_json_file(path: str):
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:  # numpy's generators take only non-negative seeds
+        raise InputError(f"expected non-negative integer for --seed, got {seed}")
+
+
 def _resolve_form(spec: str, exact: bool) -> CalibrationForm:
     from . import calib
     if spec.startswith("builtin:"):
@@ -104,6 +109,7 @@ def _resolve_form(spec: str, exact: bool) -> CalibrationForm:
 
 
 def cmd_verify(args) -> Report:
+    _check_seed(args.seed)
     from . import verify
     form = None
     digest_parts = [f"seed={args.seed}", f"trials={args.trials}",
@@ -126,6 +132,7 @@ def cmd_verify(args) -> Report:
 def cmd_comass(args) -> Report:
     if args.exact:
         raise InputError("comass is a floating-point estimate; --exact does not apply")
+    _check_seed(args.seed)
     from . import calib
     tol = calib.COMASS_TOL if args.tol is None else args.tol
     c = _resolve_form(args.form, exact=False)

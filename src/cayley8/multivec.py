@@ -543,25 +543,6 @@ class KForm:
             raise DegreeError(f"form degrees differ: {self.degree} vs {other.degree}")
 
 
-# -- module-level operations (spec surface) -------------------------------------
-
-
-def wedge(a: KForm, b: KForm) -> KForm:
-    return a.wedge(b)
-
-
-def hodge(a: KForm) -> KForm:
-    return a.hodge()
-
-
-def contract(v: Vector, a: KForm) -> KForm:
-    return a.contract(v)
-
-
-def inner(a: KForm, b: KForm):
-    return a.inner(b)
-
-
 def flat(v: Vector) -> KForm:
     """Musical isomorphism: vector to 1-form (Euclidean metric)."""
     if not 1 <= v.dim <= 8:

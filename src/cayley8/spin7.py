@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _linalg
 from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, OrientedPlane, Vector,
-                       _hodge_table, _wedge_table, blades, contract, flat,
+                       _hodge_table, _wedge_table, blades, flat,
                        is_exact, is_zero, pullback, scalar, sharp)
 
 #: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
@@ -258,7 +258,7 @@ def _lambda4_7_generators(phi: KForm) -> List[KForm]:
     """Spanning set ``w_flat ^ (v . phi) - v_flat ^ (w . phi)`` over the 28 basis pairs."""
     exact = is_exact(phi.coeffs.values())
     e = [Vector.basis(8, i, exact=exact) for i in range(1, 9)]
-    flats, contracted = [flat(v) for v in e], [contract(v, phi) for v in e]
+    flats, contracted = [flat(v) for v in e], [phi.contract(v) for v in e]
     return [flats[j].wedge(contracted[i]) - flats[i].wedge(contracted[j])
             for i in range(8) for j in range(i + 1, 8)]
 
@@ -461,7 +461,7 @@ def cross3(m: Spin7Model, u: Vector, v: Vector, w: Vector) -> Vector:
     Alternating, with ``|u x v x w| = |u ^ v ^ w|`` and
     ``e1 x e2 x e3 = -e4`` on the standard frame.
     """
-    return sharp(contract(u, contract(v, contract(w, m.phi))))
+    return sharp(m.phi.contract(w).contract(v).contract(u))
 
 
 def tau(m: Spin7Model, a: Vector, b: Vector, c: Vector, d: Vector) -> KForm:

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import calib, dirac, g2 as g2mod, spin7
-from .multivec import (KForm, OrientedPlane, Vector, contract, flat,
+from .multivec import (KForm, OrientedPlane, Vector, flat,
                        random_form, random_vector, restrict, sharp)
 from .spin7 import CheckResult, form_residual, worst_residual
 
@@ -97,8 +97,8 @@ def _check_structure_form(s: _Suite, phi: KForm):
     for _ in range(max(3, s.trials // 4)):
         a, b, c, d, v, w = s.vectors(6)
         lhs = spin7.tau(raw, a, b, c, d).inner(spin7.cross2(raw, v, w))
-        rhs = (flat(w).wedge(contract(v, phi))
-               - flat(v).wedge(contract(w, phi))).evaluate(a, b, c, d)
+        rhs = (flat(w).wedge(phi.contract(v))
+               - flat(v).wedge(phi.contract(w))).evaluate(a, b, c, d)
         worst = worst_residual(worst, abs(lhs - rhs))
     s.record("inner-tau", worst, f"{max(3, s.trials // 4)} random inputs")
 
@@ -149,7 +149,7 @@ def _check_exterior_algebra(s: _Suite):
         v = random_vector(s.rng, 8, exact=s.exact)
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 2, exact=s.exact)
-        worst = worst_residual(worst, abs(contract(v, a).inner(b) - a.inner(flat(v).wedge(b))))
+        worst = worst_residual(worst, abs(a.contract(v).inner(b) - a.inner(flat(v).wedge(b))))
     s.record("contraction adjoint to wedge", worst)
 
     worst = 0.0

@@ -219,8 +219,8 @@ def test_comass_matches_norm_on_decomposable_forms():
     rng = np.random.default_rng(47)
     vs = [Vector(x) for x in rng.standard_normal((4, 8))]
     form = KForm.monomial(8, 1).as_float()
-    from cayley8.multivec import flat, wedge
-    form = wedge(wedge(flat(vs[0]), flat(vs[1])), wedge(flat(vs[2]), flat(vs[3])))
+    from cayley8.multivec import flat
+    form = flat(vs[0]).wedge(flat(vs[1])).wedge(flat(vs[2]).wedge(flat(vs[3])))
     res = calib.comass_estimate(calib.CalibrationForm(form, "decomposable"),
                                 restarts=12, seed=8)
     assert abs(res.value - float(form.norm())) < 1e-6

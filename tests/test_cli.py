@@ -99,6 +99,15 @@ def test_comass_negative_seed_is_input_error(seed, capsys):
     assert "input error: expected non-negative integer" in captured.err
 
 
+@pytest.mark.parametrize("command", [["verify"], ["comass", "--form", "builtin:spin7"]],
+                         ids=["verify", "comass"])
+def test_negative_seed_names_the_option(command, capsys):
+    code = cli.main(command + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: expected non-negative integer for --seed, got -1" in captured.err
+
+
 def test_comass_not_converged_exit_1(capsys):
     code, out = run_cli(capsys, "--output", "json", "comass", "--form",
                         "builtin:spin7", "--restarts", "2", "--tol", "0")
@@ -256,6 +265,16 @@ def test_comass_restarts_beyond_memory_exit_2(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"input error: --restarts {10 ** 15}: too many restarts" in captured.err
+
+
+@pytest.mark.parametrize("restarts", [2 ** 62, 10 ** 19], ids=["bytes", "dimension"])
+def test_comass_restarts_beyond_numpy_shapes_exit_2(restarts, capsys):
+    # numpy rejects both shapes before allocating: 2**62 rows of seed words
+    # overflow the byte count, and 10**19 rows exceed the largest dimension
+    code = cli.main(["comass", "--form", "builtin:spin7", "--restarts", str(restarts)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"input error: --restarts {restarts}: too many restarts" in captured.err
 
 
 def _no_constant(name):

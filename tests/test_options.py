@@ -8,9 +8,10 @@ shows up as an edit of this file.  Methods are named ``Class.method``.
 A second walk checks that every name a module imports is used in it,
 and a third that no function body or argument default carries a literal
 tolerance.  A fourth walk checks that every public function and method
-is named somewhere in ``src`` beyond its own definition, or sits on the
-reviewed list ``UNCALLED`` with the reason it stays, so an entry point
-that only tests reach shows up too.  A fifth walk checks that only
+is named somewhere in ``src`` beyond its own definition (a method by any
+attribute of its name, a module-level function only through its own
+module), or sits on the reviewed list ``UNCALLED`` with the reason it
+stays, so an entry point that only tests reach shows up too.  A fifth walk checks that only
 ``spin7`` builds a ``CheckResult`` directly, so every other check is
 judged by ``CheckResult.judge``.
 """
@@ -148,20 +149,40 @@ def _public_definitions(tree, module):
             yield module, node.name, node.name
 
 
+def _named_through_module(tree, module):
+    """Yield ``(module, name)`` for each name used through the module that holds
+    it: a bare name in ``module`` itself, a ``from .m import f`` binding, or
+    ``m.f`` through ``m`` or its alias."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    aliases[alias.asname or alias.name] = alias.name
+                else:
+                    yield node.module, alias.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield module, node.id
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            yield aliases[node.value.id], node.attr
+
+
 def test_every_public_function_has_a_caller_in_src():
-    definitions, named = [], set()
+    # a method counts as named by any attribute of its name; a module-level
+    # function only through its own module, so a method of the same name
+    # cannot hide an unused function
+    definitions, attributes, through_module = [], set(), set()
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         definitions += _public_definitions(tree, path.stem)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.alias):
-                named.add(node.name)
+        attributes.update(node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute))
+        through_module.update(_named_through_module(tree, path.stem))
     uncalled = {(module, qualified) for module, qualified, name in definitions
-                if name not in named}
+                if (name not in attributes if "." in qualified
+                    else (module, name) not in through_module)}
     assert uncalled == set(UNCALLED)
 
 

@@ -48,6 +48,16 @@ def test_unknown_example():
         reproduce.run_example(5)
 
 
+def test_unknown_euler_normal_mode_is_named(monkeypatch):
+    # the fixture's own mode picks the glued component; one it does not know
+    # must stop the derivation, not fall through to either worked example
+    fix = reproduce.load_fixture(1)
+    fix["euler_normal"]["mode"] = "triple_cover"
+    monkeypatch.setattr(reproduce, "load_fixture", lambda example: fix)
+    with pytest.raises(ValueError, match="triple_cover"):
+        reproduce.run_example(1)
+
+
 def test_closed_model_cross_check_guards_fixtures():
     # both fixtures carry a homeomorphism model whose invariants must match
     # the assembled ones; run_example would raise if they drifted
