@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -517,10 +518,7 @@ def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     if seed < 0:
         raise ValueError("expected non-negative integer")
     words = max(1, -(-seed.bit_length() // 32))
-    try:
-        entropy = np.empty((restarts, words + 1), dtype=np.uint32)
-    except ValueError as exc:  # a shape beyond the address space, refused unallocated
-        raise MemoryError(str(exc)) from exc
+    entropy = np.empty((restarts, words + 1), dtype=np.uint32)
     entropy[:, :words] = np.frombuffer(seed.to_bytes(4 * words, "little"), dtype="<u4")
     entropy[:, words] = np.arange(restarts)
     np.random.bit_generator.ISeedSequence.register(_Words)
@@ -547,7 +545,10 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     has the same comass.  A top-degree form ``c vol`` needs no ascent: its
     comass |c| is attained on the standard frame, first vector negated
     when c < 0.  ``jobs`` is accepted for compatibility only and has no
-    effect: the restarts are batched, not run concurrently.
+    effect: the restarts are batched, not run concurrently.  Before it
+    allocates anything, the ascent raises ``MemoryError`` when its largest
+    per-restart stack, ``restarts * n ** (p - 1)`` float64, exceeds
+    physical memory.
     """
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
@@ -567,9 +568,14 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
                             restarts=restarts, best_restart=0, iterations=0,
                             converged=True)
     dualized = form.degree > form.dim - form.degree
+    p, n = min(form.degree, form.dim - form.degree), form.dim
+    need = restarts * n ** (p - 1) * np.dtype(float).itemsize
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise MemoryError(f"the ascent needs {need} bytes, more than the "
+                          f"{memory} bytes of physical memory")
     work = form.hodge() if dualized else form
     T = work.to_dense()
-    p, n = work.degree, work.dim
     # comass is homogeneous: ascend on the tensor scaled to largest |entry| 1
     scale = float(np.abs(T).max()) or 1.0
 

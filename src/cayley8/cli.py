@@ -139,7 +139,7 @@ def cmd_comass(args) -> Report:
     try:
         result = calib.comass_estimate(c, restarts=args.restarts, tol=tol,
                                        seed=args.seed, jobs=args.jobs)
-    except MemoryError as exc:  # numpy refused the arrays that hold every restart
+    except MemoryError as exc:  # the arrays that hold every restart do not fit
         raise InputError(f"--restarts {args.restarts}: too many restarts to hold "
                          f"in memory ({exc})") from exc
     rounded = {

@@ -31,7 +31,7 @@ exactly, then fixed):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -40,7 +40,7 @@ import numpy as np
 from . import _linalg, calib, g2 as g2mod, multivec
 from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, _project_out,
                        blades, divide, exact_sqrt, is_exact, is_zero, scalar, sharp)
-from .spin7 import CHECK_TOL, CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
+from .spin7 import CheckResult, Spin7Model, cross2, cross3, phi0, proj2_7, tau
 
 
 class NonCayleyPlaneError(ValueError):
@@ -249,13 +249,13 @@ def asd_embedding_report(cpm: CayleyPointModel) -> CheckResult:
     m = cpm.model
     asd = plane_asd_basis()
     images = [2 * proj2_7(m, embed_plane_form(cpm, alpha)) for alpha in asd]
-    worst = max(abs(img.inner(ek)) for img in images for ek in cpm.e_basis)
-    for row, pair in zip(_plane_restriction_rows(images, cpm.tangent_frame), blades(4, 2)):
-        worst = max(worst, max(abs(x - alpha[pair]) for x, alpha in zip(row, asd)))
-    for i, ai in enumerate(asd):
-        for j, aj in enumerate(asd):
-            worst = max(worst, abs(images[i].inner(images[j]) - 2 * ai.inner(aj)))
-    return CheckResult.judge("asd-embedding", worst, _exact_symbols(cpm),
+    residuals = [abs(img.inner(ek)) for img in images for ek in cpm.e_basis]
+    rows = _plane_restriction_rows(images, cpm.tangent_frame)
+    residuals += (abs(x - alpha[pair]) for row, pair in zip(rows, blades(4, 2))
+                  for x, alpha in zip(row, asd))
+    residuals += (abs(images[i].inner(images[j]) - 2 * ai.inner(aj))
+                  for i, ai in enumerate(asd) for j, aj in enumerate(asd))
+    return CheckResult.judge("asd-embedding", residuals, _exact_symbols(cpm),
                              "2 pi7 is a sqrt(2)-conformal embedding orthogonal to E")
 
 
@@ -305,13 +305,9 @@ def clifford_check(cpm: CayleyPointModel, trials: int = 16,
     dtype = object if exact else float
     symbols = [np.array(symbol_D(cpm, a), dtype=dtype) for a in covs]
     eye = np.eye(4, dtype=dtype)
-    worst = 0.0
-    for a, sa in zip(covs, symbols):
-        for b, sb in zip(covs, symbols):
-            lhs = sa.T @ sb + sb.T @ sa
-            rhs = 2 * a.inner(b) * eye
-            worst = max(worst, abs(lhs - rhs).max())
-    return CheckResult.judge("clifford", worst, exact,
+    residuals = (abs(sa.T @ sb + sb.T @ sa - 2 * a.inner(b) * eye).max()
+                 for a, sa in zip(covs, symbols) for b, sb in zip(covs, symbols))
+    return CheckResult.judge("clifford", residuals, exact,
                              "sigma(xi)^T sigma(xi') + sigma(xi')^T sigma(xi) = 2<xi,xi'> Id")
 
 
@@ -395,7 +391,7 @@ def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
         pairs.append((float(rng.standard_normal()),
                       KForm(3, 2, {b: float(c) for b, c in
                                    zip(((1, 2), (1, 3), (2, 3)), rng.standard_normal(3))})))
-    worst = 0
+    residuals = []
     hs = [h_iso(apm, f, alpha) for f, alpha in pairs]
     for v in vs:
         v_amb = apm.tangent_ambient(v)
@@ -403,8 +399,9 @@ def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
             f_v, alpha_v = bev_clifford(v, f, alpha)
             lhs = h_iso(apm, f_v, alpha_v)
             rhs = g2mod.cross_g2(g2m, v_amb, h)
-            worst = max(worst, max(abs(x) for x in (lhs - rhs).components))
-    return CheckResult.judge("h-equivariance", worst, exact, "h(v.(f,alpha)) = v x h(f,alpha)")
+            residuals += (abs(x) for x in (lhs - rhs).components)
+    return CheckResult.judge("h-equivariance", residuals, exact,
+                             "h(v.(f,alpha)) = v x h(f,alpha)")
 
 
 # -- symbol intertwinings ----------------------------------------------------------------
@@ -414,9 +411,10 @@ def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int, exact: bool)
     """Compare two symbol maps ``xi -> matrix`` up to one global scalar.
 
     The scalar c minimizing ``|lhs - c rhs|`` (Frobenius) is fixed at the
-    probe ``xi = e^1``; the check passes when both maps agree under it on
-    the basis and ``trials`` random covectors, judged in the mode of the
-    point model the maps read (``exact``), and ``|c| = 1``.
+    probe ``xi = e^1``.  The residuals are ``||c| - 1|`` (c must be a unit)
+    and the largest entry of ``|lhs - c rhs|`` on the basis and ``trials``
+    random covectors, all judged together in the mode of the point model
+    the maps read (``exact``).
     """
     covs = _covector_set(trials, seed, exact=False)
     probe_lhs, probe_rhs = lhs(covs[0]), rhs(covs[0])
@@ -424,9 +422,9 @@ def _intertwine_report(name: str, lhs, rhs, trials: int, seed: int, exact: bool)
     if denom == 0:
         raise ValueError("degenerate probe: target symbol vanishes")
     ratio = float((probe_lhs * probe_rhs).sum()) / denom
-    worst = max(float(abs(lhs(xi) - ratio * rhs(xi)).max()) for xi in covs)
-    report = CheckResult.judge(name, worst, exact, f"global scalar {ratio:+.6f}")
-    return report if abs(abs(ratio) - 1) <= CHECK_TOL else replace(report, passed=False)
+    residuals = [abs(abs(ratio) - 1)]
+    residuals += (float(abs(lhs(xi) - ratio * rhs(xi)).max()) for xi in covs)
+    return CheckResult.judge(name, residuals, exact, f"global scalar {ratio:+.6f}")
 
 
 def sl_symbol_intertwine(m: Spin7Model, trials: int = 16, seed: int = 0) -> CheckResult:

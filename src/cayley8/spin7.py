@@ -72,7 +72,8 @@ class CheckResult:
 
     The package's only check record: the structure certificate, the
     operator checks of :mod:`cayley8.dirac` and the ``verify`` suite all
-    report through it; the operator and suite checks are judged by :meth:`judge`.
+    report through it; the operator and suite checks hand all of their
+    residuals to :meth:`judge`, which folds them and gives the verdict.
     """
 
     name: str
@@ -81,11 +82,14 @@ class CheckResult:
     detail: str = ""
 
     @classmethod
-    def judge(cls, name: str, residual, exact: bool, detail: str) -> "CheckResult":
-        """The one verdict rule: an exact check passes only at residual 0, a
-        floating one at ``CHECK_TOL`` or below; the record keeps a float residual.
-        A residual that is not finite as a float (nan, or beyond float range)
-        fails, recorded as the largest float with the reason in its detail."""
+    def judge(cls, name: str, residuals, exact: bool, detail: str) -> "CheckResult":
+        """The one verdict rule, on the worst of all of a check's ``residuals``
+        (the first largest, or a nan among them; 0.0 for none): an exact check
+        passes only at worst 0, a floating one at ``CHECK_TOL`` or below; the
+        record keeps a float residual.  A worst that is not finite as a float
+        (nan, or beyond float range) fails, recorded as the largest float with
+        the reason in its detail."""
+        residual = _worst(residuals)
         value = _as_float(residual)
         if math.isfinite(value):
             return cls(name, residual == 0 if exact else value <= CHECK_TOL, value, detail)
@@ -105,15 +109,16 @@ def _as_float(x) -> float:
         return math.inf
 
 
-def worst_residual(*residuals):
-    """The largest of ``residuals``, or a nan among them.
+def _worst(residuals):
+    """The first largest of ``residuals``, or a nan among them; 0.0 for none.
 
     ``max`` keeps an earlier value over a later nan (``max(0.0, nan)`` is
     0.0), so a fold by ``max`` would hide a nan from ``CheckResult.judge``.
-    Otherwise the result is the value ``max`` returns, unconverted.
+    Otherwise the result is the value itself, unconverted, so an exact
+    residual stays exact and a float keeps its bits.
     """
-    out = residuals[0]
-    for x in residuals[1:]:
+    out = 0.0
+    for x in residuals:
         if x > out or x != x:
             out = x
     return out
@@ -125,7 +130,7 @@ def form_residual(a: KForm):
     Exact for exact coefficients, so that ``CheckResult.judge`` sees a
     nonzero residual below float range; 0.0 for the zero form.
     """
-    return worst_residual(0.0, *(abs(c) for c in a.coeffs.values()))
+    return _worst(abs(c) for c in a.coeffs.values())
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """The runnable identity suite behind ``cayley8 verify``.
 
-Each check records a :class:`cayley8.spin7.CheckResult` with its worst
-residual, judged once by ``CheckResult.judge`` (exact inputs pass only at
-residual 0); the suite keeps the verdicts of :mod:`cayley8.dirac`'s checks,
-judged where they run.  With an injected structure form, only the
+Each row hands all of its residuals to ``CheckResult.judge``, which folds
+them to the worst (a nan among them included) and records one
+:class:`cayley8.spin7.CheckResult` (exact inputs pass only at residual 0);
+the suite keeps the verdicts of :mod:`cayley8.dirac`'s checks, judged
+where they run.  With an injected structure form, only the
 form-dependent checks run (a corrupted form then fails with the violated
 identity named); otherwise the model-level checks (splittings, slices,
 symbols, intertwinings) run as well.
@@ -19,7 +20,7 @@ import numpy as np
 from . import calib, dirac, g2 as g2mod, spin7
 from .multivec import (KForm, OrientedPlane, Vector, flat,
                        random_form, random_vector, restrict, sharp)
-from .spin7 import CheckResult, form_residual, worst_residual
+from .spin7 import CheckResult, form_residual
 
 
 class _Suite:
@@ -29,9 +30,9 @@ class _Suite:
         self.trials = trials
         self.outcomes: List[CheckResult] = []
 
-    def record(self, name: str, residual, detail: str = ""):
-        """Record an outcome, judged in the suite's mode."""
-        self.outcomes.append(CheckResult.judge(name, residual, self.exact, detail))
+    def record(self, name: str, residuals, detail: str = ""):
+        """Record the outcome of a row's residuals, judged in the suite's mode."""
+        self.outcomes.append(CheckResult.judge(name, residuals, self.exact, detail))
 
     def keep(self, report: CheckResult, name: str, detail: str):
         """Record a check judged where it ran, under the suite's name and detail."""
@@ -50,10 +51,10 @@ def _check_structure_form(s: _Suite, phi: KForm):
     raw = spin7.unchecked_model(phi)
     e = [Vector.basis(8, i, exact=s.exact) for i in range(1, 9)]
 
-    s.record("star(phi) == phi", form_residual(phi.hodge() - phi))
+    s.record("star(phi) == phi", [form_residual(phi.hodge() - phi)])
     vol = s.constant(KForm.volume(8))
-    s.record("phi ^ phi == 14 vol", form_residual(phi.wedge(phi) - 14 * vol))
-    s.record("<phi, phi> == 14", abs(phi.norm_sq() - 14))
+    s.record("phi ^ phi == 14 vol", [form_residual(phi.wedge(phi) - 14 * vol)])
+    s.record("<phi, phi> == 14", [abs(phi.norm_sq() - 14)])
 
     completion = [
         ("e4 == -e1 x e2 x e3", e[3], -1, (e[0], e[1], e[2])),
@@ -63,7 +64,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
     ]
     for name, target, sign, triple in completion:
         got = sign * spin7.cross3(raw, *triple)
-        s.record(name, worst_residual(*(abs(x) for x in (got - target).components)))
+        s.record(name, (abs(x) for x in (got - target).components))
 
     # the 12 equalities of the cross-product table, with the sign rule
     table = [
@@ -72,56 +73,55 @@ def _check_structure_form(s: _Suite, phi: KForm):
         ((1, 7), [(-1, (2, 8)), (-1, (3, 5)), (1, (4, 6))]),
         ((1, 8), [(1, (2, 7)), (-1, (3, 6)), (-1, (4, 5))]),
     ]
-    worst = 0.0
-    rule_worst = 0.0
+    table_residuals, rule_residuals = [], []
     for (i, j), rhs in table:
         lead = spin7.cross2(raw, e[i - 1], e[j - 1])
         for sign, (k, l) in rhs:
             other = spin7.cross2(raw, e[k - 1], e[l - 1])
-            worst = worst_residual(worst, form_residual(lead - sign * other))
+            table_residuals.append(form_residual(lead - sign * other))
             # e_i x e_j = +-e_k x e_l iff phi(e_i,e_j,e_k,e_l) = -+1
             val = phi.evaluate(e[i - 1], e[j - 1], e[k - 1], e[l - 1])
-            rule_worst = worst_residual(rule_worst, abs(val + sign))
-    s.record("cross-product table (12 equalities)", worst)
-    s.record("table sign rule phi(ei,ej,ek,el) == -sign", rule_worst)
+            rule_residuals.append(abs(val + sign))
+    s.record("cross-product table (12 equalities)", table_residuals)
+    s.record("table sign rule phi(ei,ej,ek,el) == -sign", rule_residuals)
 
-    worst = 0.0
+    residuals = []
     for _ in range(s.trials):
         a, b, c, d = s.vectors(4)
         lhs = spin7.cross2(raw, a, b).inner(spin7.cross2(raw, c, d))
         rhs = -phi.evaluate(a, b, c, d) + a.dot(c) * b.dot(d) - a.dot(d) * b.dot(c)
-        worst = worst_residual(worst, abs(lhs - rhs))
-    s.record("inner-cross-2", worst, f"{s.trials} random quadruples")
+        residuals.append(abs(lhs - rhs))
+    s.record("inner-cross-2", residuals, f"{s.trials} random quadruples")
 
-    worst = 0.0
+    residuals = []
     for _ in range(max(3, s.trials // 4)):
         a, b, c, d, v, w = s.vectors(6)
         lhs = spin7.tau(raw, a, b, c, d).inner(spin7.cross2(raw, v, w))
         rhs = (flat(w).wedge(phi.contract(v))
                - flat(v).wedge(phi.contract(w))).evaluate(a, b, c, d)
-        worst = worst_residual(worst, abs(lhs - rhs))
-    s.record("inner-tau", worst, f"{max(3, s.trials // 4)} random inputs")
+        residuals.append(abs(lhs - rhs))
+    s.record("inner-tau", residuals, f"{max(3, s.trials // 4)} random inputs")
 
-    worst = 0.0
+    residuals = []
     for _ in range(s.trials):
         u, v, w = s.vectors(3)
         vw = flat(v).wedge(flat(w))
         # v x w = 2 pi7(v ^ w), read from the wedge the right side takes
-        worst = worst_residual(worst, abs((2 * spin7.proj2_7(raw, vw)).norm_sq() - vw.norm_sq()))
+        residuals.append(abs((2 * spin7.proj2_7(raw, vw)).norm_sq() - vw.norm_sq()))
         c3 = spin7.cross3(raw, u, v, w)
         triple = flat(u).wedge(flat(v)).wedge(flat(w))
-        worst = worst_residual(worst, abs(c3.norm_sq() - triple.norm_sq()))
-    s.record("|vxw| == |v^w| and |uxvxw| == |u^v^w|", worst)
+        residuals.append(abs(c3.norm_sq() - triple.norm_sq()))
+    s.record("|vxw| == |v^w| and |uxvxw| == |u^v^w|", residuals)
 
     cert = spin7.is_spin7_form(phi)
-    s.record("structure certificate", 0.0 if cert.passed else 1.0,
+    s.record("structure certificate", [0.0 if cert.passed else 1.0],
              "; ".join(f"{c.name}: {'ok' if c.passed else c.detail}"
                        for c in cert.checks))
     return cert
 
 
 def _check_exterior_algebra(s: _Suite):
-    worst = 0.0
+    residuals = []
     for _ in range(s.trials):
         a = random_form(s.rng, 8, 2, exact=s.exact)
         b = random_form(s.rng, 8, 1, exact=s.exact)
@@ -130,46 +130,45 @@ def _check_exterior_algebra(s: _Suite):
         assoc = ab.wedge(c) - a.wedge(bc)
         anti = ab - b.wedge(a)  # even-odd degrees commute
         grade = bc + c.wedge(b)  # odd-odd anticommute
-        worst = worst_residual(worst, form_residual(assoc), form_residual(anti),
-                               form_residual(grade))
-    s.record("wedge associative and graded-anticommutative", worst,
+        residuals += [form_residual(assoc), form_residual(anti), form_residual(grade)]
+    s.record("wedge associative and graded-anticommutative", residuals,
              f"{s.trials} random triples")
 
-    worst = 0.0
+    residuals = []
     for _ in range(s.trials):
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 3, exact=s.exact)
         star_a = a.hodge()
-        worst = worst_residual(worst, abs(star_a.inner(b.hodge()) - a.inner(b)))
-        worst = worst_residual(worst, form_residual(star_a.hodge() - (-1) ** (3 * 5) * a))
-    s.record("hodge isometry and involution sign", worst)
+        residuals.append(abs(star_a.inner(b.hodge()) - a.inner(b)))
+        residuals.append(form_residual(star_a.hodge() - (-1) ** (3 * 5) * a))
+    s.record("hodge isometry and involution sign", residuals)
 
-    worst = 0.0
+    residuals = []
     for _ in range(s.trials):
         v = random_vector(s.rng, 8, exact=s.exact)
         a = random_form(s.rng, 8, 3, exact=s.exact)
         b = random_form(s.rng, 8, 2, exact=s.exact)
-        worst = worst_residual(worst, abs(a.contract(v).inner(b) - a.inner(flat(v).wedge(b))))
-    s.record("contraction adjoint to wedge", worst)
+        residuals.append(abs(a.contract(v).inner(b) - a.inner(flat(v).wedge(b))))
+    s.record("contraction adjoint to wedge", residuals)
 
-    worst = 0.0
+    residuals = []
     for _ in range(s.trials):
         v = random_vector(s.rng, 8, exact=s.exact)
-        worst = worst_residual(worst, *(abs(x) for x in (sharp(flat(v)) - v).components))
-    s.record("sharp(flat(v)) == v", worst)
+        residuals += (abs(x) for x in (sharp(flat(v)) - v).components)
+    s.record("sharp(flat(v)) == v", residuals)
 
-    worst = 0.0
+    residuals = []
     for _ in range(max(3, s.trials // 4)):
         a = random_form(s.rng, 8, 4, exact=False)
         vs = [random_vector(s.rng, 8, exact=False) for _ in range(4)]
         try:
             p1 = OrientedPlane(vs)
             p2 = OrientedPlane([vs[1], vs[0], vs[2], vs[3]])
-            worst = worst_residual(worst, abs(restrict(a, p1) + restrict(a, p2)))
+            residuals.append(abs(restrict(a, p1) + restrict(a, p2)))
         except ValueError:
             continue
     s.outcomes.append(CheckResult.judge(
-        "restrict orientation equivariance", worst, exact=False,
+        "restrict orientation equivariance", residuals, exact=False,
         detail="floating planes (orthonormalization takes square roots)"))
 
 
@@ -177,49 +176,44 @@ def _check_model_level(s: _Suite, trials_light: int):
     m = spin7.standard_model(exact=s.exact)
     evals = m.lambda2_eigenvalues()
     s.record("lambda2 eigenvalues (-3 x7, +1 x21)",
-             0.0 if evals == {-3.0: 7, 1.0: 21} else 1.0)
+             [0.0 if evals == {-3.0: 7, 1.0: 21} else 1.0])
     s.record("lambda4 dims (1, 7, 27, 35)",
-             0.0 if m.lambda4_dims == (1, 7, 27, 35) else 1.0)
+             [0.0 if m.lambda4_dims == (1, 7, 27, 35) else 1.0])
 
-    worst = 0.0
+    residuals = []
     for _ in range(trials_light):
         a = random_form(s.rng, 8, 2, exact=s.exact)
         p7 = spin7.proj2_7(m, a)
         p21 = spin7.proj2_21(m, a)
-        worst = worst_residual(worst, form_residual(spin7.proj2_7(m, p7) - p7))
-        worst = worst_residual(worst, form_residual(p7 + p21 - a))
-        worst = worst_residual(worst, abs(p7.inner(p21)))
-    s.record("projections idempotent, orthogonal, resolve identity", worst)
+        residuals += [form_residual(spin7.proj2_7(m, p7) - p7),
+                      form_residual(p7 + p21 - a), abs(p7.inner(p21))]
+    s.record("projections idempotent, orthogonal, resolve identity", residuals)
 
-    worst = 0.0
+    residuals = []
     for _ in range(trials_light):
         v, w = s.vectors(2)
-        worst = worst_residual(worst, form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w))))
-    s.record("cross2 image has zero 21-component", worst)
+        residuals.append(form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w))))
+    s.record("cross2 image has zero 21-component", residuals)
 
-    worst = 0.0
-    for gen in m.lambda4_forms(7):
-        worst = worst_residual(worst, form_residual(gen.hodge() - gen))
-    s.record("7-summand generators are self-dual", worst)
-
-    worst = 0.0
-    for beta in m.lambda2_21_forms()[:7]:
-        worst = worst_residual(worst, form_residual(spin7.infinitesimal_action(m.phi, beta)))
-    s.record("stabilizer algebra annihilates phi", worst,
+    s.record("7-summand generators are self-dual",
+             [form_residual(gen.hodge() - gen) for gen in m.lambda4_forms(7)])
+    s.record("stabilizer algebra annihilates phi",
+             [form_residual(spin7.infinitesimal_action(m.phi, beta))
+              for beta in m.lambda2_21_forms()[:7]],
              "21-summand generators act trivially")
 
     g2m = g2mod.build_g2()
-    s.record("slice: psi == star7(phi3)", form_residual(g2m.psi4 - g2m.phi3.hodge()))
+    s.record("slice: psi == star7(phi3)", [form_residual(g2m.psi4 - g2m.phi3.hodge())])
     e7 = [Vector.basis(7, i, exact=s.exact) for i in range(1, 8)]
     s.record("slice: standard associative/coassociative planes",
-             0.0 if (g2mod.is_associative(g2m, OrientedPlane(e7[:3]))
-                     and g2mod.is_coassociative(g2m, OrientedPlane(e7[3:]))) else 1.0)
+             [0.0 if (g2mod.is_associative(g2m, OrientedPlane(e7[:3]))
+                      and g2mod.is_coassociative(g2m, OrientedPlane(e7[3:]))) else 1.0])
 
     sweep = calib.CayleySweep(m)
     frames = calib.random_orthonormal_frames(s.rng, 2000, 4, 8)
     tn, vals = sweep(frames)
     disagree = int((np.abs(vals * vals + tn * tn - 1) > calib.AGREEMENT_TOL).sum())
-    s.record("cayley criteria agree on random planes", float(disagree),
+    s.record("cayley criteria agree on random planes", [float(disagree)],
              f"planes of 2000 with |value^2 + |tau|^2 - 1| > {calib.AGREEMENT_TOL:g}")
 
     e = [Vector.basis(8, i, exact=s.exact) for i in range(1, 9)]

@@ -204,6 +204,25 @@ def test_comass_never_exceeds_one_plus_tol():
         assert res.value <= 1 + 1e-6
 
 
+@pytest.mark.parametrize("pages, refused", [(999, True), (1000, False)])
+def test_comass_refuses_restarts_beyond_physical_memory(monkeypatch, pages, refused):
+    # 1000 spin7 restarts stack 1000 * 8**3 float64, 1000 pages of 4 KB;
+    # the figure of memory is faked, so nothing near it is ever allocated
+    monkeypatch.setattr(calib.os, "sysconf",
+                        {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}.__getitem__)
+
+    def start_frames(*args):
+        raise AssertionError("the restarts reached _start_frames")
+
+    monkeypatch.setattr(calib, "_start_frames", start_frames)
+    c = calib.builtin_form("spin7", exact=False)
+    with pytest.raises(MemoryError if refused else AssertionError) as info:
+        calib.comass_estimate(c, restarts=1000)
+    if refused:
+        assert str(info.value) == ("the ascent needs 4096000 bytes, more than the "
+                                   "4091904 bytes of physical memory")
+
+
 def test_comass_deterministic_and_parallel():
     c = calib.builtin_form("wirtinger2", exact=False)
     r1 = calib.comass_estimate(c, restarts=6, seed=9)

@@ -258,19 +258,33 @@ def test_plane_entry_beyond_float_range_exit_2(tmp_path, capsys, mode, plane, na
 
 
 def test_comass_restarts_beyond_memory_exit_2(capsys):
-    # 10**15 restarts need 7 PiB of seed words, more than a process can
-    # address, so numpy refuses the allocation at once.  Never try a count
-    # whose arrays could fit: filling them would exhaust the machine.
+    # 10**15 restarts need 4 EiB for the ascent's stack, beyond any physical
+    # memory, so comass refuses the count before allocating.  Never try a
+    # count whose arrays could fit: filling them would exhaust the machine.
     code = cli.main(["comass", "--form", "builtin:spin7", "--restarts", str(10 ** 15)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert f"input error: --restarts {10 ** 15}: too many restarts" in captured.err
 
 
+def test_comass_restarts_beyond_physical_memory_exit_2(monkeypatch, capsys):
+    # 1000 restarts stack 4 MB; with 1 MB of physical memory faked, the
+    # count is refused before anything is allocated
+    sysconf = os.sysconf
+    monkeypatch.setattr(os, "sysconf",
+                        lambda name: 256 if name == "SC_PHYS_PAGES" else sysconf(name))
+    code = cli.main(["comass", "--form", "builtin:spin7", "--restarts", "1000"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "input error: --restarts 1000: too many restarts" in captured.err
+    assert "bytes of physical memory" in captured.err
+
+
 @pytest.mark.parametrize("restarts", [2 ** 62, 10 ** 19], ids=["bytes", "dimension"])
 def test_comass_restarts_beyond_numpy_shapes_exit_2(restarts, capsys):
-    # numpy rejects both shapes before allocating: 2**62 rows of seed words
-    # overflow the byte count, and 10**19 rows exceed the largest dimension
+    # counts whose seed-word shapes numpy would reject outright (2**62 rows
+    # overflow the byte count, 10**19 exceed the largest dimension) are
+    # refused earlier, against physical memory
     code = cli.main(["comass", "--form", "builtin:spin7", "--restarts", str(restarts)])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""

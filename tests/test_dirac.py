@@ -1,6 +1,7 @@
 """Point models, principal symbols, Clifford structure, intertwinings."""
 
 import dataclasses
+import sys
 from fractions import Fraction
 
 import hypothesis.extra.numpy as hnp
@@ -183,6 +184,19 @@ def test_symbol_isometry():
     assert dirac.clifford_check(CPM, trials=16, seed=1).passed
 
 
+def _fails_on_nan(report):
+    return (not report.passed and report.residual == sys.float_info.max
+            and report.detail.startswith("residual not finite as a float (nan)"))
+
+
+def test_a_nan_symbol_entry_fails_the_clifford_check():
+    # max(0.0, nan) is 0.0: a fold by max would pass this at residual 0
+    symbols = [np.array(s, dtype=float) for s in CPM.symbols]
+    symbols[2][1, 3] = float("nan")
+    cpm = dataclasses.replace(CPM, symbols=tuple(symbols))
+    assert _fails_on_nan(dirac.clifford_check(cpm, trials=0))
+
+
 def test_bev_clifford_examples():
     s, two = dirac.bev_clifford(Vector([1, 0, 0]), 1, KForm.zero(3, 2))
     assert s == 0 and two.coeffs == {(2, 3): -1}
@@ -251,6 +265,11 @@ def test_h_equivariance_exact_and_random_sections():
         assert dirac.h_equivariance_check(dataclasses.replace(APM, s=s)).passed
 
 
+def test_a_nan_in_s_fails_the_h_equivariance_check():
+    s = Vector([0.0, float("nan")] + [float(x) for x in APM.s.components[2:]])
+    assert _fails_on_nan(dirac.h_equivariance_check(dataclasses.replace(APM, s=s)))
+
+
 def test_sl_symbol_intertwine():
     m_sl = spin7.build_model(calib.sl_model_form())
     report = dirac.sl_symbol_intertwine(m_sl, trials=16, seed=2)
@@ -263,6 +282,29 @@ def test_intertwine_report_rejects_a_degenerate_probe():
     with pytest.raises(ValueError, match="degenerate probe"):
         dirac._intertwine_report("probe", lambda xi: np.eye(4),
                                  lambda xi: np.zeros((4, 4)), 2, 0, False)
+
+
+def _diagonal_symbol(xi):
+    return np.diag([1.0 + float(xi.coeffs.get((i,), 0)) for i in range(1, 5)])
+
+
+def test_intertwine_report_fails_on_a_nan_off_the_probe():
+    # the probe e^1 fixes the scalar 1; the map is nan on e^2 and beyond
+    def lhs(xi):
+        return _diagonal_symbol(xi) * (1.0 if xi.coeffs.get((1,)) == 1 else float("nan"))
+
+    report = dirac._intertwine_report("nan", lhs, _diagonal_symbol, 2, 0, False)
+    assert report.detail.endswith("global scalar +1.000000")
+    assert _fails_on_nan(report)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_intertwine_report_fails_on_a_non_unit_scalar(exact):
+    # the maps agree exactly under the scalar 2, so |2| - 1 is the worst residual
+    report = dirac._intertwine_report(
+        "double", lambda xi: 2 * _diagonal_symbol(xi), _diagonal_symbol, 3, 0, exact)
+    assert not report.passed and report.residual == 1.0
+    assert report.detail == "global scalar +2.000000"
 
 
 def test_coassoc_symbol_intertwine():

@@ -13,7 +13,8 @@ attribute of its name, a module-level function only through its own
 module), or sits on the reviewed list ``UNCALLED`` with the reason it
 stays, so an entry point that only tests reach shows up too.  A fifth walk checks that only
 ``spin7`` builds a ``CheckResult`` directly, so every other check is
-judged by ``CheckResult.judge``.
+judged by ``CheckResult.judge``, and a sixth that no call outside
+``spin7`` sets ``passed=``, so no verdict is overridden after it.
 """
 
 import ast
@@ -186,15 +187,27 @@ def test_every_public_function_has_a_caller_in_src():
     assert uncalled == set(UNCALLED)
 
 
+def _calls_outside_spin7():
+    """Yield ``(file name, call node)`` for every call in a module other than ``spin7``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "spin7":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    yield path.name, node
+
+
 def test_only_spin7_constructs_a_check_result():
     direct = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "spin7":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "CheckResult":
-                    direct.append(f"{path.name}:{node.lineno}")
+    for name, node in _calls_outside_spin7():
+        func = node.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called == "CheckResult":
+            direct.append(f"{name}:{node.lineno}")
     assert not direct
+
+
+def test_only_spin7_sets_a_verdict():
+    # e.g. dataclasses.replace(report, passed=False) would override judge
+    overrides = [f"{name}:{node.lineno}" for name, node in _calls_outside_spin7()
+                 if any(k.arg == "passed" for k in node.keywords)]
+    assert not overrides

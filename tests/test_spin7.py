@@ -1,5 +1,6 @@
 """Structure form, cross products, splittings, frames, certificate."""
 
+import math
 import sys
 from fractions import Fraction
 
@@ -313,7 +314,7 @@ def test_certificate_residuals():
     (float("inf"), False, False),
 ])
 def test_judge_is_the_one_verdict_rule(residual, exact, passed):
-    report = spin7.CheckResult.judge("check", residual, exact, "detail")
+    report = spin7.CheckResult.judge("check", [residual], exact, "detail")
     assert report.passed is passed and type(report.residual) is float
     assert report.name == "check"
     # nan, or beyond float range: recorded as the largest float, with the reason
@@ -330,14 +331,27 @@ _RESIDUAL = st.one_of(st.floats(min_value=0, allow_nan=False),
 
 
 @settings(max_examples=100)
-@given(st.lists(_RESIDUAL, min_size=1, max_size=6), st.data())
-def test_worst_residual_is_max_unless_a_nan_comes(residuals, data):
-    # the very object max returns, so a fold keeps every float bit
-    assert spin7.worst_residual(*residuals) is max(residuals)
+@given(st.lists(_RESIDUAL, max_size=6), st.data())
+def test_judge_records_the_max_unless_a_nan_comes(residuals, data):
+    try:
+        worst = float(max(residuals, default=0.0))
+    except OverflowError:
+        worst = math.inf
+    for exact in (True, False):
+        report = spin7.CheckResult.judge("check", residuals, exact, "")
+        # the float of the very value max returns, bit for bit; beyond float
+        # range, the largest float
+        expected = worst if math.isfinite(worst) else sys.float_info.max
+        assert report.residual.hex() == expected.hex()
+        if exact:
+            assert report.passed is (worst == 0)
+    assert spin7.CheckResult.judge("check", [], True, "").residual.hex() == (0.0).hex()
     at = data.draw(st.integers(0, len(residuals)))
     with_nan = residuals[:at] + [float("nan")] + residuals[at:]
-    worst = spin7.worst_residual(*with_nan)
-    assert worst != worst
+    for exact in (True, False):
+        report = spin7.CheckResult.judge("check", with_nan, exact, "")
+        assert not report.passed
+        assert report.detail == "residual not finite as a float (nan)"
 
 
 def test_a_nan_residual_fails_its_verify_row():
