@@ -427,7 +427,7 @@ def unchecked_model(phi: KForm) -> Spin7Model:
 def _minus_l(m: Spin7Model, a: KForm) -> KForm:
     """``a - L a``; ``L a`` is summed in full before the subtraction, so
     every float equals that of ``a - star(a ^ phi)`` bit for bit.  Callers
-    divide the result once, by 2 or 4."""
+    divide the result, or a residual built from it, once."""
     la = {}
     for l, cl in a.coeffs.items():
         # a blade of another degree has no row: then the subtraction raises

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import calib, dirac, g2 as g2mod, spin7
-from .multivec import (KForm, OrientedPlane, Vector, flat,
+from .multivec import (KForm, OrientedPlane, Vector, divide, flat,
                        random_form, random_vector, restrict, sharp)
 from .spin7 import CheckResult, form_residual
 
@@ -85,12 +85,17 @@ def _check_structure_form(s: _Suite, phi: KForm):
     s.record("cross-product table (12 equalities)", table_residuals)
     s.record("table sign rule phi(ei,ej,ek,el) == -sign", rule_residuals)
 
+    # This row, the |vxw| row and the projection row state their identity on
+    # the unhalved products (2 v x w, 4 pi7), scaled by 4 or 16, and divide
+    # the residual once: exact inputs stay in integers, and a float residual
+    # has the bits of the halved identity's.  inner-tau and the 21-component
+    # row keep the public cross2, tau and proj2_7 checked.
     residuals = []
     for _ in range(s.trials):
         a, b, c, d = s.vectors(4)
-        lhs = spin7.cross2(raw, a, b).inner(spin7.cross2(raw, c, d))
+        lhs = spin7._doubled_cross2(raw, a, b).inner(spin7._doubled_cross2(raw, c, d))
         rhs = -phi.evaluate(a, b, c, d) + a.dot(c) * b.dot(d) - a.dot(d) * b.dot(c)
-        residuals.append(abs(lhs - rhs))
+        residuals.append(divide(abs(lhs - 4 * rhs), 4))
     s.record("inner-cross-2", residuals, f"{s.trials} random quadruples")
 
     residuals = []
@@ -106,8 +111,8 @@ def _check_structure_form(s: _Suite, phi: KForm):
     for _ in range(s.trials):
         u, v, w = s.vectors(3)
         vw = flat(v).wedge(flat(w))
-        # v x w = 2 pi7(v ^ w), read from the wedge the right side takes
-        residuals.append(abs((2 * spin7.proj2_7(raw, vw)).norm_sq() - vw.norm_sq()))
+        # 2 v x w = 4 pi7(v ^ w), read from the wedge the right side takes
+        residuals.append(divide(abs(spin7._minus_l(raw, vw).norm_sq() - 4 * vw.norm_sq()), 4))
         c3 = spin7.cross3(raw, u, v, w)
         triple = flat(u).wedge(flat(v)).wedge(flat(w))
         residuals.append(abs(c3.norm_sq() - triple.norm_sq()))
@@ -183,10 +188,11 @@ def _check_model_level(s: _Suite, trials_light: int):
     residuals = []
     for _ in range(trials_light):
         a = random_form(s.rng, 8, 2, exact=s.exact)
-        p7 = spin7.proj2_7(m, a)
-        p21 = spin7.proj2_21(m, a)
-        residuals += [form_residual(spin7.proj2_7(m, p7) - p7),
-                      form_residual(p7 + p21 - a), abs(p7.inner(p21))]
+        q7 = spin7._minus_l(m, a)  # 4 pi7(a)
+        q21 = 4 * a - q7  # 4 pi21(a)
+        residuals += [divide(form_residual(spin7._minus_l(m, q7) - 4 * q7), 16),
+                      divide(form_residual(q7 + q21 - 4 * a), 4),
+                      divide(abs(q7.inner(q21)), 16)]
     s.record("projections idempotent, orthogonal, resolve identity", residuals)
 
     residuals = []
@@ -212,7 +218,8 @@ def _check_model_level(s: _Suite, trials_light: int):
     sweep = calib.CayleySweep(m)
     frames = calib.random_orthonormal_frames(s.rng, 2000, 4, 8)
     tn, vals = sweep(frames)
-    disagree = int((np.abs(vals * vals + tn * tn - 1) > calib.AGREEMENT_TOL).sum())
+    # a nan plane fails the comparison, so it counts as disagreeing
+    disagree = int((~(np.abs(vals * vals + tn * tn - 1) <= calib.AGREEMENT_TOL)).sum())
     s.record("cayley criteria agree on random planes", [float(disagree)],
              f"planes of 2000 with |value^2 + |tau|^2 - 1| > {calib.AGREEMENT_TOL:g}")
 
