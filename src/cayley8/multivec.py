@@ -26,12 +26,15 @@ enters a sum or product with a float as ``float(c)``, the value
 ``as_float`` stores, so an exact constant met by float operands gives the
 floats its converted copy gives.
 
-Every kernel operation reads a fixed blade table, built once per shape
-on first use and never at import: a wedge table per ``(dim, p, q)`` (for
-each blade ``a``, the blades ``b`` with ``a ^ b != 0`` mapped to the
-merged blade and its sign), and a hodge, a contract and a dense-tensor
-table per ``(dim, p)``.  Forms the kernel builds from those tables skip
-the blade checks.  The validated boundary is a public ``KForm(...)`` and
+Every kernel operation reads one fixed blade table per shape, built on
+first use and never at import: a wedge slot table per ``(dim, p, q)`` (for
+each blade ``a``, a slot per degree-``q`` blade ``b``: the position of the
+merged blade and its sign, or ``None`` on overlap), and a hodge, a contract
+(to positions) and a dense-tensor table per ``(dim, p)``.  Wedge and
+contract sum into a list by output position, each sum from ``0 + term``,
+and key the result in first-touch order, as a running dict would, so no
+blade is hashed per term.  Forms the kernel builds skip the blade checks.
+The validated boundary is a public ``KForm(...)`` and
 :meth:`KForm.from_terms` (which ``calib.load_form`` reads JSON through);
 blades are sorted or merged only there, in indexing by a possibly
 unsorted blade, and in table construction.
@@ -205,14 +208,22 @@ def blades(dim: int, degree: int) -> Tuple[Blade, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _wedge_table(dim: int, p: int, q: int) -> Dict[Blade, Dict[Blade, Tuple[Blade, int]]]:
-    """``a -> {b: (merged, sign)}`` over the pairs with ``e^a ^ e^b != 0``.
+def _positions(dim: int, degree: int) -> Dict[Blade, int]:
+    """``blade -> its position in blades(dim, degree)``."""
+    return {b: k for k, b in enumerate(blades(dim, degree))}
 
-    Row ``a`` lists the degree-``q`` blades of ``a``'s complement, in
-    lexicographic order, so only disjoint pairs are merged."""
-    return {a: {b: merge_blades(a, b) for b in
-                itertools.combinations([i for i in range(1, dim + 1) if i not in a], q)}
-            for a in blades(dim, p)}
+
+@functools.lru_cache(maxsize=None)
+def _wedge_table(dim: int, p: int, q: int) -> Dict[Blade, list]:
+    """``a -> row``: ``row[j]`` is ``(k, positive)`` when ``e^a ^ e^b = +-`` the ``k``-th
+    degree-``(p + q)`` blade, ``b`` the ``j``-th degree-``q`` blade, else ``None``."""
+    inq, out, table = _positions(dim, q), _positions(dim, p + q), {}
+    for a in blades(dim, p):
+        row = table[a] = [None] * len(inq)
+        for b in itertools.combinations([i for i in range(1, dim + 1) if i not in a], q):
+            merged, sign = merge_blades(a, b)
+            row[inq[b]] = (out[merged], sign > 0)
+    return table
 
 
 @functools.lru_cache(maxsize=None)
@@ -240,13 +251,11 @@ def _hodge_table(dim: int, p: int) -> Dict[Blade, Tuple[Blade, int]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _contract_table(dim: int, p: int) -> Dict[Blade, Tuple[Tuple[int, Blade, int], ...]]:
-    """``blade -> ((slot, rest, sign), ...)``, one entry per position ``pos``.
-
-    ``slot = blade[pos] - 1`` is the vector component read, and contracting
-    ``e^blade`` at that index leaves ``sign e^rest`` with ``sign = (-1)^pos``.
-    """
-    return {blade: tuple((i - 1, blade[:pos] + blade[pos + 1:], -1 if pos % 2 else 1)
+def _contract_table(dim: int, p: int) -> Dict[Blade, Tuple[Tuple[int, int, int], ...]]:
+    """``blade -> ((slot, k, sign), ...)``: at its ``pos``-th index, ``slot + 1``, ``e^blade``
+    contracts to ``sign = (-1)^pos`` times the ``k``-th degree-``(p - 1)`` blade."""
+    out = _positions(dim, p - 1)
+    return {blade: tuple((i - 1, out[blade[:pos] + blade[pos + 1:]], -1 if pos % 2 else 1)
                          for pos, i in enumerate(blade))
             for blade in blades(dim, p)}
 
@@ -432,18 +441,22 @@ class KForm:
             raise DegreeError(
                 f"wedge degree overflow: {self.degree} + {other.degree} > dim {self.dim}")
         table = _wedge_table(self.dim, self.degree, other.degree)
-        coeffs: Dict[Blade, object] = {}
-        get, others = coeffs.get, other.coeffs.items()
-        # walk other.coeffs, not the table row: the sums then keep their order;
-        # (-ca) * cb is sign * ca * cb bit for bit at sign -1
+        at, out = _positions(self.dim, other.degree), blades(self.dim, self.degree + other.degree)
+        others = [(at[bb], cb) for bb, cb in other.coeffs.items()]
+        acc, order = [None] * len(out), []
+        # other.coeffs' order and sums from 0 keep every bit; (-ca) * cb is -(ca * cb) bit for bit
         for ba, ca in self.coeffs.items():
-            row, neg = table[ba].get, -ca
-            for bb, cb in others:
-                hit = row(bb)
+            row, neg = table[ba], -ca
+            for j, cb in others:
+                hit = row[j]
                 if hit is not None:
-                    merged, sign = hit
-                    coeffs[merged] = get(merged, 0) + (ca if sign > 0 else neg) * cb
-        return KForm._trusted(self.dim, self.degree + other.degree, coeffs)
+                    k, positive = hit
+                    s = acc[k]
+                    if s is None:
+                        s = 0
+                        order.append(k)
+                    acc[k] = s + (ca if positive else neg) * cb
+        return KForm._trusted(self.dim, self.degree + other.degree, {out[k]: acc[k] for k in order})
 
     def hodge(self) -> "KForm":
         """Hodge star for the Euclidean metric and the standard orientation.
@@ -464,16 +477,19 @@ class KForm:
             raise DimensionError(f"vector dim {v.dim} != form dim {self.dim}")
         if self.degree == 0:
             raise DegreeError("cannot contract a 0-form")
-        table = _contract_table(self.dim, self.degree)
-        comps = v.components
-        coeffs: Dict[Blade, object] = {}
-        get = coeffs.get
+        table, comps = _contract_table(self.dim, self.degree), v.components
+        out = blades(self.dim, self.degree - 1)
+        acc, order = [None] * len(out), []
         for blade, c in self.coeffs.items():
-            for slot, rest, sign in table[blade]:
+            for slot, k, sign in table[blade]:
                 vi = comps[slot]
                 if vi != 0:
-                    coeffs[rest] = get(rest, 0) + sign * vi * c
-        return KForm._trusted(self.dim, self.degree - 1, coeffs)
+                    s = acc[k]
+                    if s is None:
+                        s = 0
+                        order.append(k)
+                    acc[k] = s + sign * vi * c
+        return KForm._trusted(self.dim, self.degree - 1, {out[k]: acc[k] for k in order})
 
     def inner(self, other: "KForm"):
         """Euclidean inner product (blades are orthonormal)."""

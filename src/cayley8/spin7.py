@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _linalg
 from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, OrientedPlane, Vector,
-                       _hodge_table, _wedge_table, blades, flat,
+                       _hodge_table, _positions, _wedge_table, blades, flat,
                        is_exact, is_zero, pullback, scalar, sharp)
 
 #: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
@@ -82,19 +82,25 @@ class CheckResult:
     detail: str = ""
 
     @classmethod
-    def judge(cls, name: str, residuals, exact: bool, detail: str) -> "CheckResult":
+    def judge(cls, name: str, residuals, exact: bool, detail: str,
+              per_trial: int = 1) -> "CheckResult":
         """The one verdict rule, on the worst of all of a check's ``residuals``
         (the first largest, or a nan among them; 0.0 for none): an exact check
         passes only at worst 0, a floating one at ``CHECK_TOL`` or below; the
         record keeps a float residual.  A worst that is not finite as a float
         (nan, or beyond float range) fails, recorded as the largest float with
-        the reason in its detail."""
-        residual = _worst(residuals)
+        the reason in its detail.  A failing check of several residuals names
+        the worst one's 1-based position, and its trial at ``per_trial`` a trial."""
+        at, n, residual = _worst(residuals)
         value = _as_float(residual)
-        if math.isfinite(value):
-            return cls(name, residual == 0 if exact else value <= CHECK_TOL, value, detail)
-        reason = f"residual not finite as a float ({value})"
-        return cls(name, False, sys.float_info.max, f"{reason}; {detail}" if detail else reason)
+        finite = math.isfinite(value)
+        if finite and (residual == 0 if exact else value <= CHECK_TOL):
+            return cls(name, True, value, detail)
+        trial = f", trial {at // per_trial + 1}" if per_trial > 1 else ""
+        parts = ["" if finite else f"residual not finite as a float ({value})", detail,
+                 f"worst at residual {at + 1} of {n}{trial}" if n > 1 else ""]
+        return cls(name, False, value if finite else sys.float_info.max,
+                   "; ".join(filter(None, parts)))
 
     def as_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
@@ -110,18 +116,19 @@ def _as_float(x) -> float:
 
 
 def _worst(residuals):
-    """The first largest of ``residuals``, or a nan among them; 0.0 for none.
+    """``(i, n, worst)``: the first largest of the ``n`` ``residuals``, or a nan
+    among them, at 0-based index ``i``; ``(-1, n, 0.0)`` when none is above 0.0.
 
     ``max`` keeps an earlier value over a later nan (``max(0.0, nan)`` is
     0.0), so a fold by ``max`` would hide a nan from ``CheckResult.judge``.
-    Otherwise the result is the value itself, unconverted, so an exact
+    Otherwise the worst is the value itself, unconverted, so an exact
     residual stays exact and a float keeps its bits.
     """
-    out = 0.0
-    for x in residuals:
+    out, at, n = 0.0, -1, 0
+    for n, x in enumerate(residuals, 1):
         if x > out or x != x:
-            out = x
-    return out
+            out, at = x, n - 1
+    return at, n, out
 
 
 def form_residual(a: KForm):
@@ -130,7 +137,7 @@ def form_residual(a: KForm):
     Exact for exact coefficients, so that ``CheckResult.judge`` sees a
     nonzero residual below float range; 0.0 for the zero form.
     """
-    return _worst(abs(c) for c in a.coeffs.values())
+    return _worst(abs(c) for c in a.coeffs.values())[2]
 
 
 @dataclass(frozen=True)
@@ -225,10 +232,11 @@ def _lambda2_rows(phi: KForm) -> Dict[Tuple[int, int], tuple]:
     """``L``, the map ``a -> star(a ^ phi)``, sparsely: ``l -> ((k, c), ...)``
     with ``star(e^l ^ phi) = sum c e^k``, from the kernel tables over
     ``phi``'s blades in ``KForm.wedge``'s order."""
-    wedge, star = _wedge_table(8, 2, 4), _hodge_table(8, 6)
-    return {l: tuple((star[merged][0], star[merged][1] * sign * c)
-                     for b, c in phi.coeffs.items() if b in wedge[l]
-                     for merged, sign in [wedge[l][b]])
+    wedge, four = _wedge_table(8, 2, 4), _positions(8, 4)
+    star = [_hodge_table(8, 6)[b] for b in blades(8, 6)]  # by position
+    return {l: tuple((star[k][0], star[k][1] * (1 if positive else -1) * c)
+                     for b, c in phi.coeffs.items() if wedge[l][four[b]] is not None
+                     for k, positive in [wedge[l][four[b]]])
             for l in blades(8, 2)}
 
 

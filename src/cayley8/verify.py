@@ -30,9 +30,9 @@ class _Suite:
         self.trials = trials
         self.outcomes: List[CheckResult] = []
 
-    def record(self, name: str, residuals, detail: str = ""):
+    def record(self, name: str, residuals, detail: str = "", per_trial: int = 1):
         """Record the outcome of a row's residuals, judged in the suite's mode."""
-        self.outcomes.append(CheckResult.judge(name, residuals, self.exact, detail))
+        self.outcomes.append(CheckResult.judge(name, residuals, self.exact, detail, per_trial))
 
     def keep(self, report: CheckResult, name: str, detail: str):
         """Record a check judged where it ran, under the suite's name and detail."""
@@ -116,7 +116,7 @@ def _check_structure_form(s: _Suite, phi: KForm):
         c3 = spin7.cross3(raw, u, v, w)
         triple = flat(u).wedge(flat(v)).wedge(flat(w))
         residuals.append(abs(c3.norm_sq() - triple.norm_sq()))
-    s.record("|vxw| == |v^w| and |uxvxw| == |u^v^w|", residuals)
+    s.record("|vxw| == |v^w| and |uxvxw| == |u^v^w|", residuals, per_trial=2)
 
     cert = spin7.is_spin7_form(phi)
     s.record("structure certificate", [0.0 if cert.passed else 1.0],
@@ -137,7 +137,7 @@ def _check_exterior_algebra(s: _Suite):
         grade = bc + c.wedge(b)  # odd-odd anticommute
         residuals += [form_residual(assoc), form_residual(anti), form_residual(grade)]
     s.record("wedge associative and graded-anticommutative", residuals,
-             f"{s.trials} random triples")
+             f"{s.trials} random triples", per_trial=3)
 
     residuals = []
     for _ in range(s.trials):
@@ -146,7 +146,7 @@ def _check_exterior_algebra(s: _Suite):
         star_a = a.hodge()
         residuals.append(abs(star_a.inner(b.hodge()) - a.inner(b)))
         residuals.append(form_residual(star_a.hodge() - (-1) ** (3 * 5) * a))
-    s.record("hodge isometry and involution sign", residuals)
+    s.record("hodge isometry and involution sign", residuals, per_trial=2)
 
     residuals = []
     for _ in range(s.trials):
@@ -160,7 +160,7 @@ def _check_exterior_algebra(s: _Suite):
     for _ in range(s.trials):
         v = random_vector(s.rng, 8, exact=s.exact)
         residuals += (abs(x) for x in (sharp(flat(v)) - v).components)
-    s.record("sharp(flat(v)) == v", residuals)
+    s.record("sharp(flat(v)) == v", residuals, per_trial=8)
 
     residuals = []
     for _ in range(max(3, s.trials // 4)):
@@ -193,7 +193,7 @@ def _check_model_level(s: _Suite, trials_light: int):
         residuals += [divide(form_residual(spin7._minus_l(m, q7) - 4 * q7), 16),
                       divide(form_residual(q7 + q21 - 4 * a), 4),
                       divide(abs(q7.inner(q21)), 16)]
-    s.record("projections idempotent, orthogonal, resolve identity", residuals)
+    s.record("projections idempotent, orthogonal, resolve identity", residuals, per_trial=3)
 
     residuals = []
     for _ in range(trials_light):

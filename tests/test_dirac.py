@@ -294,7 +294,8 @@ def test_intertwine_report_fails_on_a_nan_off_the_probe():
         return _diagonal_symbol(xi) * (1.0 if xi.coeffs.get((1,)) == 1 else float("nan"))
 
     report = dirac._intertwine_report("nan", lhs, _diagonal_symbol, 2, 0, False)
-    assert report.detail.endswith("global scalar +1.000000")
+    # residuals: the scalar, e^1 to e^4 and 2 random covectors; the last nan is named
+    assert report.detail.endswith("global scalar +1.000000; worst at residual 7 of 7")
     assert _fails_on_nan(report)
 
 
@@ -304,7 +305,7 @@ def test_intertwine_report_fails_on_a_non_unit_scalar(exact):
     report = dirac._intertwine_report(
         "double", lambda xi: 2 * _diagonal_symbol(xi), _diagonal_symbol, 3, 0, exact)
     assert not report.passed and report.residual == 1.0
-    assert report.detail == "global scalar +2.000000"
+    assert report.detail == "global scalar +2.000000; worst at residual 1 of 8"
 
 
 def test_coassoc_symbol_intertwine():

@@ -552,18 +552,43 @@ def test_table_ops_equal_merge_blades_references(data):
 
 
 def test_wedge_table_equals_the_all_pairs_table():
-    """Rows built from each blade's complement are the all-pairs
-    ``merge_blades`` table less its overlapping pairs: the same rows, key
-    order and ``(merged, sign)`` values, for every shape up to R^8."""
+    """Slot rows built from each blade's complement are the all-pairs
+    ``merge_blades`` table: one row per degree-p blade in lexicographic
+    order, and in it, for each degree-q blade ``b`` in lexicographic order,
+    the position of the merged blade among the degree-(p + q) blades and
+    whether its sign is +1, or ``None`` where ``a`` and ``b`` overlap; for
+    every shape up to R^8."""
     for dim in range(1, 9):
         for p in range(dim + 1):
             for q in range(dim - p + 1):
+                out = blades(dim, p + q)
                 ref = []
                 for a in blades(dim, p):
-                    merges = ((b, merge_blades(a, b)) for b in blades(dim, q))
-                    ref.append((a, [(b, hit) for b, hit in merges if hit[1]]))
+                    merges = (merge_blades(a, b) for b in blades(dim, q))
+                    ref.append((a, [(out.index(merged), sign > 0) if sign else None
+                                    for merged, sign in merges]))
                 got = multivec._wedge_table(dim, p, q)
-                assert [(a, list(row.items())) for a, row in got.items()] == ref
+                assert [(a, row) for a, row in got.items()] == ref
+
+
+def test_contract_table_equals_the_all_pairs_table():
+    """Contracting ``e^blade`` with ``e_i`` leaves ``sign e^rest`` exactly when
+    ``e^i ^ e^rest = sign e^blade``: the table, built from the blade's own
+    positions, equals the entries found by merging every ``(i, rest)`` pair,
+    slot by slot, with ``rest`` given by its position among the degree-(p - 1)
+    blades, for every shape up to R^8."""
+    for dim in range(1, 9):
+        for p in range(1, dim + 1):
+            ref = {blade: [] for blade in blades(dim, p)}
+            for k, rest in enumerate(blades(dim, p - 1)):
+                for i in range(1, dim + 1):
+                    merged, sign = merge_blades((i,), rest)
+                    if sign:
+                        ref[merged].append((i - 1, k, sign))
+            got = multivec._contract_table(dim, p)
+            assert list(got) == list(ref)
+            assert {blade: list(entries) for blade, entries in got.items()} == {
+                blade: sorted(entries) for blade, entries in ref.items()}
 
 
 # zeros of both signs, +-1 for cancelling sums, and products that underflow
@@ -572,17 +597,24 @@ _BIT_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-200, -1e-200, 1
                        st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _bit(c):
+    """A coefficient as its ``float.hex`` if it is a float, with its type."""
+    return c.hex() if type(c) is float else c, type(c)
+
+
 def _bits(form):
     """Items in key order, each float as its ``float.hex``."""
-    return [(b, c.hex() if type(c) is float else c, type(c)) for b, c in form.coeffs.items()]
+    return [(b, *_bit(c)) for b, c in form.coeffs.items()]
 
 
 @settings(max_examples=150)
 @given(st.data())
 def test_sub_and_wedge_keep_every_bit(data):
-    """``a - b`` is ``a + (-b)`` and ``a.wedge(b)`` is the pair walk of
-    ``_ref_wedge`` coefficient by coefficient, in type, bits and key order,
-    for float forms (with cancelling pairs) and exact ones."""
+    """``a - b`` is ``a + (-b)``, ``a.wedge(b)`` is the pair walk of
+    ``_ref_wedge`` and ``a.contract(v)`` the walk of ``_ref_contract``,
+    coefficient by coefficient, in type, bits and key order, and so is the
+    ``evaluate`` chain of contractions; for float forms (with cancelling
+    pairs, and vectors with zeros of both signs) and exact ones."""
     exact = data.draw(st.booleans())
     coeff = _EXACT_COEFF if exact else _BIT_FLOAT
     dim = data.draw(st.integers(1, 8))
@@ -601,6 +633,14 @@ def test_sub_and_wedge_keep_every_bit(data):
     c = form(p, like=a)
     assert _bits(a - c) == _bits(a + (-c))
     assert _bits(a.wedge(b)) == _bits(_ref_wedge(a, b))
+    if p:
+        entry = st.one_of(st.just(0), coeff) if exact else coeff
+        vs = [Vector(data.draw(st.lists(entry, min_size=dim, max_size=dim))) for _ in range(p)]
+        assert _bits(a.contract(vs[0])) == _bits(_ref_contract(a, vs[0]))
+        ref = a
+        for v in vs:
+            ref = _ref_contract(ref, v)
+        assert _bit(a.evaluate(*vs)) == _bit(ref.coeffs.get((), 0))
 
 
 @settings(max_examples=100)
@@ -634,14 +674,19 @@ def test_kernel_linear_ops_keep_order_and_drop_zeros():
 
 
 def test_second_verify_run_merges_no_blades(monkeypatch):
-    """After one warm-up run every table exists: no blade is merged again."""
+    """After one warm-up run every table exists: no table builder misses its
+    cache, and no blade is merged again."""
     from cayley8 import multivec, verify
+    builders = {name: fn for name, fn in vars(multivec).items() if hasattr(fn, "cache_info")}
+    assert {"blades", "_positions", "_wedge_table", "_contract_table"} <= set(builders)
     verify.run_suite(exact=True, trials=0)
+    misses = {name: fn.cache_info().misses for name, fn in builders.items()}
     calls = []
     merge = multivec.merge_blades
     monkeypatch.setattr(multivec, "merge_blades",
                         lambda a, b: calls.append((a, b)) or merge(a, b))
     verify.run_suite(exact=True, trials=0)
+    assert {name: fn.cache_info().misses for name, fn in builders.items()} == misses
     assert calls == []
 
 

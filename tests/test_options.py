@@ -47,12 +47,14 @@ DEFAULTED = {
     ("multivec", "Vector.basis", "exact"),
     ("multivec", "KForm.is_zero", "tol"),
     ("spin7", "standard_model", "exact"),
+    ("spin7", "CheckResult.judge", "per_trial"),
     ("surgery", "glue", "novikov_ok"),
     ("verify", "run_suite", "exact"),
     ("verify", "run_suite", "seed"),
     ("verify", "run_suite", "trials"),
     ("verify", "run_suite", "form"),
     ("verify", "_Suite.record", "detail"),
+    ("verify", "_Suite.record", "per_trial"),
 }
 
 

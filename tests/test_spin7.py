@@ -351,7 +351,9 @@ def test_judge_records_the_max_unless_a_nan_comes(residuals, data):
     for exact in (True, False):
         report = spin7.CheckResult.judge("check", with_nan, exact, "")
         assert not report.passed
-        assert report.detail == "residual not finite as a float (nan)"
+        # a check of several residuals names the worst one's position
+        where = f"; worst at residual {at + 1} of {len(with_nan)}" if residuals else ""
+        assert report.detail == "residual not finite as a float (nan)" + where
 
 
 def test_a_nan_residual_fails_its_verify_row():

@@ -1,5 +1,9 @@
 """Rows of the verify suite: the scaled product rows, the public halvings
-they leave to other rows, and the nan-safe criteria count."""
+they leave to other rows, the nan-safe criteria count, and the position a
+failing row names."""
+
+import re
+from fractions import Fraction
 
 import hypothesis.strategies as st
 import numpy as np
@@ -35,11 +39,11 @@ def _recorded_rows(exact, seed, trials, form):
         draws.append(f)
         return f
 
-    def recording(self, name, residuals, detail=""):
+    def recording(self, name, residuals, *args, **kwargs):
         residuals = list(residuals)
         rows[name] = (list(draws), residuals)
         draws.clear()
-        return record(self, name, residuals, detail)
+        return record(self, name, residuals, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify._Suite, "vectors", vectors)
@@ -148,3 +152,33 @@ def test_a_nan_plane_fails_the_criteria_row(monkeypatch, exact):
     row = next(o for o in outcomes if o.name == "cayley criteria agree on random planes")
     assert not row.passed and row.residual == 1.0
     assert summary["failed_names"] == [row.name]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_a_failing_row_names_its_worst_residual(monkeypatch, exact):
+    """A failing row of several residuals ends its detail with the 1-based
+    position of the worst one, which is the residual it records; the row of
+    two residuals a trial names the trial too.  Rows that pass, and rows of
+    one residual, name no position."""
+    seen, judge = {}, spin7.CheckResult.judge
+
+    def capture(name, residuals, *args, **kwargs):
+        seen[name] = list(residuals)
+        return judge(name, seen[name], *args, **kwargs)
+
+    monkeypatch.setattr(spin7.CheckResult, "judge", capture)
+    phi = spin7.phi0() + KForm(8, 4, {(1, 2, 3, 4): Fraction(1, 7)})
+    outcomes, _ = verify.run_suite(exact=exact, trials=4, form=phi if exact else phi.as_float())
+    named = {}
+    for row in outcomes:
+        where = re.search(r"worst at residual (\d+) of (\d+)(?:, trial (\d+))?$", row.detail)
+        if row.passed or len(seen[row.name]) == 1:
+            assert where is None, row
+            continue
+        i, n = int(where[1]), int(where[2])
+        assert n == len(seen[row.name])
+        assert float(seen[row.name][i - 1]) == row.residual
+        named[row.name] = (i, where[3] and int(where[3]))
+    i, trial = named.pop(NORMS)
+    assert trial == (i - 1) // 2 + 1
+    assert named and all(trial is None for _, trial in named.values())
