@@ -17,11 +17,12 @@ float mode).  Matrices are sequences of rows.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .multivec import divide, is_exact
+
+if TYPE_CHECKING:  # numpy is imported where arrays are made
+    import numpy as np
 
 #: the default rank gate of the float SVD: a singular value at most this is zero
 SINGULAR_TOL = 1e-10
@@ -92,6 +93,7 @@ def _exact(rows: Sequence[Sequence]) -> bool:
 
 def _svd(rows: Sequence[Sequence]):
     """Singular values and the full square ``vh`` of a float matrix."""
+    import numpy as np
     _, svals, vh = np.linalg.svd(np.array(rows, dtype=float))
     return svals, vh
 
@@ -175,6 +177,7 @@ def orthonormal_columns(mat: np.ndarray) -> np.ndarray:
     Keeps the left singular vectors whose singular values exceed ``SINGULAR_TOL``,
     so a column that repeats an earlier one never hides a later one.
     """
+    import numpy as np
     if mat.size == 0:
         return mat
     u, svals, _ = np.linalg.svd(mat, full_matrices=False)

@@ -11,6 +11,10 @@ Also hosts the standard Calabi-Yau data on C^4 = R^8 in interleaved
 coordinates (x1, y1, ..., x4, y4): the Kaehler 2-form, the holomorphic
 volume form, and the complex structure J, normalized so that
 ``omega^4 = 3/2 Omega ^ conj(Omega)``.
+
+numpy is imported inside the functions that make arrays, as in
+``multivec``, ``_linalg`` and ``spin7``, so importing this module (and a
+cold ``cayley8 plane``) loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,15 +25,16 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from .multivec import (PLANE_TOL, KForm, OrientedPlane, Vector, blades, divide,
                        is_zero, pullback_to_plane, restrict)
 from .index import read_field
 from .spin7 import Spin7Model, phi0, tau
 from . import g2 as g2mod
+
+if TYPE_CHECKING:  # numpy is imported where arrays are made
+    import numpy as np
 
 #: Gate on |tau| below which a 4-plane counts as Cayley: the gate of
 #: ``cayley_test`` and of ``dirac.build_cayley_model``.
@@ -225,6 +230,7 @@ class CayleySweep:
     BLOCK = 1024
 
     def __init__(self, model: Spin7Model):
+        import numpy as np
         self.p7 = 0.25 * (np.eye(28) - np.array(model.lambda2_op, dtype=float))
         self.T4 = model.phi.to_dense()
         self.T64 = self.T4.reshape(64, 64)
@@ -234,6 +240,7 @@ class CayleySweep:
         self.TAU64 = wedge64 @ (2.0 * self.p7.T)
 
     def _block(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
         a, b, c, d = (frames[:, k, :] for k in range(4))
         # (b . (c . (d . phi)))^sharp = phi(d, c, b, .), from d outer c
         dc = (d[:, :, None] * c[:, None, :]).reshape(len(d), 64)
@@ -248,6 +255,7 @@ class CayleySweep:
 
     def __call__(self, frames: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """frames: (N, 4, 8) orthonormal rows; returns (tau_norms, values)."""
+        import numpy as np
         tau_norms = np.empty(len(frames))
         values = np.empty(len(frames))
         for lo in range(0, len(frames), self.BLOCK):
@@ -259,7 +267,7 @@ class CayleySweep:
 def random_orthonormal_frames(rng: np.random.Generator, count: int,
                               degree: int, dim: int) -> np.ndarray:
     """(count, degree, dim) stacks of orthonormalized Gaussian frames."""
-    return _retract(np.swapaxes(rng.standard_normal((count, dim, degree)), 1, 2))
+    return _retract(rng.standard_normal((count, dim, degree)).swapaxes(1, 2))
 
 
 # -- comass optimization ---------------------------------------------------------------
@@ -301,6 +309,7 @@ def _dense_value(T: np.ndarray, X: np.ndarray) -> Tuple[np.ndarray, np.ndarray, 
     ``grad`` filled: a line-search probe needs no more, and
     ``_complete_grad`` fills the other rows from ``tails``.
     """
+    import numpy as np
     _, p, n = X.shape
     tails = {p: T.reshape(-1)}
     for r in range(p - 1, 0, -1):
@@ -353,6 +362,7 @@ def _retract(X: np.ndarray) -> np.ndarray:
 
     The sign fix makes a frame depend continuously on its input.
     """
+    import numpy as np
     q, r = np.linalg.qr(np.swapaxes(X, -1, -2))
     signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     signs[signs == 0] = 1.0
@@ -377,6 +387,7 @@ def _ascend(T: np.ndarray, X: np.ndarray, tol: float):
     depends on its own frame only, so ascending the first k frames of a
     stack returns the first k rows of the full run, bit for bit.
     """
+    import numpy as np
     X = X.copy(order="K")  # keeps the frame layout of _start_frames
     value, grad = _dense_value_grad(T, X)
     neg = value < 0
@@ -444,6 +455,7 @@ def _seed_words(entropy: np.ndarray) -> np.ndarray:
     on uint32 columns: the hash constant depends on the step alone, so every
     row shares it.  Returns (rows, 4) uint64.
     """
+    import numpy as np
     rows, width = entropy.shape
     hash_const = _INIT_A
 
@@ -514,6 +526,7 @@ def _start_frames(seed: int, restarts: int, p: int, n: int) -> np.ndarray:
     that batch, so the draws are those of ``default_rng([seed, i])``
     without a ``SeedSequence`` per restart.
     """
+    import numpy as np
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError("expected non-negative integer")
@@ -550,6 +563,7 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
     per-restart stack, ``restarts * n ** (p - 1)`` float64, exceeds
     physical memory.
     """
+    import numpy as np
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if not 0 <= tol < 1:
@@ -610,6 +624,7 @@ def comass_estimate(c: CalibrationForm, restarts: int = 50,
 
 def _complement_frame(X: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of the rows of X."""
+    import numpy as np
     n = X.shape[1]
     _, _, vh = np.linalg.svd(X)
     return vh[X.shape[0]:n]

@@ -31,9 +31,9 @@ first use and never at import: a wedge slot table per ``(dim, p, q)`` (for
 each blade ``a``, a slot per degree-``q`` blade ``b``: the position of the
 merged blade and its sign, or ``None`` on overlap), and a hodge, a contract
 (to positions) and a dense-tensor table per ``(dim, p)``.  Wedge and
-contract sum into a list by output position, each sum from ``0 + term``,
-and key the result in first-touch order, as a running dict would, so no
-blade is hashed per term.  Forms the kernel builds skip the blade checks.
+contract sum into a list by output position, each sum from its first
+term, and key the result in first-touch order, as a running dict would,
+so no blade is hashed per term.  Forms the kernel builds skip the blade checks.
 The validated boundary is a public ``KForm(...)`` and
 :meth:`KForm.from_terms` (which ``calib.load_form`` reads JSON through);
 blades are sorted or merged only there, in indexing by a possibly
@@ -55,9 +55,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where arrays are made
+    import numpy as np
 
 Blade = Tuple[int, ...]
 
@@ -304,6 +305,7 @@ class Vector:
         return exact_sqrt(self.norm_sq())
 
     def to_array(self) -> np.ndarray:
+        import numpy as np
         return np.array([float(c) for c in self.components])
 
     def _check(self, other: "Vector") -> None:
@@ -444,18 +446,19 @@ class KForm:
         at, out = _positions(self.dim, other.degree), blades(self.dim, self.degree + other.degree)
         others = [(at[bb], cb) for bb, cb in other.coeffs.items()]
         acc, order = [None] * len(out), []
-        # other.coeffs' order and sums from 0 keep every bit; (-ca) * cb is -(ca * cb) bit for bit
+        # other.coeffs' order keeps every bit; (-ca) * cb is -(ca * cb) bit for bit
         for ba, ca in self.coeffs.items():
             row, neg = table[ba], -ca
             for j, cb in others:
                 hit = row[j]
                 if hit is not None:
                     k, positive = hit
-                    s = acc[k]
+                    term, s = (ca if positive else neg) * cb, acc[k]
                     if s is None:
-                        s = 0
+                        acc[k] = term
                         order.append(k)
-                    acc[k] = s + (ca if positive else neg) * cb
+                    else:
+                        acc[k] = s + term
         return KForm._trusted(self.dim, self.degree + other.degree, {out[k]: acc[k] for k in order})
 
     def hodge(self) -> "KForm":
@@ -484,11 +487,12 @@ class KForm:
             for slot, k, sign in table[blade]:
                 vi = comps[slot]
                 if vi != 0:
-                    s = acc[k]
+                    term, s = sign * vi * c, acc[k]
                     if s is None:
-                        s = 0
+                        acc[k] = term
                         order.append(k)
-                    acc[k] = s + sign * vi * c
+                    else:
+                        acc[k] = s + term
         return KForm._trusted(self.dim, self.degree - 1, {out[k]: acc[k] for k in order})
 
     def inner(self, other: "KForm"):
@@ -521,6 +525,7 @@ class KForm:
 
         0-based numpy indices; only sensible for small degree (k <= 5).
         """
+        import numpy as np
         T = np.zeros((self.dim,) * self.degree)
         table = _dense_table(self.dim, self.degree)
         for blade, c in self.coeffs.items():
@@ -648,6 +653,7 @@ class OrientedPlane:
 
     def matrix(self) -> np.ndarray:
         """Orthonormal basis as rows of a (degree x dim) float array."""
+        import numpy as np
         return np.array([u.to_array() for u in self.orthonormal_basis])
 
     def contains(self, v: Vector) -> bool:

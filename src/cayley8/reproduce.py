@@ -12,9 +12,8 @@ Fixtures live under ``fixtures/`` as versioned JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from . import index, surgery
 
@@ -25,8 +24,7 @@ class UnknownExampleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """One worked example's derivation; ``description`` is the fixture's, and
     ``mismatched_fields`` names the expected values it does not reproduce."""
 

@@ -18,20 +18,31 @@ together with the first-slot interior product of :mod:`cayley8.multivec`.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Dict, List, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from . import _linalg
 from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, OrientedPlane, Vector,
-                       _hodge_table, _positions, _wedge_table, blades, flat,
+                       _hodge_table, _positions, _wedge_table, blades, divide, flat,
                        is_exact, is_zero, pullback, scalar, sharp)
 
-#: Eigenvalue clustering tolerance for the floating 28x28 eigensolver.
+if TYPE_CHECKING:  # numpy is imported where arrays are made
+    import numpy as np
+
+#: Singular-value gate of the floating nullspaces of ``L + 3`` and ``L - 1``
+#: that build the two 2-form summand bases; the certificate does not read it.
 EIGEN_CLUSTER_TOL = 1e-8
+
+#: Relative gate of the certificate's floating identities: ``|R| / scale``
+#: in Frobenius norms (see ``_identities``).  At 1e-12 a passing form has
+#: an ``A`` within ``SINGULAR_TOL`` of rank 7 (``|(L + 3) G| / 4`` bounds
+#: its eighth singular value) and eigenvalues of ``L`` well inside
+#: ``EIGEN_CLUSTER_TOL``, so the bases built on first read have the
+#: certified dimensions.
+IDENTITY_TOL = 1e-12
 
 #: Residual bound of every floating check judged by ``CheckResult.judge``.
 CHECK_TOL = 1e-10
@@ -181,7 +192,7 @@ class Spin7Model:
     """A validated structure form with cached derived operators.
 
     ``lambda2_op`` is the dense view of ``lambda2_rows``, the matrix of
-    ``a -> star(a ^ phi)`` on the 28 lexicographic 2-blades.  ``bases`` maps
+    ``a -> star(a ^ phi)`` on the 28 lexicographic 2-blades as row lists.  ``bases`` maps
     ``(degree, dim)`` to the basis of that summand of the 2- or 4-forms:
     orthogonal coefficient rows over the lexicographic blade basis in both
     modes, exact scalars in exact mode.  Each basis is built on its first
@@ -240,31 +251,90 @@ def _lambda2_rows(phi: KForm) -> Dict[Tuple[int, int], tuple]:
             for l in blades(8, 2)}
 
 
-def _lambda2_dense(rows: Dict[Tuple[int, int], tuple], exact: bool):
-    """The dense view of :func:`_lambda2_rows` over the lexicographic 2-blades:
-    entry (k, l) is the coefficient of ``e^k`` in ``star(e^l ^ phi)``."""
+def _lambda2_dense(rows: Dict[Tuple[int, int], tuple]) -> List[list]:
+    """The dense view of :func:`_lambda2_rows` as row lists over the lexicographic
+    2-blades: entry (k, l) is the coefficient of ``e^k`` in ``star(e^l ^ phi)``."""
     cols = [dict(rows[l]) for l in blades(8, 2)]
-    op = [[col.get(k, 0) for col in cols] for k in blades(8, 2)]
-    return op if exact else np.array(op, dtype=float)
+    return [[col.get(k, 0) for col in cols] for k in blades(8, 2)]
 
 
-def _check_lambda2_spectrum(op):
-    """Return (ok, detail, basis builders) for the 2-form operator ``L``.
+def _shifted(op: List[list], lam) -> List[list]:
+    """``op - lam`` times the identity, as row lists."""
+    return [[x - lam if i == j else x for j, x in enumerate(row)] for i, row in enumerate(op)]
 
-    ``L`` is symmetric, so kernels of dimensions 7 and 21 of ``L + 3`` and
-    ``L - 1`` imply the spectrum; in float mode the singular values of
-    ``L - c`` are ``|lambda - c|``, so ``EIGEN_CLUSTER_TOL`` clusters the
-    eigenvalues.  The builders orthogonalize the two kernels.
+
+def _product(a: List[list], b: List[list]) -> List[list]:
+    """The matrix product of row lists, summed over the nonzeros of both."""
+    bnz = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [0] * len(b[0])
+        for x, brow in zip(row, bnz):
+            if x:
+                for j, y in brow:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def _sq(rows: List[list]):
+    """The squared Frobenius norm of row lists."""
+    return sum(sum(map(operator.mul, row, row)) for row in rows)
+
+
+def _identities(name: str, exact: bool, identities, passed: str) -> CheckResult:
+    """One certificate check of identities ``R == 0``, each given as ``(label,
+    R, scale_sq)``: ``R`` as row lists and ``scale_sq`` the product of the
+    squared Frobenius norms of the factors ``R`` multiplies.
+
+    Exact, an identity holds when every entry of ``R`` is 0.  Floating, when
+    ``|R| / scale``, in Frobenius norms, is at most ``IDENTITY_TOL``, so a
+    nan or inf entry fails it.  The record keeps the worst ``|R| / scale``
+    (the largest float when it is not finite, as :meth:`CheckResult.judge`
+    records it), and a failure names each identity that fails.
     """
-    kernels = {lam: _linalg.nullspace([[x - lam if i == j else x for j, x in enumerate(row)]
-                                       for i, row in enumerate(op)], EIGEN_CLUSTER_TOL)
-               for lam in LAMBDA2_SPECTRUM}
-    if {lam: len(k) for lam, k in kernels.items()} != LAMBDA2_SPECTRUM:
+    rels, failed = [], []
+    for label, rows, scale_sq in identities:
+        r_sq = _sq(rows)
+        rel = math.sqrt(_as_float(divide(r_sq, scale_sq))) if scale_sq else (
+            0.0 if r_sq == 0 else math.inf)
+        if not (r_sq == 0 if exact else rel <= IDENTITY_TOL):
+            failed.append(f"{label} (residual {rel:.3g})")
+        rels.append(rel)
+    worst = _worst(rels)[2]
+    if not failed:
+        return CheckResult(name, True, worst, passed)
+    return CheckResult(name, False, worst if math.isfinite(worst) else sys.float_info.max,
+                       "fails: " + ", ".join(failed))
+
+
+def _check_lambda2_spectrum(op: List[list], exact: bool):
+    """The 2-form check of ``L`` and the builders of its two summand bases.
+
+    ``L`` is symmetric, so ``(L + 3)(L - 1) = 0`` confines its eigenvalues
+    to -3 and 1, and ``tr L = 0`` then counts them: -3 seven times and 1
+    21 times.  The builders take the kernels of ``L + 3`` and ``L - 1`` (in
+    float mode the singular vectors at ``EIGEN_CLUSTER_TOL``) and
+    orthogonalize them, on first read.  A failing form's detail lists the
+    eigenvalues, the one use of numpy in the certificate.
+    """
+    plus3, minus1 = _shifted(op, -3), _shifted(op, 1)
+    check = _identities("lambda2 spectrum", exact, [
+        ("(L+3)(L-1) = 0", _product(plus3, minus1), _sq(plus3) * _sq(minus1)),
+        ("tr L = 0", [[sum(row[i] for i, row in enumerate(op))]], len(op) * _sq(op))],
+        "eigenvalues (-3 x7, +1 x21)")
+    if not check.passed:
+        import numpy as np
         evals = np.linalg.eigvalsh(np.array(op, dtype=float))
-        return False, f"spectrum not (-3 x7, +1 x21): eigenvalues {np.round(evals, 6)}", None
-    return True, "eigenvalues (-3 x7, +1 x21)", {
-        (2, dim): partial(_linalg.orthogonalize, kernels[lam])
-        for lam, dim in LAMBDA2_SPECTRUM.items()}
+        check = CheckResult(check.name, False, check.residual,
+                            f"{check.detail}; eigenvalues {np.array2string(evals, precision=6)}")
+    return check, {(2, dim): partial(_summand_kernel, op, lam)
+                   for lam, dim in LAMBDA2_SPECTRUM.items()}
+
+
+def _summand_kernel(op: List[list], lam) -> list:
+    """Orthogonal basis of the kernel of ``op - lam``."""
+    return _linalg.orthogonalize(_linalg.nullspace(_shifted(op, lam), EIGEN_CLUSTER_TOL))
 
 
 def _lambda4_7_generators(phi: KForm) -> List[KForm]:
@@ -304,8 +374,11 @@ def _anti_self_dual_rows(pairs, exact: bool) -> list:
     return rows
 
 
-def _lift_self_dual(pairs, coords) -> List[list]:
-    """Orthogonal basis of the self-dual forms with these pair coordinates."""
+def _lift_self_dual(pairs, constraints) -> List[list]:
+    """Orthogonal basis of the self-dual forms orthogonal to every constraint row."""
+    # <con, e_i + sign e_j> reads the two nonzeros of each self-dual row
+    coords = _linalg.nullspace([[con[i] + sign * con[j] for i, j, sign in pairs]
+                                for con in constraints])
     lifted = []
     for vec in coords:
         row = [0] * 70
@@ -315,28 +388,41 @@ def _lift_self_dual(pairs, coords) -> List[list]:
     return _linalg.orthogonalize(lifted)
 
 
-def _build_lambda4(phi: KForm, exact: bool):
-    """Check the (1, 7, 27, 35) summand dimensions; returns (ok, detail, builders, dims).
+def _check_lambda4(phi: KForm, op: List[list], exact: bool):
+    """The 4-form check and the builders of the four summand bases.
 
-    The 7 dimension is the rank of the generator family, and the 27 the
-    dimension of the self-dual forms orthogonal to phi and to every
-    generator.  The builders make the four orthogonal bases on first read.
+    ``G`` holds the 28 generators ``A(e_i ^ e_j)`` of
+    :func:`_lambda4_7_generators` as rows over the 70 4-blades, and ``c =
+    tr(G G^T) / 7``.  ``(L + 3) G = 0`` puts the image of ``A`` in the
+    7-dimensional 2-form summand, and ``G G^T = c (1 - L) / 4`` with ``c > 0``
+    makes its rank 7: the 7-summand of the 4-forms.  Each generator being
+    self-dual and orthogonal to phi leaves the 27 self-dual forms
+    orthogonal to phi and to the 7-summand; the anti-self-dual 35 need no
+    check.  The builders make the four orthogonal bases on first read.
     """
     basis4 = blades(8, 4)
     phi_row = [phi.coeffs.get(b, 0) for b in basis4]
     gen_rows = [[g.coeffs.get(b, 0) for b in basis4] for g in _lambda4_7_generators(phi)]
+    gram = _product(gen_rows, [list(col) for col in zip(*gen_rows)])
+    trace = sum(gram[i][i] for i in range(len(gram)))  # also |G|^2
+    plus3 = _shifted(op, -3)
     pairs = _self_dual_pairs()
-    # <con, e_i + sign e_j> reads the two nonzeros of each self-dual row
-    sd_coords = _linalg.nullspace(
-        [[con[i] + sign * con[j] for i, j, sign in pairs] for con in [phi_row] + gen_rows])
-    dims = (1, len(basis4) - len(_linalg.nullspace(gen_rows)), len(sd_coords), 35)
-    if dims != LAMBDA4_DIMS:
-        return False, f"summand dims {dims} != {LAMBDA4_DIMS}", None, None
-    builders = {(4, 1): lambda: [phi_row],
-                (4, 7): partial(_linalg.orthogonalize, gen_rows),
-                (4, 27): partial(_lift_self_dual, pairs, sd_coords),
-                (4, 35): partial(_anti_self_dual_rows, pairs, exact)}
-    return True, "summand dims (1, 7, 27, 35)", builders, dims
+    check = _identities("lambda4 dims", exact, [
+        ("(L+3)G = 0", _product(plus3, gen_rows), _sq(plus3) * trace),
+        ("28 GG^T = tr(GG^T)(1 - L)",
+         [[28 * x + trace * y for x, y in zip(grow, lrow)]
+          for grow, lrow in zip(gram, _shifted(op, 1))], (28 * trace) ** 2),
+        ("generators self-dual",
+         [[g[j] - sign * g[i] for i, j, sign in pairs] for g in gen_rows], trace),
+        ("generators orthogonal to phi",
+         [[sum(map(operator.mul, g, phi_row))] for g in gen_rows], trace * _sq([phi_row]))],
+        "summand dims (1, 7, 27, 35)")
+    if not trace > 0:  # then G = 0 and every identity holds
+        check = CheckResult(check.name, False, 1.0, "the generators vanish: tr(GG^T) = 0")
+    return check, {(4, 1): lambda: [phi_row],
+                   (4, 7): partial(_linalg.orthogonalize, gen_rows),
+                   (4, 27): partial(_lift_self_dual, pairs, [phi_row] + gen_rows),
+                   (4, 35): partial(_anti_self_dual_rows, pairs, exact)}
 
 
 #: Structure forms whose certificate and model ingredients ``certify`` keeps.
@@ -374,20 +460,16 @@ def _certify(dim: int, degree: int, items: tuple, exact: bool):
     nrm_ok = is_zero(nrm - 14, 100 * DEFAULT_TOL)
     checks.append(CheckResult("norm", nrm_ok, _as_float(abs(nrm - 14)), f"<phi, phi> = {nrm}"))
 
-    op = _lambda2_dense(_lambda2_rows(phi), exact)
-    spec_ok, detail, bases = _check_lambda2_spectrum(op)
-    checks.append(CheckResult("lambda2 spectrum", spec_ok, 0.0 if spec_ok else 1.0, detail))
-
-    l4_ok, l4_detail, l4_bases, l4_dims = (False, "skipped (spectrum failed)", None, None)
-    if sd_ok and spec_ok:
-        l4_ok, l4_detail, l4_bases, l4_dims = _build_lambda4(phi, exact)
-    checks.append(CheckResult("lambda4 dims", l4_ok, 0.0 if l4_ok else 1.0, l4_detail))
+    op = _lambda2_dense(_lambda2_rows(phi))
+    spectrum, bases = _check_lambda2_spectrum(op, exact)
+    lambda4, l4_bases = _check_lambda4(phi, op, exact)
+    checks += [spectrum, lambda4]
 
     passed = all(c.passed for c in checks)
     cert = Spin7Certificate(passed, tuple(checks))
     if not passed:
         return cert, None
-    return cert, (exact, op, {**bases, **l4_bases}, l4_dims)
+    return cert, (exact, op, {**bases, **l4_bases})
 
 
 def is_spin7_form(phi: KForm) -> Spin7Certificate:
@@ -407,9 +489,9 @@ def build_model(phi: KForm) -> Spin7Model:
     cert, ingredients = certify(phi)
     if ingredients is None:
         raise Spin7StructureError(cert)
-    exact, op, bases, dims = ingredients
+    exact, op, bases = ingredients
     return Spin7Model(phi=phi, exact=exact, lambda2_op=op, bases=bases,
-                      lambda4_dims=dims)
+                      lambda4_dims=LAMBDA4_DIMS)
 
 
 def standard_model(exact: bool = True) -> Spin7Model:

@@ -10,9 +10,8 @@ non-compact pieces must be supplied explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .index import read_field
 
@@ -21,24 +20,33 @@ class SurgeryError(ValueError):
     """Unsupported move or violated precondition."""
 
 
-@dataclass(frozen=True)
-class TopInvariants:
-    """Integer invariants of a piece: chi always, sigma when meaningful."""
-
+class _Invariants(NamedTuple):
     dim: int
     chi: int
     sigma: Optional[int] = None
     betti: Optional[Tuple[int, ...]] = None
     label: str = ""
 
-    def __post_init__(self):
-        if self.betti is not None:
-            object.__setattr__(self, "betti", tuple(self.betti))
-            if len(self.betti) != self.dim + 1:
-                raise SurgeryError(
-                    f"betti needs {self.dim + 1} entries for dim {self.dim}")
-            if sum((-1) ** k * b for k, b in enumerate(self.betti)) != self.chi:
-                raise SurgeryError("betti numbers contradict chi")
+
+class TopInvariants(_Invariants):
+    """Integer invariants of a piece: chi always, sigma when meaningful.
+
+    A Betti list is stored as a tuple and must have ``dim + 1`` entries
+    whose alternating sum is chi.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        inv = super().__new__(cls, *args, **kwargs)
+        if inv.betti is None:
+            return inv
+        betti = tuple(inv.betti)
+        if len(betti) != inv.dim + 1:
+            raise SurgeryError(f"betti needs {inv.dim + 1} entries for dim {inv.dim}")
+        if sum((-1) ** k * b for k, b in enumerate(betti)) != inv.chi:
+            raise SurgeryError("betti numbers contradict chi")
+        return inv._replace(betti=betti)
 
     def as_dict(self) -> dict:
         out = {"dim": self.dim, "chi": self.chi, "label": self.label}
@@ -48,16 +56,21 @@ class TopInvariants:
         return out
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A finite connected graph carrying only the counts that matter for chi."""
-
+class _Cells(NamedTuple):
     vertices: int
     edges: int
 
-    def __post_init__(self):
-        if self.vertices < 1:
+
+class Graph(_Cells):
+    """A finite connected graph carrying only the counts that matter for chi."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        graph = super().__new__(cls, *args, **kwargs)
+        if graph.vertices < 1:
             raise SurgeryError("a connected graph needs at least one vertex")
+        return graph
 
     @property
     def chi(self) -> int:

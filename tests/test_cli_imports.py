@@ -3,13 +3,15 @@
 Importing ``cayley8.cli`` loads no other module of the package, nor
 ``dataclasses``: each handler imports what its command needs.  The
 arithmetic commands (``index``, ``surgery``, ``reproduce``) never load
-the geometry stack, ``index`` loads neither ``dataclasses`` nor the other
-two arithmetic modules, and ``verify``, ``comass`` and ``plane`` import
-numpy and up inside their handlers.  Each case runs in a fresh
-interpreter, because the test process has long since imported
-everything, and lists which of the watched modules the probe added to
-``sys.modules`` after start-up, so a module that a ``site`` hook preloads
-never counts.
+the geometry stack or ``dataclasses``, and ``index`` loads neither
+``fractions`` nor the other two arithmetic modules.  ``plane`` loads the
+geometry modules but not numpy, in float and exact mode and for a builtin
+or a JSON form: importing ``cayley8.calib`` loads no numpy, and the
+structure certificate decides by polynomial identities.  ``verify`` and
+``comass`` load numpy.  Each case runs in a fresh interpreter, because
+the test process has long since imported everything, and lists which of
+the watched modules the probe added to ``sys.modules`` after start-up,
+so a module that a ``site`` hook preloads never counts.
 """
 
 import importlib.util
@@ -20,6 +22,8 @@ import sys
 
 import pytest
 
+from cayley8.spin7 import PHI0_TERMS
+
 SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
 
 GEOMETRY = ("numpy", "numpy.random", "cayley8.multivec", "cayley8.spin7", "cayley8.calib",
@@ -27,6 +31,12 @@ GEOMETRY = ("numpy", "numpy.random", "cayley8.multivec", "cayley8.spin7", "cayle
 
 #: what a cold ``index`` call leaves unloaded
 LEAN = ("dataclasses", "fractions", "cayley8.surgery", "cayley8.reproduce")
+
+#: the cold ``plane`` calls: float and exact mode, builtin and JSON form
+PLANES = {f"{mode}-{form}": [*(["--exact"] if mode == "exact" else []), "plane",
+                             "--form", "builtin:spin7" if form == "builtin" else "{form}",
+                             "--vectors", "{plane}"]
+          for mode in ("float", "exact") for form in ("builtin", "json")}
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -68,7 +78,10 @@ def inputs(tmp_path):
     plane = tmp_path / "plane.json"
     plane.write_text(json.dumps({"dim": 8, "degree": 4, "vectors": [
         [1 if j == i else 0 for j in range(8)] for i in range(4)]}))
-    return {"index": str(index), "tree": str(tree), "plane": str(plane)}
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"dim": 8, "degree": 4, "terms": [
+        {"blade": list(b), "coeff": c} for b, c in PHI0_TERMS.items()]}))
+    return {"index": str(index), "tree": str(tree), "plane": str(plane), "form": str(form)}
 
 
 def test_importing_the_cli_loads_no_geometry_module():
@@ -78,8 +91,9 @@ def test_importing_the_cli_loads_no_geometry_module():
 @pytest.mark.parametrize("argv, runs, absent", [
     ([], None, ("cayley8.index",) + LEAN),
     (["index", "--input", "{index}"], "cayley8.index", LEAN),
-    (["surgery", "--input", "{tree}"], "cayley8.surgery", ("cayley8.reproduce",)),
-], ids=["import", "index", "surgery"])
+    (["surgery", "--input", "{tree}"], "cayley8.surgery", ("dataclasses", "cayley8.reproduce")),
+    (["reproduce", "--example", "1"], "cayley8.reproduce", ("dataclasses",)),
+], ids=["import", "index", "surgery", "reproduce"])
 def test_a_cold_command_loads_only_what_it_runs(inputs, argv, runs, absent):
     watched = absent + ((runs,) if runs else ())
     code, loaded = _loaded_after([a.format(**inputs) for a in argv], watched)
@@ -99,7 +113,7 @@ def test_arithmetic_commands_load_no_geometry_module(inputs, argv, code):
 
 
 @pytest.mark.parametrize("argv", [
-    ["plane", "--form", "builtin:spin7", "--vectors", "{plane}"],
+    PLANES["float-builtin"],
     ["comass", "--form", "builtin:spin7", "--restarts", "2", "--seed", "1"],
 ])
 def test_plane_and_comass_load_neither_dirac_nor_verify(inputs, argv):
@@ -109,20 +123,31 @@ def test_plane_and_comass_load_neither_dirac_nor_verify(inputs, argv):
     assert "cayley8.dirac" not in loaded and "cayley8.verify" not in loaded
 
 
-def test_calib_and_plane_leave_numpy_random_unloaded(inputs):
-    """numpy imports ``numpy.random`` on first use, and calib uses it only
-    to seed comass restarts, so neither importing calib nor ``plane`` pays
-    for that import."""
+def test_importing_calib_loads_no_numpy():
     env = dict(os.environ, PYTHONPATH=SRC)
-    probe = "import sys, cayley8.calib; print('numpy.random' in sys.modules)"
+    probe = ("import sys; before = set(sys.modules); import cayley8.calib; "
+             "print(sorted({'numpy', 'numpy.random'} & (set(sys.modules) - before)))")
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
-    code, loaded = _loaded_after(["plane", "--form", "builtin:spin7",
-                                  "--vectors", inputs["plane"]])
-    assert code == 0 and "cayley8.calib" in loaded
-    assert "numpy.random" not in loaded
+    assert proc.stdout.split() == ["[]"]
+
+
+@pytest.mark.parametrize("case", sorted(PLANES))
+def test_plane_loads_no_numpy(inputs, case):
+    """numpy loads during certification only to list the eigenvalues of a
+    failing form, and phi0 passes."""
+    code, loaded = _loaded_after([a.format(**inputs) for a in PLANES[case]])
+    assert code == 0 and "cayley8.calib" in loaded and "cayley8.spin7" in loaded
+    assert "numpy" not in loaded and "numpy.random" not in loaded
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--trials", "0"],
+    ["comass", "--form", "builtin:spin7", "--restarts", "2", "--seed", "1"],
+], ids=["verify", "comass"])
+def test_verify_and_comass_load_numpy(argv):
+    assert "numpy" in _loaded_after(argv)[1]
 
 
 def test_python_m_cayley8_runs_the_cli_without_numpy(inputs):

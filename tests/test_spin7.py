@@ -1,5 +1,6 @@
 """Structure form, cross products, splittings, frames, certificate."""
 
+import json
 import math
 import sys
 from fractions import Fraction
@@ -10,10 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from cayley8 import _linalg, calib, spin7
-from cayley8.multivec import (DegreeError, DimensionError, KForm, OrientedPlane,
-                              Vector, blades, flat, is_exact, pullback,
-                              random_form, random_vector, scalar, sharp)
+from cayley8 import _linalg, calib, cli, spin7
+from cayley8.multivec import (DEFAULT_TOL, DegreeError, DimensionError, KForm,
+                              OrientedPlane, Vector, blades, flat, is_exact, is_zero,
+                              pullback, random_form, random_vector, scalar, sharp)
 
 E = [Vector.basis(8, i) for i in range(1, 9)]
 M = spin7.standard_model(exact=True)
@@ -294,7 +295,10 @@ def test_certificate_residuals():
     bad = {c.name: c for c in spin7.is_spin7_form(KForm.monomial(8, 1, 2, 3, 4)).checks}
     assert bad["self-dual"].residual == 1.0   # star(e^1234) - e^1234 = e^5678 - e^1234
     assert bad["norm"].residual == 13.0
-    assert bad["lambda2 spectrum"].residual == 1.0
+    # L swaps e^56 with e^78 (and so on) by signs and is 0 on the other 22
+    # 2-blades: |(L+3)(L-1)|^2 = 6*4 + 6*4 + 22*9 = 246, |L+3|^2 = 258, |L-1|^2 = 34
+    assert bad["lambda2 spectrum"].residual == math.sqrt(246 / (258 * 34))
+    # no generator has a component on a blade whose dual it meets
     assert bad["lambda4 dims"].residual == 1.0
     perturbed = MF.phi + 0.05 * KForm.monomial(8, 1, 2, 3, 5)
     sd = spin7.is_spin7_form(perturbed).checks[0]
@@ -302,6 +306,126 @@ def test_certificate_residuals():
     assert spin7.is_spin7_form(spin7.phi0()).checks[0].as_dict() == {
         "name": "self-dual", "passed": True, "residual": 0.0,
         "detail": "star(phi) == phi"}
+
+
+#: phi0 pulled back through an SO(8) rotation plus 1.0064e-8 (e^4578 + e^1236),
+#: the 70 coefficients in lexicographic blade order.  LAPACK's
+#: divide-and-conquer SVD does not converge on its ``L + 3``, so a
+#: certificate that read kernel dimensions from SVDs raised on it.
+SVD_TRAP = [
+    0.0379414684784521, 0.23109849384856737, 0.3752810953191294, -0.16155128283305797,
+    0.8821673430676508, -0.716532241582248, 0.5046988808483882, -0.4666634847791282,
+    -0.11245542844613171, 0.4158133838258402, 0.49662997780771967, -0.116760129702102,
+    0.6105431144205552, 0.2424448019338852, 0.36975957805734516, -0.655051439110109,
+    -0.4682874090916581, 0.3926490950275737, 0.44272073336328377, -0.42373534748269054,
+    -0.5795145188078985, 0.045960592307677024, 0.6784332699239007, -0.006903846010152294,
+    0.15368504136783612, -0.18799128792200798, -0.14872034427035086, -0.0055401948005408,
+    -0.39067756658472325, 0.5813916552458168, 0.6732794206831031, -0.10813580654867952,
+    -0.774928066424568, 0.619443697341194, 0.051410991076979426, 0.05141099107697937,
+    -0.6194436973411936, -0.7749280664245675, 0.10813580654868002, 0.673279420683103,
+    -0.5813916552458165, -0.39067756658472313, -0.0055401948005412115, 0.14872034427035108,
+    -0.18799128792200828, -0.1536850413678364, -0.006903846010151598, -0.6784332699239013,
+    -0.04596059230767651, -0.5795145188078987, 0.42373534748269015, 0.4427207333632831,
+    -0.3926490950275737, -0.46828740909165795, 0.6550514391101083, 0.369759578057345,
+    -0.2424448019338851, 0.6105431144205559, -0.11676012970210223, -0.4966299778077198,
+    0.4158133838258398, 0.1124554284461316, -0.46666348477912867, -0.5046988808483874,
+    -0.7165322415822473, 0.8821673430676509, 0.1615512828330577, 0.37528109531912934,
+    -0.23109849384856743, 0.0379414684784526,
+]
+
+
+def test_certificate_and_plane_survive_a_form_that_stalls_the_svd(tmp_path, capsys):
+    form = KForm(8, 4, dict(zip(blades(8, 4), SVD_TRAP)))
+    spin7._certify.cache_clear()
+    checks = {c.name: c for c in spin7.is_spin7_form(form).checks}
+    # |phi|^2 = 14 + 1.5e-8, and each identity is off by about 1e-9 of its scale
+    assert [name for name, c in checks.items() if not c.passed] == [
+        "norm", "lambda2 spectrum", "lambda4 dims"]
+    form_path, plane_path = tmp_path / "form.json", tmp_path / "plane.json"
+    form_path.write_text(json.dumps({"dim": 8, "degree": 4, "terms": [
+        {"blade": list(b), "coeff": c} for b, c in zip(blades(8, 4), SVD_TRAP)]}))
+    plane_path.write_text(json.dumps({"dim": 8, "degree": 4, "vectors": [
+        [1 if j == i else 0 for j in range(8)] for i in range(4)]}))
+    spin7._certify.cache_clear()
+    assert cli.main(["plane", "--form", str(form_path), "--vectors", str(plane_path)]) in (0, 1)
+    assert "input error" not in capsys.readouterr().err
+
+
+def _kernel_dimension_verdict(phi: KForm) -> bool:
+    """The certificate as it read kernel dimensions and ranks, kept as the
+    SVD reference: self-duality and norm 14 as ``spin7`` checks them, then
+    kernels of dimensions 7 and 21 of ``L + 3`` and ``L - 1`` at
+    ``EIGEN_CLUSTER_TOL``, rank 7 of the generators and 27 self-dual forms
+    orthogonal to phi and to them, at ``SINGULAR_TOL``.  It stops at the
+    first failing check, so no SVD runs on a form the first two refuse."""
+    if not ((phi.hodge() - phi).is_zero(DEFAULT_TOL)
+            and is_zero(phi.norm_sq() - 14, 100 * DEFAULT_TOL)):
+        return False
+    op = _lambda2_columns(phi, is_exact(phi.coeffs.values()))
+    for lam, dim in spin7.LAMBDA2_SPECTRUM.items():
+        shifted = [[x - lam if i == j else x for j, x in enumerate(row)]
+                   for i, row in enumerate(op)]
+        if len(_linalg.nullspace(shifted, spin7.EIGEN_CLUSTER_TOL)) != dim:
+            return False
+    basis4 = blades(8, 4)
+    rows = [[f.coeffs.get(b, 0) for b in basis4]
+            for f in [phi] + spin7._lambda4_7_generators(phi)]
+    sd = _linalg.nullspace([[con[i] + sign * con[j] for i, j, sign in spin7._self_dual_pairs()]
+                            for con in rows])
+    return (70 - len(_linalg.nullspace(rows[1:])), len(sd)) == (7, 27)
+
+
+def _rotated_phi0(raw) -> KForm:
+    """The float phi0 pulled back through the rotation of the QR of ``raw``
+    (any orthogonal matrix; a det of -1 is flipped to +1)."""
+    q, _ = np.linalg.qr(raw)
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return pullback(MF.phi, [Vector(q[:, j]) for j in range(8)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(hnp.arrays(np.float64, (8, 8), elements=st.floats(-1, 1)),
+       st.sampled_from(blades(8, 4)), st.booleans(),
+       st.sampled_from([0.0, 1e-15, 1e-14, 1e-13, 1e-7, 1e-6, 1e-4, 1e-2]))
+def test_identity_and_kernel_certificates_agree_away_from_the_gate(raw, blade, dual, eps):
+    # a rotated phi0 passes, and so does a perturbation eps (e^b + star e^b)
+    # or eps e^b up to eps = 1e-13; from 1e-7 on, both refuse it
+    e = KForm(8, 4, {blade: 1.0})
+    form = _rotated_phi0(raw) + eps * (e + e.hodge() if dual else e)
+    want = eps <= 1e-13
+    assert spin7.is_spin7_form(form).passed is want
+    assert _kernel_dimension_verdict(form) is want
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("make", [spin7.phi0, calib.sl_model_form, calib.coassoc_model_form])
+def test_model_forms_satisfy_every_identity_exactly(make, exact):
+    form = make() if exact else make().as_float()
+    spin7._certify.cache_clear()
+    cert = spin7.is_spin7_form(form)
+    assert cert.passed and [c.residual for c in cert.checks] == [0.0] * 4
+    assert _kernel_dimension_verdict(form)
+
+
+@given(st.sampled_from(sorted(spin7.PHI0_TERMS)), st.booleans())
+def test_a_sign_flip_in_phi0_fails_the_identities(blade, with_dual):
+    # flipping a blade together with its dual keeps phi self-dual and of
+    # norm 14: then the identities alone refuse it
+    terms = dict(spin7.PHI0_TERMS)
+    for b in [blade, tuple(i for i in range(1, 9) if i not in blade)][:1 + with_dual]:
+        terms[b] = -terms[b]
+    checks = {c.name: c for c in spin7.is_spin7_form(KForm(8, 4, terms)).checks}
+    assert checks["self-dual"].passed is with_dual and checks["norm"].passed
+    assert not checks["lambda2 spectrum"].passed and not checks["lambda4 dims"].passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.dictionaries(st.sampled_from(blades(8, 4)),
+                       st.floats(allow_nan=False, allow_infinity=False), max_size=70))
+def test_the_certificate_never_raises_on_a_finite_form(terms):
+    cert = spin7.is_spin7_form(KForm(8, 4, terms))
+    assert cert.passed is all(c.passed for c in cert.checks)
 
 
 @pytest.mark.parametrize("residual, exact, passed", [
@@ -440,10 +564,10 @@ def _count_exact_certifications(monkeypatch):
     calls = []
     check = spin7._check_lambda2_spectrum
 
-    def counting(op):
-        if is_exact(x for row in op for x in row):
+    def counting(op, exact):
+        if exact:
             calls.append(1)
-        return check(op)
+        return check(op, exact)
 
     monkeypatch.setattr(spin7, "_check_lambda2_spectrum", counting)
     return calls
@@ -612,12 +736,8 @@ def test_lambda2_matrix_matches_column_build(data, exact):
     phi = _random_form(data, 4, exact)
     if data.draw(st.booleans()):
         phi = phi + (spin7.phi0() if exact else spin7.phi0().as_float())
-    got = spin7._lambda2_dense(spin7._lambda2_rows(phi), exact)
-    want = _lambda2_columns(phi, exact)
-    if exact:
-        assert got == want
-    else:
-        assert np.array_equal(got, np.array(want, dtype=float))
+    got = spin7._lambda2_dense(spin7._lambda2_rows(phi))
+    assert got == _lambda2_columns(phi, exact)
 
 
 def _slot_sum(phi, generator):
