@@ -13,8 +13,8 @@ volume form, and the complex structure J, normalized so that
 ``omega^4 = 3/2 Omega ^ conj(Omega)``.
 
 numpy is imported inside the functions that make arrays, as in
-``multivec``, ``_linalg`` and ``spin7``, so importing this module (and a
-cold ``cayley8 plane``) loads no numpy.
+``multivec`` and ``_linalg`` (``spin7`` makes none), so importing this
+module, and a cold ``cayley8 plane``, loads no numpy.
 """
 
 from __future__ import annotations

@@ -23,10 +23,8 @@ handler imports what its command runs.  ``index`` loads ``index`` alone
 (not even ``fractions``), ``surgery`` loads ``surgery`` and ``index``,
 and ``reproduce`` loads those two and ``reproduce``; none of the three
 loads numpy or ``dataclasses``.  ``plane`` loads the geometry modules
-but not numpy, in either mode and for a builtin or a JSON form; numpy
-loads only to list the eigenvalues of a form that fails the structure
-certificate.  ``verify`` and ``comass`` load the geometry stack with
-numpy.
+but not numpy, in either mode and for any form.  ``verify`` and
+``comass`` load the geometry stack with numpy.
 """
 
 from __future__ import annotations

@@ -5,9 +5,10 @@ Importing ``cayley8.cli`` loads no other module of the package, nor
 arithmetic commands (``index``, ``surgery``, ``reproduce``) never load
 the geometry stack or ``dataclasses``, and ``index`` loads neither
 ``fractions`` nor the other two arithmetic modules.  ``plane`` loads the
-geometry modules but not numpy, in float and exact mode and for a builtin
-or a JSON form: importing ``cayley8.calib`` loads no numpy, and the
-structure certificate decides by polynomial identities.  ``verify`` and
+geometry modules but not numpy, in float and exact mode, for a builtin or
+a JSON form and for a form that fails the structure certificate:
+importing ``cayley8.calib`` loads no numpy, and the certificate decides
+by polynomial identities.  ``verify`` and
 ``comass`` load numpy.  Each case runs in a fresh interpreter, because
 the test process has long since imported everything, and lists which of
 the watched modules the probe added to ``sys.modules`` after start-up,
@@ -32,11 +33,13 @@ GEOMETRY = ("numpy", "numpy.random", "cayley8.multivec", "cayley8.spin7", "cayle
 #: what a cold ``index`` call leaves unloaded
 LEAN = ("dataclasses", "fractions", "cayley8.surgery", "cayley8.reproduce")
 
-#: the cold ``plane`` calls: float and exact mode, builtin and JSON form
+#: the cold ``plane`` calls: float and exact mode, builtin and JSON form, and
+#: a degree-4 form on R^8 that fails the structure certificate
 PLANES = {f"{mode}-{form}": [*(["--exact"] if mode == "exact" else []), "plane",
                              "--form", "builtin:spin7" if form == "builtin" else "{form}",
                              "--vectors", "{plane}"]
           for mode in ("float", "exact") for form in ("builtin", "json")}
+PLANES["float-not-spin7"] = ["plane", "--form", "builtin:wirtinger2", "--vectors", "{plane}"]
 
 _PROBE = """
 import contextlib, io, json, sys
@@ -135,8 +138,6 @@ def test_importing_calib_loads_no_numpy():
 
 @pytest.mark.parametrize("case", sorted(PLANES))
 def test_plane_loads_no_numpy(inputs, case):
-    """numpy loads during certification only to list the eigenvalues of a
-    failing form, and phi0 passes."""
     code, loaded = _loaded_after([a.format(**inputs) for a in PLANES[case]])
     assert code == 0 and "cayley8.calib" in loaded and "cayley8.spin7" in loaded
     assert "numpy" not in loaded and "numpy.random" not in loaded
