@@ -8,11 +8,11 @@ the geometry stack or ``dataclasses``, and ``index`` loads neither
 geometry modules but not numpy, in float and exact mode, for a builtin or
 a JSON form and for a form that fails the structure certificate:
 importing ``cayley8.calib`` loads no numpy, and the certificate decides
-by polynomial identities.  ``verify`` and
-``comass`` load numpy.  Each case runs in a fresh interpreter, because
-the test process has long since imported everything, and lists which of
-the watched modules the probe added to ``sys.modules`` after start-up,
-so a module that a ``site`` hook preloads never counts.
+by polynomial identities.  ``verify`` and ``comass`` load numpy.  Each
+case runs in a fresh interpreter, because the test process has long
+since imported everything, and lists which of the watched modules the
+probe added to ``sys.modules`` after start-up, so a module that a
+``site`` hook preloads never counts.
 """
 
 import importlib.util

@@ -298,7 +298,8 @@ def test_certificate_residuals():
     # L swaps e^56 with e^78 (and so on) by signs and is 0 on the other 22
     # 2-blades: |(L+3)(L-1)|^2 = 6*4 + 6*4 + 22*9 = 246, |L+3|^2 = 258, |L-1|^2 = 34
     assert bad["lambda2 spectrum"].residual == math.sqrt(246 / (258 * 34))
-    # no generator has a component on a blade whose dual it meets
+    # each generator of e^1234 vanishes on the dual of every blade it meets,
+    # so the self-dual identity reads |G| / |G| = 1
     assert bad["lambda4 dims"].residual == 1.0
     perturbed = MF.phi + 0.05 * KForm.monomial(8, 1, 2, 3, 5)
     sd = spin7.is_spin7_form(perturbed).checks[0]
