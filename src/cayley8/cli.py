@@ -241,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the identity suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=60)
+    p.add_argument("--trials", type=int, default=60,
+                   help="random trials of each floating row (default 60); exact rows "
+                        "run the trials that their stated false-pass bound needs")
     p.add_argument("--form", default=None,
                    help="builtin:<name> or a form JSON file to inject")
     p.set_defaults(fn=cmd_verify)

@@ -241,11 +241,11 @@ def _rows_to_forms(rows, dim: int, degree: int) -> List[KForm]:
 
 def _lambda2_rows(phi: KForm) -> Dict[Tuple[int, int], tuple]:
     """``L``, the map ``a -> star(a ^ phi)``, sparsely: ``l -> ((k, c), ...)``
-    with ``star(e^l ^ phi) = sum c e^k``, from the kernel tables over
-    ``phi``'s blades in ``KForm.wedge``'s order."""
-    wedge, four = _wedge_table(8, 2, 4), _positions(8, 4)
+    with ``star(e^l ^ phi) = sum c e^(k-th 2-blade)``, from the kernel tables
+    over ``phi``'s blades in ``KForm.wedge``'s order."""
+    wedge, four, two = _wedge_table(8, 2, 4), _positions(8, 4), _positions(8, 2)
     star = [_hodge_table(8, 6)[b] for b in blades(8, 6)]  # by position
-    return {l: tuple((star[k][0], star[k][1] * (1 if positive else -1) * c)
+    return {l: tuple((two[star[k][0]], star[k][1] * (1 if positive else -1) * c)
                      for b, c in phi.coeffs.items() if wedge[l][four[b]] is not None
                      for k, positive in [wedge[l][four[b]]])
             for l in blades(8, 2)}
@@ -255,7 +255,7 @@ def _lambda2_dense(rows: Dict[Tuple[int, int], tuple]) -> List[list]:
     """The dense view of :func:`_lambda2_rows` as row lists over the lexicographic
     2-blades: entry (k, l) is the coefficient of ``e^k`` in ``star(e^l ^ phi)``."""
     cols = [dict(rows[l]) for l in blades(8, 2)]
-    return [[col.get(k, 0) for col in cols] for k in blades(8, 2)]
+    return [[col.get(k, 0) for col in cols] for k in range(len(cols))]
 
 
 def _shifted(op: List[list], lam) -> List[list]:
@@ -510,14 +510,22 @@ def unchecked_model(phi: KForm) -> Spin7Model:
 
 def _minus_l(m: Spin7Model, a: KForm) -> KForm:
     """``a - L a``; ``L a`` is summed in full before the subtraction, so
-    every float equals that of ``a - star(a ^ phi)`` bit for bit.  Callers
-    divide the result, or a residual built from it, once."""
-    la = {}
+    every float equals that of ``a - star(a ^ phi)`` bit for bit.  As in
+    ``KForm.wedge``, ``L a`` is summed into a list by 2-blade position and
+    keyed in first-touch order.  Callers divide the result, or a residual
+    built from it, once."""
+    rows, out = m.lambda2_rows, blades(8, 2)
+    acc, order = [None] * len(out), []
     for l, cl in a.coeffs.items():
         # a blade of another degree has no row: then the subtraction raises
-        for k, c in m.lambda2_rows.get(l, ()):
-            la[k] = la.get(k, 0) + c * cl
-    return a - KForm._trusted(8, 2, la)
+        for k, c in rows.get(l, ()):
+            term, s = c * cl, acc[k]
+            if s is None:
+                acc[k] = term
+                order.append(k)
+            else:
+                acc[k] = s + term
+    return a - KForm._trusted(8, 2, {out[k]: acc[k] for k in order})
 
 
 def proj2_7(m: Spin7Model, a: KForm) -> KForm:

@@ -22,6 +22,19 @@ from .multivec import (KForm, OrientedPlane, Vector, divide, flat,
                        random_form, random_vector, restrict, sharp)
 from .spin7 import CheckResult, form_residual
 
+#: Exact mode draws every entry of a polynomial row uniformly from
+#: ``[-DRAW_BOUND, DRAW_BOUND)``, a set of ``2 * DRAW_BOUND`` values.
+DRAW_BOUND = 2 ** 62
+
+#: An exact polynomial row runs the fewest trials that bound the chance
+#: that a wrong identity passes it by ``2 ** -FALSE_PASS_BITS``.
+FALSE_PASS_BITS = 200
+
+
+def _false_pass_bits(degree: int, trials: int) -> int:
+    """The largest ``N`` with ``(degree / (2 * DRAW_BOUND)) ** trials <= 2 ** -N``."""
+    return ((2 * DRAW_BOUND) ** trials // degree ** trials).bit_length() - 1
+
 
 class _Suite:
     def __init__(self, exact: bool, seed: int, trials: int):
@@ -39,7 +52,39 @@ class _Suite:
         self.outcomes.append(replace(report, name=name, detail=detail))
 
     def vectors(self, count: int):
-        return [random_vector(self.rng, 8, exact=self.exact) for _ in range(count)]
+        if self.exact:
+            return [Vector(self.rng.integers(-DRAW_BOUND, DRAW_BOUND, size=8).tolist())
+                    for _ in range(count)]
+        return [random_vector(self.rng, 8, exact=False) for _ in range(count)]
+
+    def form(self, degree: int) -> KForm:
+        # random_form's span of 2 DRAW_BOUND - 1 draws from [-DRAW_BOUND, DRAW_BOUND)
+        return random_form(self.rng, 8, degree, exact=self.exact, span=2 * DRAW_BOUND - 1)
+
+    def polynomial(self, name: str, degree: int, count: int, trial, noun: str,
+                   per_trial: int):
+        """Record a row whose identity is a polynomial of ``degree`` in the
+        entries its trials draw; ``trial()`` draws once and returns that
+        trial's ``per_trial`` residuals.
+
+        Floating, the row runs ``count`` trials.  Exact, it runs the fewest
+        that its bound needs, whatever ``count`` is: a wrong identity leaves
+        a nonzero polynomial of degree at most ``degree``, which vanishes at
+        a uniform draw from ``2 * DRAW_BOUND`` values with probability at most
+        ``degree / (2 * DRAW_BOUND)`` (Schwartz 1980, Zippel 1979), so ``k``
+        independent trials all pass with probability at most its ``k``-th
+        power; the row runs the fewest ``k`` that bound it by
+        ``2 ** -FALSE_PASS_BITS`` and its detail states the bound.
+        """
+        if self.exact:
+            count = 1
+            while _false_pass_bits(degree, count) < FALSE_PASS_BITS:
+                count += 1
+            detail = (f"{count} random {noun or 'draws'}; "
+                      f"false pass <= 2^-{_false_pass_bits(degree, count)}")
+        else:
+            detail = f"{count} random {noun}" if noun else ""
+        self.record(name, [r for _ in range(count) for r in trial()], detail, per_trial)
 
     def constant(self, form: KForm) -> KForm:
         """An exact constant form in the suite's mode."""
@@ -90,33 +135,30 @@ def _check_structure_form(s: _Suite, phi: KForm):
     # the residual once: exact inputs stay in integers, and a float residual
     # has the bits of the halved identity's.  inner-tau and the 21-component
     # row keep the public cross2, tau and proj2_7 checked.
-    residuals = []
-    for _ in range(s.trials):
+    def inner_cross():
         a, b, c, d = s.vectors(4)
         lhs = spin7._doubled_cross2(raw, a, b).inner(spin7._doubled_cross2(raw, c, d))
         rhs = -phi.evaluate(a, b, c, d) + a.dot(c) * b.dot(d) - a.dot(d) * b.dot(c)
-        residuals.append(divide(abs(lhs - 4 * rhs), 4))
-    s.record("inner-cross-2", residuals, f"{s.trials} random quadruples")
+        return [divide(abs(lhs - 4 * rhs), 4)]
+    s.polynomial("inner-cross-2", 4, s.trials, inner_cross, "quadruples", 1)
 
-    residuals = []
-    for _ in range(max(3, s.trials // 4)):
+    def inner_tau():
         a, b, c, d, v, w = s.vectors(6)
         lhs = spin7.tau(raw, a, b, c, d).inner(spin7.cross2(raw, v, w))
         rhs = (flat(w).wedge(phi.contract(v))
                - flat(v).wedge(phi.contract(w))).evaluate(a, b, c, d)
-        residuals.append(abs(lhs - rhs))
-    s.record("inner-tau", residuals, f"{max(3, s.trials // 4)} random inputs")
+        return [abs(lhs - rhs)]
+    s.polynomial("inner-tau", 6, max(3, s.trials // 4), inner_tau, "inputs", 1)
 
-    residuals = []
-    for _ in range(s.trials):
+    def norms():
         u, v, w = s.vectors(3)
         vw = flat(v).wedge(flat(w))
-        # 2 v x w = 4 pi7(v ^ w), read from the wedge the right side takes
-        residuals.append(divide(abs(spin7._minus_l(raw, vw).norm_sq() - 4 * vw.norm_sq()), 4))
         c3 = spin7.cross3(raw, u, v, w)
         triple = flat(u).wedge(flat(v)).wedge(flat(w))
-        residuals.append(abs(c3.norm_sq() - triple.norm_sq()))
-    s.record("|vxw| == |v^w| and |uxvxw| == |u^v^w|", residuals, per_trial=2)
+        # 2 v x w = 4 pi7(v ^ w), read from the wedge the right side takes
+        return [divide(abs(spin7._minus_l(raw, vw).norm_sq() - 4 * vw.norm_sq()), 4),
+                abs(c3.norm_sq() - triple.norm_sq())]
+    s.polynomial("|vxw| == |v^w| and |uxvxw| == |u^v^w|", 6, s.trials, norms, "", 2)
 
     cert = spin7.is_spin7_form(phi)
     s.record("structure certificate", [0.0 if cert.passed else 1.0],
@@ -126,41 +168,32 @@ def _check_structure_form(s: _Suite, phi: KForm):
 
 
 def _check_exterior_algebra(s: _Suite):
-    residuals = []
-    for _ in range(s.trials):
-        a = random_form(s.rng, 8, 2, exact=s.exact)
-        b = random_form(s.rng, 8, 1, exact=s.exact)
-        c = random_form(s.rng, 8, 1, exact=s.exact)
+    def wedge():
+        a, b, c = s.form(2), s.form(1), s.form(1)
         ab, bc = a.wedge(b), b.wedge(c)
         assoc = ab.wedge(c) - a.wedge(bc)
         anti = ab - b.wedge(a)  # even-odd degrees commute
         grade = bc + c.wedge(b)  # odd-odd anticommute
-        residuals += [form_residual(assoc), form_residual(anti), form_residual(grade)]
-    s.record("wedge associative and graded-anticommutative", residuals,
-             f"{s.trials} random triples", per_trial=3)
+        return [form_residual(assoc), form_residual(anti), form_residual(grade)]
+    s.polynomial("wedge associative and graded-anticommutative", 3, s.trials, wedge,
+                 "triples", 3)
 
-    residuals = []
-    for _ in range(s.trials):
-        a = random_form(s.rng, 8, 3, exact=s.exact)
-        b = random_form(s.rng, 8, 3, exact=s.exact)
+    def hodge():
+        a, b = s.form(3), s.form(3)
         star_a = a.hodge()
-        residuals.append(abs(star_a.inner(b.hodge()) - a.inner(b)))
-        residuals.append(form_residual(star_a.hodge() - (-1) ** (3 * 5) * a))
-    s.record("hodge isometry and involution sign", residuals, per_trial=2)
+        return [abs(star_a.inner(b.hodge()) - a.inner(b)),
+                form_residual(star_a.hodge() - (-1) ** (3 * 5) * a)]
+    s.polynomial("hodge isometry and involution sign", 2, s.trials, hodge, "", 2)
 
-    residuals = []
-    for _ in range(s.trials):
-        v = random_vector(s.rng, 8, exact=s.exact)
-        a = random_form(s.rng, 8, 3, exact=s.exact)
-        b = random_form(s.rng, 8, 2, exact=s.exact)
-        residuals.append(abs(a.contract(v).inner(b) - a.inner(flat(v).wedge(b))))
-    s.record("contraction adjoint to wedge", residuals)
+    def contraction():
+        (v,), a, b = s.vectors(1), s.form(3), s.form(2)
+        return [abs(a.contract(v).inner(b) - a.inner(flat(v).wedge(b)))]
+    s.polynomial("contraction adjoint to wedge", 3, s.trials, contraction, "", 1)
 
-    residuals = []
-    for _ in range(s.trials):
-        v = random_vector(s.rng, 8, exact=s.exact)
-        residuals += (abs(x) for x in (sharp(flat(v)) - v).components)
-    s.record("sharp(flat(v)) == v", residuals, per_trial=8)
+    def sharp_flat():
+        v, = s.vectors(1)
+        return [abs(x) for x in (sharp(flat(v)) - v).components]
+    s.polynomial("sharp(flat(v)) == v", 1, s.trials, sharp_flat, "", 8)
 
     residuals = []
     for _ in range(max(3, s.trials // 4)):
@@ -185,21 +218,20 @@ def _check_model_level(s: _Suite, trials_light: int):
     s.record("lambda4 dims (1, 7, 27, 35)",
              [0.0 if m.lambda4_dims == (1, 7, 27, 35) else 1.0])
 
-    residuals = []
-    for _ in range(trials_light):
-        a = random_form(s.rng, 8, 2, exact=s.exact)
+    def projections():
+        a = s.form(2)
         q7 = spin7._minus_l(m, a)  # 4 pi7(a)
         q21 = 4 * a - q7  # 4 pi21(a)
-        residuals += [divide(form_residual(spin7._minus_l(m, q7) - 4 * q7), 16),
-                      divide(form_residual(q7 + q21 - 4 * a), 4),
-                      divide(abs(q7.inner(q21)), 16)]
-    s.record("projections idempotent, orthogonal, resolve identity", residuals, per_trial=3)
+        return [divide(form_residual(spin7._minus_l(m, q7) - 4 * q7), 16),
+                divide(form_residual(q7 + q21 - 4 * a), 4),
+                divide(abs(q7.inner(q21)), 16)]
+    s.polynomial("projections idempotent, orthogonal, resolve identity", 2, trials_light,
+                 projections, "", 3)
 
-    residuals = []
-    for _ in range(trials_light):
+    def component21():
         v, w = s.vectors(2)
-        residuals.append(form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w))))
-    s.record("cross2 image has zero 21-component", residuals)
+        return [form_residual(spin7.proj2_21(m, spin7.cross2(m, v, w)))]
+    s.polynomial("cross2 image has zero 21-component", 2, trials_light, component21, "", 1)
 
     s.record("7-summand generators are self-dual",
              [form_residual(gen.hodge() - gen) for gen in m.lambda4_forms(7)])
@@ -247,8 +279,11 @@ def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,
 
     ``form``: run the form-dependent identities against this candidate
     instead of the model form (the model-level checks are skipped).
-    ``trials`` must be >= 0.  Exact checks pass at residual 0, floating
-    ones at residual at most ``spin7.CHECK_TOL``.
+    ``trials`` must be >= 0; it sets the trial counts of floating mode and
+    of exact mode's one floating row.  An exact row on random draws runs
+    the trials its stated bound needs (see ``_Suite.polynomial``) whatever
+    ``trials`` is, so no exact row is vacuous at ``trials=0``.  Exact checks
+    pass at residual 0, floating ones at residual at most ``spin7.CHECK_TOL``.
     """
     if trials < 0:
         raise ValueError(f"trials must be >= 0, got {trials}")

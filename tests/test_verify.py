@@ -1,7 +1,9 @@
 """Rows of the verify suite: the scaled product rows, the public halvings
-they leave to other rows, the nan-safe criteria count, and the position a
-failing row names."""
+they leave to other rows, the nan-safe criteria count, the position a
+failing row names, and the false-pass bound each exact row states and
+keeps against a wrong identity."""
 
+import math
 import re
 from fractions import Fraction
 
@@ -18,6 +20,28 @@ M = spin7.standard_model(exact=True)
 INNER_CROSS = "inner-cross-2"
 NORMS = "|vxw| == |v^w| and |uxvxw| == |u^v^w|"
 PROJECTIONS = "projections idempotent, orthogonal, resolve identity"
+
+#: every exact row on random draws: the degree of its identity in the drawn
+#: entries, and the bound ``N`` of ``false pass <= 2^-N`` it had when it drew
+#: 60 trials (15 for inner-tau, 6 for the last two) from the 10 integers of
+#: [-5, 5), which both random_vector and random_form(span=9) draw from
+POLYNOMIAL_ROWS = {
+    INNER_CROSS: (4, 79),
+    "inner-tau": (6, 11),
+    NORMS: (6, 44),
+    "wedge associative and graded-anticommutative": (3, 104),
+    "hodge isometry and involution sign": (2, 139),
+    "contraction adjoint to wedge": (3, 104),
+    "sharp(flat(v)) == v": (1, 199),
+    PROJECTIONS: (2, 13),
+    "cross2 image has zero 21-component": (2, 13),
+}
+
+#: the float details of those rows at trials=60, which the bound leaves as they were
+FLOAT_DETAILS = {INNER_CROSS: "60 random quadruples", "inner-tau": "15 random inputs",
+                 "wedge associative and graded-anticommutative": "60 random triples"}
+
+BOUND = re.compile(r"^(\d+) random \w+; false pass <= 2\^-(\d+)")
 
 
 def _recorded_rows(exact, seed, trials, form):
@@ -182,3 +206,76 @@ def test_a_failing_row_names_its_worst_residual(monkeypatch, exact):
     i, trial = named.pop(NORMS)
     assert trial == (i - 1) // 2 + 1
     assert named and all(trial is None for _, trial in named.values())
+
+
+@pytest.mark.parametrize("trials", [0, 60])
+def test_every_exact_row_states_a_bound_past_its_old_one(trials):
+    """Each exact row on random draws states ``false pass <= 2^-N`` with N at
+    least ``FALSE_PASS_BITS`` (200) and above its bound at 60 small-range
+    trials, at any ``trials``; ``N`` is ``floor(k log2(2^63 / d))`` for its
+    ``k`` trials and degree ``d``.  Float mode keeps its counts and details."""
+    exact, _ = verify.run_suite(exact=True, trials=trials)
+    floating, _ = verify.run_suite(exact=False, trials=60)
+    stated = {o.name: BOUND.match(o.detail) for o in exact if BOUND.match(o.detail)}
+    assert set(stated) == set(POLYNOMIAL_ROWS)
+    for name, (degree, old) in POLYNOMIAL_ROWS.items():
+        k, bits = int(stated[name][1]), int(stated[name][2])
+        assert bits == math.floor(k * math.log2(2 ** 63 / degree))
+        assert bits >= verify.FALSE_PASS_BITS and bits > old
+        # the fewest trials that reach the target
+        assert k == math.ceil(verify.FALSE_PASS_BITS / math.log2(2 ** 63 / degree)) == 4
+    assert all(o.passed and o.residual == 0 for o in exact if o.name in stated)
+    details = {o.name: o.detail for o in floating if o.name in POLYNOMIAL_ROWS}
+    assert details == {name: FLOAT_DETAILS.get(name, "") for name in POLYNOMIAL_ROWS}
+
+
+def _failing_rows(outcomes, reading):
+    """The names of the rows among ``reading`` that fail, each checked to name
+    its worst residual within the trials its detail states."""
+    failed = []
+    for o in outcomes:
+        if o.name in reading and not o.passed:
+            trials = int(BOUND.match(o.detail)[1])
+            where = re.search(r"worst at residual (\d+) of (\d+)(?:, trial (\d+))?$", o.detail)
+            assert where and int(where[2]) % trials == 0 and int(where[3] or where[1]) <= trials
+            failed.append(o.name)
+    return failed
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), blade=st.sampled_from(blades(8, 2)))
+def test_a_sign_flipped_cross2_fails_inner_tau(seed, blade):
+    """One coefficient of cross2's result negated: inner-tau, which reads the
+    public product, fails within its stated trials on the wide draws."""
+    cross2 = spin7.cross2
+
+    def flipped(m, v, w):
+        x = cross2(m, v, w)
+        return KForm(8, 2, {b: -c if b == blade else c for b, c in x.coeffs.items()})
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spin7, "cross2", flipped)
+        outcomes, _ = verify.run_suite(exact=True, seed=seed, trials=0, form=spin7.phi0())
+    assert _failing_rows(outcomes, {"inner-tau"})
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), blade=st.sampled_from(blades(8, 2)),
+       entry=st.integers(0, 2))
+def test_a_sign_flipped_lambda2_entry_fails_a_row_that_reads_minus_l(seed, blade, entry):
+    """One entry of the ``lambda2_rows`` that ``_minus_l`` reads negated: a row
+    on the unhalved products fails within its stated trials.  The form rows
+    run alone: the model-level operator checks raise on the broken model."""
+    def rows(model):
+        table = dict(spin7._lambda2_rows(model.phi))
+        col = list(table[blade])
+        k, c = col[entry]
+        col[entry] = (k, -c)
+        table[blade] = tuple(col)
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        # a property outranks the cached value, and caches nothing itself
+        mp.setattr(spin7.Spin7Model, "lambda2_rows", property(rows))
+        outcomes, _ = verify.run_suite(exact=True, seed=seed, trials=0, form=spin7.phi0())
+    assert _failing_rows(outcomes, {INNER_CROSS, NORMS})
