@@ -4,10 +4,12 @@ Each row hands all of its residuals to ``CheckResult.judge``, which folds
 them to the worst (a nan among them included) and records one
 :class:`cayley8.spin7.CheckResult` (exact inputs pass only at residual 0);
 the suite keeps the verdicts of :mod:`cayley8.dirac`'s checks, judged
-where they run.  With an injected structure form, only the
-form-dependent checks run (a corrupted form then fails with the violated
-identity named); otherwise the model-level checks (splittings, slices,
-symbols, intertwinings) run as well.
+where they run.  Each exact row on random draws is a Schwartz–Zippel
+test that states its false-pass bound (see ``_Suite.polynomial``).  With
+an injected structure form, only the form-dependent checks run (a
+corrupted form then fails with the violated identity named); otherwise
+the model-level checks (splittings, slices, symbols, intertwinings) run
+as well.
 """
 
 from __future__ import annotations

@@ -216,7 +216,7 @@ def test_every_exact_row_states_a_bound_past_its_old_one(trials):
     ``k`` trials and degree ``d``.  Float mode keeps its counts and details."""
     exact, _ = verify.run_suite(exact=True, trials=trials)
     floating, _ = verify.run_suite(exact=False, trials=60)
-    stated = {o.name: BOUND.match(o.detail) for o in exact if BOUND.match(o.detail)}
+    stated = {o.name: m for o in exact if (m := BOUND.match(o.detail))}
     assert set(stated) == set(POLYNOMIAL_ROWS)
     for name, (degree, old) in POLYNOMIAL_ROWS.items():
         k, bits = int(stated[name][1]), int(stated[name][2])
