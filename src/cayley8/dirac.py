@@ -278,19 +278,14 @@ def symbol_D(cpm: CayleyPointModel, xi: KForm) -> np.ndarray:
 
 
 def _covector_set(count: int, seed: int, exact: bool) -> List[KForm]:
-    """The four basis covectors, then ``count`` standard normal ones drawn from ``seed``.
-
-    In exact mode each drawn entry is the ``Fraction`` of its float, so the
-    random covectors are as exact as the basis ones.
-    """
+    """The four basis covectors, then ``count`` random ones drawn from ``seed``:
+    standard normal entries, or in exact mode the integers of
+    ``[-DRAW_BOUND, DRAW_BOUND)`` (see :func:`cayley8.multivec.random_form`)."""
     one = scalar(1, exact=exact)
-    covs = [KForm(4, 1, {(i,): one}) for i in range(1, 5)]
     rng = np.random.default_rng(seed)
-    entry = Fraction if exact else float
-    for _ in range(count):
-        covs.append(KForm(4, 1, {(i,): entry(x)
-                                 for i, x in zip(range(1, 5), rng.standard_normal(4))}))
-    return covs
+    bound = multivec.DRAW_BOUND if exact else None
+    return ([KForm(4, 1, {(i,): one}) for i in range(1, 5)]
+            + [multivec.random_form(rng, 4, 1, bound) for _ in range(count)])
 
 
 def clifford_check(cpm: CayleyPointModel, trials: int = 16,
@@ -387,10 +382,8 @@ def h_equivariance_check(apm: AssociativePointModel) -> CheckResult:
     rng = np.random.default_rng(0)
     # in exact mode the basis sweep is already exhaustive and exact
     for _ in range(0 if exact else 8):
-        vs.append(Vector(float(x) for x in rng.standard_normal(3)))
-        pairs.append((float(rng.standard_normal()),
-                      KForm(3, 2, {b: float(c) for b, c in
-                                   zip(((1, 2), (1, 3), (2, 3)), rng.standard_normal(3))})))
+        vs.append(multivec.random_vector(rng, 3))
+        pairs.append((float(rng.standard_normal()), multivec.random_form(rng, 3, 2)))
     residuals = []
     hs = [h_iso(apm, f, alpha) for f, alpha in pairs]
     for v in vs:

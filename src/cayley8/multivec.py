@@ -55,7 +55,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # numpy is imported where arrays are made
     import numpy as np
@@ -81,6 +81,11 @@ REPROJECT_RATIO = 1e-6
 #: norm or an orthogonality is accepted within it, and plane membership
 #: within its square (a squared distance).
 PLANE_TOL = 1e-9
+
+#: The package's exact draw range: an exact random input draws each entry
+#: uniformly from ``[-DRAW_BOUND, DRAW_BOUND)`` (``random_vector(rng, dim,
+#: DRAW_BOUND)``), a set of ``2 * DRAW_BOUND`` values.
+DRAW_BOUND = 2 ** 62
 
 
 #: The exact scalar types; every other coefficient is a float.
@@ -734,18 +739,19 @@ def pullback_to_plane(a: KForm, plane: OrientedPlane) -> KForm:
 
 
 def random_form(rng: np.random.Generator, dim: int, degree: int,
-                exact: bool = False, span: int = 9) -> KForm:
-    """Random form for tests: one draw, the values of one scalar draw per blade."""
+                bound: Optional[int] = None) -> KForm:
+    """Random form, one value per blade in lexicographic order, drawn as
+    :func:`random_vector` draws them: standard normal floats, or with
+    ``bound`` the ints of ``[-bound, bound)``; zero values are dropped."""
     basis = blades(dim, degree)
-    if exact:
-        values = rng.integers(-span // 2, span // 2 + 1, size=len(basis))
-    else:
-        values = rng.standard_normal(len(basis))
-    return KForm._trusted(dim, degree, dict(zip(basis, values.tolist())))
+    values = random_vector(rng, len(basis), bound).components
+    return KForm._trusted(dim, degree, dict(zip(basis, values)))
 
 
-def random_vector(rng: np.random.Generator, dim: int, exact: bool = False) -> Vector:
-    """Random vector for property tests; exact mode draws integers in [-5, 5)."""
-    if exact:
-        return Vector(rng.integers(-5, 5, size=dim).tolist())
-    return Vector(float(x) for x in rng.standard_normal(dim))
+def random_vector(rng: np.random.Generator, dim: int, bound: Optional[int] = None) -> Vector:
+    """Random vector: ``dim`` standard normal floats from one ``standard_normal``
+    call, or with ``bound`` the Python ints of ``[-bound, bound)``, uniform, from
+    one ``integers`` call: ``2 * bound`` values per entry."""
+    if bound is None:
+        return Vector(rng.standard_normal(dim).tolist())
+    return Vector(rng.integers(-bound, bound, size=dim).tolist())

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 from . import _linalg
 from .multivec import (DEFAULT_TOL, PLANE_TOL, KForm, OrientedPlane, Vector,
                        _hodge_table, _positions, _wedge_table, blades, divide, flat,
-                       is_exact, is_zero, pullback, scalar, sharp)
+                       is_exact, is_zero, pullback, random_vector, scalar, sharp)
 
 if TYPE_CHECKING:  # for an annotation: this module makes no numpy arrays
     import numpy as np
@@ -59,9 +59,6 @@ PHI0_TERMS: Dict[Tuple[int, ...], int] = {
 #: Expected eigenstructure of a -> star(a ^ phi) on 2-forms: eigenvalue ->
 #: multiplicity, which is also the dimension of the eigenspace summand.
 LAMBDA2_SPECTRUM = {-3: 7, 1: 21}
-
-#: Expected dimensions of the 4-form summands.
-LAMBDA4_DIMS = (1, 7, 27, 35)
 
 
 class Spin7StructureError(ValueError):
@@ -204,7 +201,6 @@ class Spin7Model:
     exact: bool
     lambda2_op: object = field(repr=False)
     bases: Dict[Tuple[int, int], object] = field(repr=False)
-    lambda4_dims: Tuple[int, ...] = ()
 
     def _basis(self, degree: int, dim: int) -> list:
         rows = self.bases[degree, dim]
@@ -347,14 +343,9 @@ def _self_dual_pairs() -> Tuple[Tuple[int, int, int], ...]:
     Indices run over the lexicographic 4-blades; each self-dual row is
     ``e_i + sign e_j`` and each anti-self-dual row ``e_i - sign e_j``.
     """
-    basis4 = blades(8, 4)
-    index = {b: i for i, b in enumerate(basis4)}
-    pairs = []
-    for i, b in enumerate(basis4):
-        [(comp, sign)] = KForm(8, 4, {b: 1}).hodge().coeffs.items()
-        if i < index[comp]:
-            pairs.append((i, index[comp], sign))
-    return tuple(pairs)
+    index, star = _positions(8, 4), _hodge_table(8, 4)
+    return tuple((i, index[comp], sign) for b, i in index.items()
+                 for comp, sign in [star[b]] if i < index[comp])
 
 
 def _anti_self_dual_rows(pairs, exact: bool) -> list:
@@ -484,8 +475,7 @@ def build_model(phi: KForm) -> Spin7Model:
     if ingredients is None:
         raise Spin7StructureError(cert)
     exact, op, bases = ingredients
-    return Spin7Model(phi=phi, exact=exact, lambda2_op=op, bases=bases,
-                      lambda4_dims=LAMBDA4_DIMS)
+    return Spin7Model(phi=phi, exact=exact, lambda2_op=op, bases=bases)
 
 
 def standard_model(exact: bool = True) -> Spin7Model:
@@ -643,7 +633,7 @@ def random_spin7_frame(m: Spin7Model, rng: np.random.Generator) -> Frame8:
     draw raises ``DegeneratePlaneError`` and a failed completion
     :class:`FramePreconditionError`.
     """
-    raw = [Vector(float(x) for x in rng.standard_normal(8)) for _ in range(4)]
+    raw = [random_vector(rng, 8) for _ in range(4)]
     e1, e2, e3 = OrientedPlane(raw[:3]).orthonormal_basis
     e5 = OrientedPlane([e1, e2, e3, cross3(m, e1, e2, e3), raw[3]]).orthonormal_basis[4]
     return complete_frame(m, e1, e2, e3, e5)

@@ -9,24 +9,22 @@ test that states its false-pass bound (see ``_Suite.polynomial``).  With
 an injected structure form, only the form-dependent checks run (a
 corrupted form then fails with the violated identity named); otherwise
 the model-level checks (splittings, slices, symbols, intertwinings) run
-as well.
+as well; a point model that raises on a broken model fails the rows that
+read it (see ``_Suite.rows``).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from . import calib, dirac, g2 as g2mod, spin7
-from .multivec import (KForm, OrientedPlane, Vector, divide, flat,
+from .multivec import (DRAW_BOUND, KForm, OrientedPlane, Vector, divide, flat,
                        random_form, random_vector, restrict, sharp)
 from .spin7 import CheckResult, form_residual
-
-#: Exact mode draws every entry of a polynomial row uniformly from
-#: ``[-DRAW_BOUND, DRAW_BOUND)``, a set of ``2 * DRAW_BOUND`` values.
-DRAW_BOUND = 2 ** 62
 
 #: An exact polynomial row runs the fewest trials that bound the chance
 #: that a wrong identity passes it by ``2 ** -FALSE_PASS_BITS``.
@@ -41,6 +39,7 @@ def _false_pass_bits(degree: int, trials: int) -> int:
 class _Suite:
     def __init__(self, exact: bool, seed: int, trials: int):
         self.exact = exact
+        self.bound = DRAW_BOUND if exact else None
         self.rng = np.random.default_rng(seed)
         self.trials = trials
         self.outcomes: List[CheckResult] = []
@@ -54,14 +53,24 @@ class _Suite:
         self.outcomes.append(replace(report, name=name, detail=detail))
 
     def vectors(self, count: int):
-        if self.exact:
-            return [Vector(self.rng.integers(-DRAW_BOUND, DRAW_BOUND, size=8).tolist())
-                    for _ in range(count)]
-        return [random_vector(self.rng, 8, exact=False) for _ in range(count)]
+        return [random_vector(self.rng, 8, self.bound) for _ in range(count)]
 
     def form(self, degree: int) -> KForm:
-        # random_form's span of 2 DRAW_BOUND - 1 draws from [-DRAW_BOUND, DRAW_BOUND)
-        return random_form(self.rng, 8, degree, exact=self.exact, span=2 * DRAW_BOUND - 1)
+        return random_form(self.rng, 8, degree, self.bound)
+
+    @contextmanager
+    def rows(self, *names: str):
+        """Run a block that records the rows ``names`` and yield the names.  A
+        ``ValueError`` the block raises fails each of them it has not recorded,
+        with the exception named in the detail, and the suite goes on."""
+        start = len(self.outcomes)
+        try:
+            yield names
+        except ValueError as exc:
+            done = {o.name for o in self.outcomes[start:]}
+            for name in names:
+                if name not in done:
+                    self.record(name, [1.0], f"raised {type(exc).__name__}: {exc}")
 
     def polynomial(self, name: str, degree: int, count: int, trial, noun: str,
                    per_trial: int):
@@ -199,8 +208,8 @@ def _check_exterior_algebra(s: _Suite):
 
     residuals = []
     for _ in range(max(3, s.trials // 4)):
-        a = random_form(s.rng, 8, 4, exact=False)
-        vs = [random_vector(s.rng, 8, exact=False) for _ in range(4)]
+        a = random_form(s.rng, 8, 4)
+        vs = [random_vector(s.rng, 8) for _ in range(4)]
         try:
             p1 = OrientedPlane(vs)
             p2 = OrientedPlane([vs[1], vs[0], vs[2], vs[3]])
@@ -217,8 +226,8 @@ def _check_model_level(s: _Suite, trials_light: int):
     evals = m.lambda2_eigenvalues()
     s.record("lambda2 eigenvalues (-3 x7, +1 x21)",
              [0.0 if evals == {-3.0: 7, 1.0: 21} else 1.0])
-    s.record("lambda4 dims (1, 7, 27, 35)",
-             [0.0 if m.lambda4_dims == (1, 7, 27, 35) else 1.0])
+    lambda4 = next(c for c in spin7.is_spin7_form(m.phi).checks if c.name == "lambda4 dims")
+    s.record("lambda4 dims (1, 7, 27, 35)", [0.0 if lambda4.passed else 1.0])
 
     def projections():
         a = s.form(2)
@@ -257,22 +266,27 @@ def _check_model_level(s: _Suite, trials_light: int):
     s.record("cayley criteria agree on random planes", [float(disagree)],
              f"planes of 2000 with |value^2 + |tau|^2 - 1| > {calib.AGREEMENT_TOL:g}")
 
+    # a point model raises at a plane its model does not calibrate
     e = [Vector.basis(8, i, exact=s.exact) for i in range(1, 9)]
-    cpm = dirac.build_cayley_model(m, OrientedPlane(e[:4]))
-    rep = dirac.clifford_check(cpm, trials=0 if s.exact else 8,
-                               seed=int(s.rng.integers(2**31)))
-    s.keep(rep, "clifford relation of the symbol",
-           "basis covectors only" if s.exact else "basis and random covectors")
-    s.keep(dirac.asd_embedding_report(cpm), "plane ASD forms embed conformally opposite E", "")
+    with s.rows("clifford relation of the symbol",
+                "plane ASD forms embed conformally opposite E") as (clifford, asd):
+        cpm = dirac.build_cayley_model(m, OrientedPlane(e[:4]))
+        rep = dirac.clifford_check(cpm, trials=0 if s.exact else 8,
+                                   seed=int(s.rng.integers(2**31)))
+        s.keep(rep, clifford, "basis covectors only" if s.exact else "basis and random covectors")
+        s.keep(dirac.asd_embedding_report(cpm), asd, "")
 
-    apm = dirac.build_associative_model(g2m, OrientedPlane(e7[:3]))
-    s.keep(dirac.h_equivariance_check(apm), "h intertwines the Clifford actions", "")
+    with s.rows("h intertwines the Clifford actions") as (name,):
+        apm = dirac.build_associative_model(g2m, OrientedPlane(e7[:3]))
+        s.keep(dirac.h_equivariance_check(apm), name, "")
 
-    m_sl = spin7.build_model(s.constant(calib.sl_model_form()))
-    rep = dirac.sl_symbol_intertwine(m_sl, trials=6, seed=7)
-    s.keep(rep, "special Lagrangian symbol intertwining", rep.detail)
-    rep = dirac.coassoc_symbol_intertwine(m, trials=6, seed=7)
-    s.keep(rep, "coassociative symbol intertwining", rep.detail)
+    with s.rows("special Lagrangian symbol intertwining") as (name,):
+        m_sl = spin7.build_model(s.constant(calib.sl_model_form()))
+        rep = dirac.sl_symbol_intertwine(m_sl, trials=6, seed=7)
+        s.keep(rep, name, rep.detail)
+    with s.rows("coassociative symbol intertwining") as (name,):
+        rep = dirac.coassoc_symbol_intertwine(m, trials=6, seed=7)
+        s.keep(rep, name, rep.detail)
 
 
 def run_suite(exact: bool = True, seed: int = 0, trials: int = 60,

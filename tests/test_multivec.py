@@ -76,8 +76,8 @@ def test_hodge_involution_on_4forms():
 def test_hodge_isometry():
     rng = np.random.default_rng(2)
     for _ in range(200):
-        a = random_form(rng, 8, 3, exact=True)
-        b = random_form(rng, 8, 3, exact=True)
+        a = random_form(rng, 8, 3, bound=5)
+        b = random_form(rng, 8, 3, bound=5)
         assert a.hodge().inner(b.hodge()) == a.inner(b)
 
 
@@ -95,9 +95,9 @@ def test_contract_phi0_seven_unit_blades():
 def test_contract_antiderivation():
     rng = np.random.default_rng(3)
     for _ in range(100):
-        v = random_vector(rng, 8, exact=True)
-        a = random_form(rng, 8, 2, exact=True)
-        b = random_form(rng, 8, 3, exact=True)
+        v = random_vector(rng, 8, bound=5)
+        a = random_form(rng, 8, 2, bound=5)
+        b = random_form(rng, 8, 3, bound=5)
         lhs = a.wedge(b).contract(v)
         rhs = a.contract(v).wedge(b) + a.wedge(b.contract(v))
         assert lhs.approx_equal(rhs)
@@ -111,9 +111,9 @@ def test_contract_degree_zero_errors():
 def test_contract_adjoint_to_wedge():
     rng = np.random.default_rng(4)
     for _ in range(200):
-        v = random_vector(rng, 8, exact=True)
-        a = random_form(rng, 8, 3, exact=True)
-        b = random_form(rng, 8, 2, exact=True)
+        v = random_vector(rng, 8, bound=5)
+        a = random_form(rng, 8, 3, bound=5)
+        b = random_form(rng, 8, 2, bound=5)
         assert a.contract(v).inner(b) == a.inner(flat(v).wedge(b))
 
 
@@ -126,7 +126,7 @@ def test_inner_examples():
 def test_musical_roundtrip():
     assert sharp(flat(E[2])).components == E[2].components
     rng = np.random.default_rng(5)
-    v = random_vector(rng, 8, exact=True)
+    v = random_vector(rng, 8, bound=5)
     assert sharp(flat(v)).components == v.components
 
 
@@ -165,9 +165,9 @@ def test_restrict_orientation_equivariance():
 def test_wedge_associative_graded_anticommutative_exact():
     rng = np.random.default_rng(7)
     for _ in range(1000):
-        a = random_form(rng, 8, 2, exact=True, span=5)
-        b = random_form(rng, 8, 1, exact=True, span=5)
-        c = random_form(rng, 8, 1, exact=True, span=5)
+        a = random_form(rng, 8, 2, bound=3)
+        b = random_form(rng, 8, 1, bound=3)
+        c = random_form(rng, 8, 1, bound=3)
         assert a.wedge(b).wedge(c).approx_equal(a.wedge(b.wedge(c)))
         assert b.wedge(c).approx_equal(-1 * c.wedge(b))
         assert a.wedge(b).approx_equal(b.wedge(a))
@@ -188,8 +188,8 @@ def test_exact_sqrt():
 def test_float_mode_agrees_with_exact():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        a = random_form(rng, 8, 2, exact=True, span=7)
-        b = random_form(rng, 8, 2, exact=True, span=7)
+        a = random_form(rng, 8, 2, bound=4)
+        b = random_form(rng, 8, 2, bound=4)
         exact_val = a.wedge(b).hodge().inner(a.wedge(b).hodge())
         float_val = (a.as_float().wedge(b.as_float()).hodge()
                      .inner(a.as_float().wedge(b.as_float()).hodge()))
@@ -690,42 +690,30 @@ def test_second_verify_run_merges_no_blades(monkeypatch):
     assert calls == []
 
 
-def _ref_random_form(rng, dim, degree, exact, span):
-    """One scalar draw per blade, the loop ``random_form`` replaces with one draw."""
-    coeffs = {}
-    for blade in blades(dim, degree):
-        if exact:
-            c = int(rng.integers(-span // 2, span // 2 + 1))
-        else:
-            c = float(rng.standard_normal())
-        if c != 0:
-            coeffs[blade] = c
-    return KForm(dim, degree, coeffs)
-
-
-def _ref_random_vector(rng, dim, exact):
-    if exact:
-        return Vector(int(rng.integers(-5, 5)) for _ in range(dim))
-    return Vector(float(x) for x in rng.standard_normal(dim))
-
-
 @settings(max_examples=80)
-@given(st.integers(0, 2 ** 32 - 1), st.data())
-def test_random_draws_keep_the_per_scalar_streams(seed, data):
-    """random_form and random_vector draw each value list at once, yet give
-    the per-scalar loops' values, in type and order, and leave the generator
-    where those loops leave it, so every seeded test and golden keeps its data."""
-    dim = data.draw(st.integers(1, 8))
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.data(),
+       st.one_of(st.none(), st.integers(1, 12), st.integers(1, multivec.DRAW_BOUND)))
+def test_random_draws_are_one_call_over_their_range(seed, dim, data, bound):
+    """random_form and random_vector each draw their values, blade by blade
+    and entry by entry, with one call: ``integers(-bound, bound, size=n)``,
+    Python ints of ``[-bound, bound)``, or with no bound ``standard_normal(n)``,
+    floats.  They leave the generator where that call leaves it."""
     degree = data.draw(st.integers(0, dim))
-    exact = data.draw(st.booleans())
-    span = data.draw(st.integers(1, 12))
+    basis = blades(dim, degree)
     got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = random_form(got_rng, dim, degree, exact=exact, span=span)
-    ref = _ref_random_form(ref_rng, dim, degree, exact, span)
-    assert (got.dim, got.degree) == (ref.dim, ref.degree)
-    assert [(b, c, type(c)) for b, c in got.coeffs.items()] == \
-        [(b, c, type(c)) for b, c in ref.coeffs.items()]
-    v, ref_v = random_vector(got_rng, dim, exact=exact), _ref_random_vector(ref_rng, dim, exact)
-    assert [(c, type(c)) for c in v.components] == [(c, type(c)) for c in ref_v.components]
-    assert got_rng.integers(-5, 5) == ref_rng.integers(-5, 5)
-    assert got_rng.standard_normal() == ref_rng.standard_normal()
+
+    def one_call(n):
+        if bound is None:
+            return ref_rng.standard_normal(n).tolist()
+        return ref_rng.integers(-bound, bound, size=n).tolist()
+
+    form = random_form(got_rng, dim, degree, bound)
+    assert (form.dim, form.degree) == (dim, degree)
+    assert list(form.coeffs.items()) == [(b, c) for b, c in zip(basis, one_call(len(basis)))
+                                         if c != 0]
+    v = random_vector(got_rng, dim, bound)
+    assert list(v.components) == one_call(dim)
+    values = list(form.coeffs.values()) + list(v.components)
+    assert all(type(c) is (float if bound is None else int) for c in values)
+    assert bound is None or all(-bound <= c < bound for c in values)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state

@@ -14,7 +14,10 @@ module), or sits on the reviewed list ``UNCALLED`` with the reason it
 stays, so an entry point that only tests reach shows up too.  A fifth walk checks that only
 ``spin7`` builds a ``CheckResult`` directly, so every other check is
 judged by ``CheckResult.judge``, and a sixth that no call outside
-``spin7`` sets ``passed=``, so no verdict is overridden after it.
+``spin7`` sets ``passed=``, so no verdict is overridden after it.  A
+seventh checks that every random draw sits in ``multivec.random_vector``
+or ``multivec.random_form``, which state the range they draw, or on the
+reviewed list ``OWN_DRAWS`` with the reason it draws for itself.
 """
 
 import ast
@@ -41,9 +44,8 @@ DEFAULTED = {
     ("index", "read_field", "minimum"),
     ("multivec", "scalar", "den"),
     ("multivec", "is_zero", "tol"),
-    ("multivec", "random_form", "exact"),
-    ("multivec", "random_form", "span"),
-    ("multivec", "random_vector", "exact"),
+    ("multivec", "random_form", "bound"),
+    ("multivec", "random_vector", "bound"),
     ("multivec", "Vector.basis", "exact"),
     ("multivec", "KForm.is_zero", "tol"),
     ("spin7", "standard_model", "exact"),
@@ -213,3 +215,34 @@ def test_only_spin7_sets_a_verdict():
     overrides = [f"{name}:{node.lineno}" for name, node in _calls_outside_spin7()
                  if any(k.arg == "passed" for k in node.keywords)]
     assert not overrides
+
+
+#: functions outside the two draw helpers that call a generator's
+#: ``standard_normal`` or ``integers``, each with the reason
+OWN_DRAWS = {
+    ("calib", "random_orthonormal_frames"): "draws a batch of frames as one array",
+    ("calib", "_start_frames"): "draws each restart's frame array from its own substream",
+    ("dirac", "h_equivariance_check"): "draws the scalar of each random section",
+    ("verify", "_check_model_level"): "draws the seed of the clifford check",
+}
+
+
+def _draw_sites(tree, module):
+    """Yield ``(module, qualified name)`` of the module-level function or
+    method around each ``.standard_normal(`` or ``.integers(`` call."""
+    for node in tree.body:
+        methods = node.body if isinstance(node, ast.ClassDef) else [node]
+        prefix = f"{node.name}." if isinstance(node, ast.ClassDef) else ""
+        for fn in methods:
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr in ("standard_normal", "integers")
+                    for call in ast.walk(fn)):
+                yield module, prefix + fn.name
+
+
+def test_every_random_draw_goes_through_the_draw_helpers():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found.update(_draw_sites(ast.parse(path.read_text()), path.stem))
+    assert found - {("multivec", "random_vector"), ("multivec", "random_form")} == set(OWN_DRAWS)

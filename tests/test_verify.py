@@ -24,7 +24,7 @@ PROJECTIONS = "projections idempotent, orthogonal, resolve identity"
 #: every exact row on random draws: the degree of its identity in the drawn
 #: entries, and the bound ``N`` of ``false pass <= 2^-N`` it had when it drew
 #: 60 trials (15 for inner-tau, 6 for the last two) from the 10 integers of
-#: [-5, 5), which both random_vector and random_form(span=9) draw from
+#: [-5, 5), which random_vector and random_form draw from at bound=5
 POLYNOMIAL_ROWS = {
     INNER_CROSS: (4, 79),
     "inner-tau": (6, 11),
@@ -259,13 +259,9 @@ def test_a_sign_flipped_cross2_fails_inner_tau(seed, blade):
     assert _failing_rows(outcomes, {"inner-tau"})
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), blade=st.sampled_from(blades(8, 2)),
-       entry=st.integers(0, 2))
-def test_a_sign_flipped_lambda2_entry_fails_a_row_that_reads_minus_l(seed, blade, entry):
-    """One entry of the ``lambda2_rows`` that ``_minus_l`` reads negated: a row
-    on the unhalved products fails within its stated trials.  The form rows
-    run alone: the model-level operator checks raise on the broken model."""
+def _flipped_lambda2_rows(blade, entry):
+    """``lambda2_rows`` with ``entry`` of column ``blade`` negated, as a property
+    (which outranks the cached value and caches nothing itself)."""
     def rows(model):
         table = dict(spin7._lambda2_rows(model.phi))
         col = list(table[blade])
@@ -273,9 +269,53 @@ def test_a_sign_flipped_lambda2_entry_fails_a_row_that_reads_minus_l(seed, blade
         col[entry] = (k, -c)
         table[blade] = tuple(col)
         return table
+    return property(rows)
 
+
+#: the rows of an unbroken suite, in order
+ROW_NAMES = [o.name for o in verify.run_suite(exact=True, trials=0)[0]]
+
+RAISED = re.compile(r"^raised \w+Error: ")
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), blade=st.sampled_from(blades(8, 2)),
+       entry=st.integers(0, 2))
+def test_a_sign_flipped_lambda2_entry_fails_a_row_that_reads_minus_l(seed, blade, entry):
+    """One entry of the ``lambda2_rows`` that ``_minus_l`` reads negated: a row
+    on the unhalved products fails within its stated trials, with the form rows
+    alone and with the model-level rows, where the projection row fails too.
+    A model-level check that raises on the broken model fails its rows with
+    the exception named, and the suite still records every row."""
     with pytest.MonkeyPatch.context() as mp:
-        # a property outranks the cached value, and caches nothing itself
-        mp.setattr(spin7.Spin7Model, "lambda2_rows", property(rows))
-        outcomes, _ = verify.run_suite(exact=True, seed=seed, trials=0, form=spin7.phi0())
-    assert _failing_rows(outcomes, {INNER_CROSS, NORMS})
+        mp.setattr(spin7.Spin7Model, "lambda2_rows", _flipped_lambda2_rows(blade, entry))
+        alone, _ = verify.run_suite(exact=True, seed=seed, trials=0, form=spin7.phi0())
+        full, _ = verify.run_suite(exact=True, seed=seed, trials=0)
+    assert _failing_rows(alone, {INNER_CROSS, NORMS})
+    assert _failing_rows(full, {INNER_CROSS, NORMS})
+    assert _failing_rows(full, {PROJECTIONS}) == [PROJECTIONS]
+    assert [o.name for o in full] == ROW_NAMES
+    assert all(not o.passed for o in full if RAISED.match(o.detail))
+
+
+CLIFFORD, ASD = "clifford relation of the symbol", "plane ASD forms embed conformally opposite E"
+SL, COASSOC = "special Lagrangian symbol intertwining", "coassociative symbol intertwining"
+
+
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("blade, raising", [((1, 2), {SL}),
+                                            ((1, 6), {CLIFFORD, ASD, COASSOC, SL})],
+                         ids=["column-12", "column-16"])
+def test_a_point_model_that_raises_fails_the_rows_that_read_it(exact, blade, raising):
+    """With entry 0 of column ``blade`` negated, the Cayley point models of the
+    broken model raise ``NonCayleyPlaneError``: each row that reads one fails
+    with the exception named (the clifford and ASD rows, which share the point
+    model at e1..e4, together), and the suite goes on to every later row."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spin7.Spin7Model, "lambda2_rows", _flipped_lambda2_rows(blade, 0))
+        outcomes, summary = verify.run_suite(exact=exact, trials=0)
+    raised = {o.name: o.detail for o in outcomes if RAISED.match(o.detail)}
+    assert set(raised) == raising
+    assert all(d.startswith("raised NonCayleyPlaneError: ") for d in raised.values())
+    assert raising <= set(summary["failed_names"])
+    assert [o.name for o in outcomes] == ROW_NAMES
